@@ -21,6 +21,7 @@ gain exceeds it by more than ``GAIN_EPS``.
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 # candidate splits must beat the incumbent by this margin; makes the scan
 # order-stable under float noise
@@ -50,10 +51,14 @@ class ColumnBlocks:
 
     @classmethod
     def from_dense(cls, X) -> "ColumnBlocks":
-        X = np.asarray(X, dtype=np.float64)
+        """Blocks of all rows of X, a dense or scipy sparse matrix. Explicitly
+        stored zeros are dropped."""
+        X = sparse.coo_array(X, dtype=np.float64)
         n, p = X.shape
-        row, col = np.nonzero(X)
-        val = X[row, col]
+        nz = X.data != 0
+        row = X.row[nz].astype(np.int64)
+        col = X.col[nz].astype(np.int64)
+        val = X.data[nz]
         order = np.lexsort((row, val, col))
         return cls(np.arange(n), row[order], col[order], val[order], n, p)
 
@@ -239,8 +244,37 @@ def best_split(Xn, gn, hn, reg_lambda, min_child_weight):
         reg_lambda, min_child_weight)
 
 
+class SparseCells:
+    """Cell lookup ``cells[rows, cols]`` on a CSR matrix with sorted column
+    indices, as :func:`predict_margin` reads it.
+
+    Each stored cell has the key ``row * n_cols + col``; keys are sorted
+    because rows and, within them, columns are. A lookup is one binary
+    search, which costs less per call than scipy's fancy indexing.
+    """
+
+    __slots__ = ("shape", "keys", "data")
+
+    def __init__(self, X):
+        n, p = X.shape
+        self.shape = (n, p)
+        cells = X.tocoo()
+        # a sentinel above every key, so a search never runs off the end
+        self.keys = np.append(cells.row.astype(np.int64) * p + cells.col, n * p)
+        self.data = np.append(cells.data, 0.0)
+
+    def __getitem__(self, index):
+        rows, cols = index
+        q = rows * self.shape[1] + cols
+        pos = np.searchsorted(self.keys, q)
+        return np.where(self.keys[pos] == q, self.data[pos], 0.0)
+
+
 def predict_margin(X, feature, threshold, left, right, value, tree_start, out):
-    """Add the output of every tree to ``out`` (one margin per row of X)."""
+    """Add the output of every tree to ``out`` (one margin per row of X).
+
+    X is a dense array or :class:`SparseCells`.
+    """
     n = X.shape[0]
     rows = np.arange(n)
     for t in range(tree_start.shape[0]):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
@@ -50,17 +50,10 @@ class RulePaths:
 class Thresholds:
     tweet_min_count: int = 50
     bio_min_count: int = 10
-    confidence_gender: float = 0.7
-    confidence_location: float = 0.7
-    confidence_age: float = 0.65
     band_lower: float = 0.4
     band_upper: float = 0.6
 
     def __post_init__(self):
-        for t in (self.confidence_gender, self.confidence_location,
-                  self.confidence_age):
-            if not (0.5 < t <= 1.0):
-                raise ConfigError("confidence thresholds must be in (0.5, 1]")
         if not (0.0 < self.band_lower < self.band_upper < 1.0):
             raise ConfigError("stance bands must satisfy 0 < lower < upper < 1")
 
@@ -121,18 +114,41 @@ def _resolve(base_dir: Path, value: Optional[str]) -> Optional[str]:
     return str(p if p.is_absolute() else base_dir / p)
 
 
+_TOP_LEVEL_KEYS = ("corpus", "output_dir", "rules", "filter", "thresholds",
+                   "boost", "alpha0", "calibration_fraction", "min_in_degree",
+                   "reference_year", "include_retweets", "periods", "rng_seed")
+_FILTER_KEYS = ("include_terms", "exclude_patterns", "from", "to")
+
+
+def _known(section: Optional[str], value, allowed) -> dict:
+    """The mapping ``value`` (empty if None); every key must be in
+    ``allowed``."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{section or 'config'} must be a mapping")
+    unknown = sorted(str(k) for k in value if k not in allowed)
+    if unknown:
+        prefix = f"{section}." if section else ""
+        raise ConfigError("unknown config key(s): "
+                          + ", ".join(prefix + k for k in unknown))
+    return value
+
+
 def config_from_dict(raw: dict, base_dir: Path = Path(".")) -> PipelineConfig:
+    """Build a config from parsed YAML. Unknown keys raise ConfigError."""
+    raw = _known(None, raw, _TOP_LEVEL_KEYS)
     cfg = PipelineConfig()
     if "corpus" in raw:
         cfg.corpus = _resolve(base_dir, raw["corpus"]) or ""
     if "output_dir" in raw:
         cfg.output_dir = _resolve(base_dir, raw["output_dir"]) or "out"
-    rules = raw.get("rules") or {}
-    for key in ("gazetteer", "names", "patterns", "stance_seeds",
-                "stopwords", "lexicon", "manual_labels"):
-        if rules.get(key):
-            setattr(cfg.rules, key, _resolve(base_dir, rules[key]))
-    flt = raw.get("filter") or {}
+    rules = _known("rules", raw.get("rules"),
+                   [f.name for f in fields(RulePaths)])
+    for key, value in rules.items():
+        if value:
+            setattr(cfg.rules, key, _resolve(base_dir, value))
+    flt = _known("filter", raw.get("filter"), _FILTER_KEYS)
     if "include_terms" in flt:
         cfg.include_terms = list(flt["include_terms"])
     if "exclude_patterns" in flt:
@@ -141,16 +157,16 @@ def config_from_dict(raw: dict, base_dir: Path = Path(".")) -> PipelineConfig:
         cfg.time_from = parse_date(flt["from"])
     if flt.get("to"):
         cfg.time_to = parse_date(flt["to"])
-    thr = raw.get("thresholds") or {}
+    thr = _known("thresholds", raw.get("thresholds"),
+                 [f.name for f in fields(Thresholds)])
     cfg.thresholds = Thresholds(**{**asdict(cfg.thresholds), **thr})
-    boost = raw.get("boost") or {}
+    boost = _known("boost", raw.get("boost"),
+                   [f.name for f in fields(BoostParams)])
     if boost:
-        cfg.boost = BoostParams(**{
-            **{k: getattr(cfg.boost, k) for k in (
-                "n_estimators", "learning_rate", "max_delta_step", "max_depth",
-                "validation_fraction", "early_stopping_rounds", "reg_lambda",
-                "min_child_weight", "rng_seed")},
-            **boost})
+        try:
+            cfg.boost = BoostParams(**{**asdict(cfg.boost), **boost})
+        except ValueError as exc:
+            raise ConfigError(f"boost: {exc}") from None
     for key in ("alpha0", "calibration_fraction", "min_in_degree",
                 "reference_year", "include_retweets", "rng_seed"):
         if key in raw:

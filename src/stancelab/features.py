@@ -4,6 +4,13 @@ The matrix is a horizontal concatenation of five blocks, in fixed order:
 tweet terms, bio terms (including lexicon categories), profile meta features,
 retweet edges, and directed (mention/reply/quote) edges. Rows and columns are
 sorted by identifier so construction is deterministic.
+
+In memory the values are one ``scipy.sparse.csr_array`` of float64, rows ×
+columns, in canonical form: within each row the column indices are sorted and
+unique, and every stored value is positive and finite. ``X.indptr[i]`` to
+``X.indptr[i + 1]`` delimits row i's entries in ``X.indices`` (columns) and
+``X.data`` (values). Absent cells are zero; no dense rows × columns copy is
+made except by :meth:`FeatureMatrix.to_dense`.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
 
 from .corpus import Corpus, InteractionGraph
 from .textproc import EMOJI, TermCounts, Token, registrable_domain, tokenize
@@ -20,8 +28,14 @@ BLOCKS = ("tweet_term", "bio_term", "profile_meta", "retweet_edge", "directed_ed
 FEATURE_TYPES = ("emoji", "hashtag", "mention", "url", "word",
                  "lexicon_category", "meta", "network")
 
+# the two stance signal emoji
+DEFENSE_EMOJI = "\U0001F49A"     # green heart
+OPPOSITION_EMOJI = "\U0001F499"  # blue heart
+
 _KIND_TO_TYPE = {"emoji": "emoji", "hashtag": "hashtag", "mention": "mention",
                  "url": "url", "word": "word"}
+
+_FORMAT_LINE = "#format stancelab-matrix v1"
 
 
 class MatrixError(Exception):
@@ -43,20 +57,39 @@ class FeatureColumn:
             raise ValueError("network features only allowed in edge blocks")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureMatrix:
     rows: tuple[str, ...]
     columns: tuple[FeatureColumn, ...]
-    cells: dict[tuple[int, int], float]   # only nonzero values stored
+    X: sparse.csr_array   # canonical CSR, positive finite values only
     period: Optional[tuple[int, int]] = None
 
     def __post_init__(self):
         ids = [c.identifier for c in self.columns]
         if len(set(ids)) != len(ids):
             raise MatrixError("duplicate column identifiers")
-        for (i, j), v in self.cells.items():
-            if v <= 0:
-                raise MatrixError(f"stored cell ({i},{j}) must be positive")
+        X = self.X
+        if not isinstance(X, sparse.csr_array) or X.dtype != np.float64:
+            raise MatrixError("values must be a float64 scipy.sparse.csr_array")
+        if X.shape != self.shape:
+            raise MatrixError(f"values have shape {X.shape}, "
+                              f"rows × columns is {self.shape}")
+        if not X.has_canonical_format:
+            raise MatrixError("column indices must be sorted and unique "
+                              "within each row")
+        if not np.all((X.data > 0) & (X.data < np.inf)):
+            raise MatrixError("stored cells must be positive and finite")
+
+    def __eq__(self, other):
+        if not isinstance(other, FeatureMatrix):
+            return NotImplemented
+        a, b = self.X, other.X
+        # canonical form makes equal matrices store equal arrays
+        return (self.rows == other.rows and self.columns == other.columns
+                and self.period == other.period
+                and np.array_equal(a.indptr, b.indptr)
+                and np.array_equal(a.indices, b.indices)
+                and np.array_equal(a.data, b.data))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -69,10 +102,7 @@ class FeatureMatrix:
         return {c.identifier: j for j, c in enumerate(self.columns)}
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=np.float64)
-        for (i, j), v in self.cells.items():
-            out[i, j] = v
-        return out
+        return self.X.toarray()
 
     def column_identifiers(self) -> list[str]:
         return [c.identifier for c in self.columns]
@@ -80,46 +110,117 @@ class FeatureMatrix:
     def save(self, path) -> None:
         """Write the documented text format: `#col` header lines, then
         `row col value` triplets in deterministic order."""
+        cells = self.X.tocoo()
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("#format stancelab-matrix v1\n")
+            fh.write(_FORMAT_LINE + "\n")
             if self.period is not None:
                 fh.write(f"#period {self.period[0]} {self.period[1]}\n")
             for i, u in enumerate(self.rows):
                 fh.write(f"#row {i} {u}\n")
             for j, c in enumerate(self.columns):
                 fh.write(f"#col {j} {c.identifier} {c.block} {c.feature_type}\n")
-            for (i, j) in sorted(self.cells):
-                v = self.cells[(i, j)]
-                fh.write(f"{i} {j} {v!r}\n")
+            fh.writelines(f"{i} {j} {v!r}\n" for i, j, v in zip(
+                cells.row.tolist(), cells.col.tolist(), cells.data.tolist()))
 
     @classmethod
     def load(cls, path) -> "FeatureMatrix":
+        """Parse the text format written by :meth:`save`.
+
+        Raises :class:`MatrixError` naming the file and line of the first
+        malformed header or data line, out-of-range or out-of-sequence index,
+        non-positive or non-finite value, or duplicate or out-of-order
+        ``(row, col)`` pair.
+        """
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+        if lines[-1] == "":
+            lines.pop()
+        if not lines or lines[0].strip() != _FORMAT_LINE:
+            raise MatrixError(f"{path}:1: unrecognized matrix file")
         rows: list[str] = []
         cols: list[FeatureColumn] = []
-        cells: dict[tuple[int, int], float] = {}
         period = None
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != "#format stancelab-matrix v1":
-                raise MatrixError(f"unrecognized matrix file {path}")
-            for line in fh:
-                line = line.rstrip("\n")
-                if line.startswith("#period "):
-                    _tag, a, b = line.split()
+        n = 1
+        while n < len(lines) and lines[n].startswith("#"):
+            line = lines[n]
+            n += 1
+            tag = line.split(" ", 1)[0]
+            try:
+                if tag == "#period":
+                    _tag, a, b = line.split(" ")
                     period = (int(a), int(b))
-                elif line.startswith("#row "):
+                elif tag == "#row":
                     _tag, idx, user = line.split(" ", 2)
-                    assert int(idx) == len(rows)
+                    _in_sequence(path, n, tag, idx, len(rows))
                     rows.append(user)
-                elif line.startswith("#col "):
+                elif tag == "#col":
                     head, block, ftype = line.rsplit(" ", 2)
                     _tag, idx, ident = head.split(" ", 2)
-                    assert int(idx) == len(cols)
+                    _in_sequence(path, n, tag, idx, len(cols))
                     cols.append(FeatureColumn(ident, block, ftype))
                 else:
-                    i, j, v = line.split(" ", 2)
-                    cells[(int(i), int(j))] = float(v)
-        return cls(tuple(rows), tuple(cols), cells, period)
+                    raise MatrixError(f"{path}:{n}: unrecognized header line "
+                                      f"{line!r}")
+            except ValueError as exc:
+                raise MatrixError(f"{path}:{n}: malformed {tag} line "
+                                  f"{line!r}: {exc}") from None
+
+        # data lines: `row col value`; data[k] is line first + k of the file
+        data, first = lines[n:], n + 1
+        _check(path, first, data, [line.count(" ") != 2 for line in data],
+               "data line must have 3 fields 'row col value'")
+        fields = " ".join(data).split(" ") if data else []
+        try:
+            i, j, v = _parse_triplets(fields[0::3], fields[1::3], fields[2::3])
+        except (ValueError, OverflowError):
+            _check(path, first, data, [not _parses(line) for line in data],
+                   "row and column must be integers and value a number")
+            raise
+        n_rows, n_cols = len(rows), len(cols)
+        _check(path, first, data, (i < 0) | (i >= n_rows),
+               f"row index out of range [0, {n_rows})")
+        _check(path, first, data, (j < 0) | (j >= n_cols),
+               f"column index out of range [0, {n_cols})")
+        _check(path, first, data, ~((v > 0) & (v < np.inf)),
+               "value must be positive and finite")
+        step = np.diff(i * n_cols + j)
+        _check(path, first + 1, data[1:], step == 0, "duplicate (row, col)")
+        _check(path, first + 1, data[1:], step < 0,
+               "(row, col) out of order; data lines are sorted by row, "
+               "then column")
+        X = sparse.csr_array((v, (i, j)), shape=(n_rows, n_cols))
+        try:
+            return cls(tuple(rows), tuple(cols), X, period)
+        except MatrixError as exc:
+            raise MatrixError(f"{path}: {exc}") from None
+
+
+def _in_sequence(path, line_no: int, tag: str, idx: str, expected: int) -> None:
+    if int(idx) != expected:
+        raise MatrixError(f"{path}:{line_no}: {tag} index {idx} out of "
+                          f"sequence (expected {expected})")
+
+
+def _parse_triplets(i, j, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return (np.array(i, dtype=np.int64), np.array(j, dtype=np.int64),
+            np.array(v, dtype=np.float64))
+
+
+def _parses(line: str) -> bool:
+    try:
+        _parse_triplets(*([f] for f in line.split(" ")))
+    except (ValueError, OverflowError):
+        return False
+    return True
+
+
+def _check(path, first: int, data: list[str], bad, what: str) -> None:
+    """Raise for the first data line flagged in ``bad``; ``data[k]`` is line
+    ``first + k`` of the file."""
+    hits = np.flatnonzero(bad)
+    if len(hits):
+        k = int(hits[0])
+        raise MatrixError(f"{path}:{first + k}: {what}: {data[k]!r}")
 
 
 def build_matrix(corpus: Corpus,
@@ -143,7 +244,9 @@ def build_matrix(corpus: Corpus,
     ridx = {u: i for i, u in enumerate(rows)}
 
     columns: list[FeatureColumn] = []
-    cells: dict[tuple[int, int], float] = {}
+    cell_row: list[int] = []
+    cell_col: list[int] = []
+    cell_val: list[float] = []
 
     def add_block(column_values: dict[str, dict[str, float]], block: str,
                   type_of: dict[str, str]) -> None:
@@ -152,7 +255,9 @@ def build_matrix(corpus: Corpus,
             columns.append(FeatureColumn(ident, block, type_of[ident]))
             for user_id, v in column_values[ident].items():
                 if v > 0:
-                    cells[(ridx[user_id], j)] = float(v)
+                    cell_row.append(ridx[user_id])
+                    cell_col.append(j)
+                    cell_val.append(float(v))
 
     # block 1: tweet terms
     vals: dict[str, dict[str, float]] = {}
@@ -223,30 +328,32 @@ def build_matrix(corpus: Corpus,
                 vals.setdefault(ident, {})[src] = float(w)
         add_block(vals, block, types)
 
-    return FeatureMatrix(rows=rows, columns=tuple(columns), cells=cells,
+    X = sparse.csr_array(
+        (np.array(cell_val, dtype=np.float64),
+         (np.array(cell_row, dtype=np.int64),
+          np.array(cell_col, dtype=np.int64))),
+        shape=(len(rows), len(columns)))
+    return FeatureMatrix(rows=rows, columns=tuple(columns), X=X,
                          period=period)
 
 
 def drop_columns(matrix: FeatureMatrix, drop: set[str]) -> FeatureMatrix:
     """Remove the named columns; rows are preserved even if emptied."""
-    keep = [(j, c) for j, c in enumerate(matrix.columns)
-            if c.identifier not in drop]
-    remap = {old: new for new, (old, _c) in enumerate(keep)}
-    cells = {(i, remap[j]): v for (i, j), v in matrix.cells.items() if j in remap}
+    keep = np.array([j for j, c in enumerate(matrix.columns)
+                     if c.identifier not in drop], dtype=np.int64)
     return FeatureMatrix(rows=matrix.rows,
-                         columns=tuple(c for _j, c in keep),
-                         cells=cells, period=matrix.period)
+                         columns=tuple(matrix.columns[j] for j in keep),
+                         X=matrix.X[:, keep], period=matrix.period)
 
 
 def align_rows(a: FeatureMatrix, b: FeatureMatrix) -> tuple[FeatureMatrix, FeatureMatrix]:
     """Restrict both matrices to their common users, in the same sorted order."""
-    common = sorted(set(a.rows) & set(b.rows))
+    common = tuple(sorted(set(a.rows) & set(b.rows)))
 
     def restrict(m: FeatureMatrix) -> FeatureMatrix:
-        old = m.row_index()
-        remap = {old[u]: i for i, u in enumerate(common)}
-        cells = {(remap[i], j): v for (i, j), v in m.cells.items() if i in remap}
-        return FeatureMatrix(rows=tuple(common), columns=m.columns,
-                             cells=cells, period=m.period)
+        ridx = m.row_index()
+        take = np.array([ridx[u] for u in common], dtype=np.int64)
+        return FeatureMatrix(rows=common, columns=m.columns, X=m.X[take],
+                             period=m.period)
 
     return restrict(a), restrict(b)

@@ -14,11 +14,14 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
+from scipy import sparse
 
 from . import _kernels
 from .features import FeatureMatrix
 
-MatrixLike = Union[FeatureMatrix, np.ndarray]
+# a FeatureMatrix, or a rows × columns array (dense or scipy sparse) whose
+# columns are identified by position
+MatrixLike = Union[FeatureMatrix, np.ndarray, sparse.sparray]
 
 
 class TrainingError(Exception):
@@ -184,10 +187,13 @@ def _log_loss(y: np.ndarray, p: np.ndarray) -> float:
     return float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
 
 
-def _as_dense(matrix: MatrixLike) -> tuple[np.ndarray, list[str]]:
+def _as_csr(matrix: MatrixLike) -> tuple[sparse.csr_array, list[str]]:
+    """The input as CSR, with its column identifiers (``f00000``, ... for
+    arrays)."""
     if isinstance(matrix, FeatureMatrix):
-        return matrix.to_dense(), matrix.column_identifiers()
-    X = np.asarray(matrix, dtype=np.float64)
+        return matrix.X, matrix.column_identifiers()
+    X = sparse.csr_array(matrix, dtype=np.float64, copy=True)
+    X.sum_duplicates()  # sorts column indices, which SparseCells needs
     return X, [f"f{j:05d}" for j in range(X.shape[1])]
 
 
@@ -243,9 +249,9 @@ def _build_tree(root: _kernels.ColumnBlocks, g: np.ndarray, h: np.ndarray,
                 gains)
 
 
-def _tree_margin(tree: Tree, X: np.ndarray) -> np.ndarray:
-    out = np.zeros(X.shape[0])
-    _kernels.predict_margin(X, tree.feature, tree.threshold, tree.left,
+def _tree_margin(tree: Tree, cells: _kernels.SparseCells) -> np.ndarray:
+    out = np.zeros(cells.shape[0])
+    _kernels.predict_margin(cells, tree.feature, tree.threshold, tree.left,
                             tree.right, tree.value,
                             np.zeros(1, dtype=np.int64), out)
     return out
@@ -277,9 +283,9 @@ def train(matrix: MatrixLike, labels: Sequence[int],
     trees up to the best iteration.
     """
     params = params or BoostParams()
-    X, columns = _as_dense(matrix)
+    X, columns = _as_csr(matrix)
     y = np.asarray(labels, dtype=np.float64)
-    if X.size == 0 or len(y) == 0:
+    if 0 in X.shape or len(y) == 0:
         raise TrainingError("empty training matrix")
     if len(y) != X.shape[0]:
         raise TrainingError("label count does not match row count")
@@ -292,10 +298,11 @@ def train(matrix: MatrixLike, labels: Sequence[int],
                                            params.validation_fraction, rng)
     if len(set(y[train_idx])) < 2:
         raise TrainingError("training split lost one of the classes")
-    X_tr, y_tr = np.ascontiguousarray(X[train_idx]), y[train_idx]
-    X_val, y_val = np.ascontiguousarray(X[val_idx]), y[val_idx]
+    X_tr, y_tr = X[train_idx], y[train_idx]
+    X_val, y_val = X[val_idx], y[val_idx]
 
     blocks = _kernels.ColumnBlocks.from_dense(X_tr)
+    val_cells = _kernels.SparseCells(X_val)
     margin_tr = np.full(len(y_tr), base_score)
     margin_val = np.full(len(y_val), base_score)
 
@@ -314,7 +321,7 @@ def train(matrix: MatrixLike, labels: Sequence[int],
             # too few rows to hold out a validation slice; no early stopping
             best_iter = it
             continue
-        margin_val += _tree_margin(tree, X_val)
+        margin_val += _tree_margin(tree, val_cells)
         val_loss = _log_loss(y_val, _sigmoid(margin_val))
         if val_loss < best_loss:
             best_loss = val_loss
@@ -343,29 +350,29 @@ def fit_single_tree_full_batch(X: np.ndarray, y: Sequence[int],
                        update)
 
 
-def _reconcile(model: BoostedModel, matrix: MatrixLike) -> np.ndarray:
-    """Dense matrix in the model's column order; unknown columns are absent
-    (zero), extra input columns are ignored."""
-    if isinstance(matrix, FeatureMatrix):
-        X = np.zeros((len(matrix.rows), len(model.columns)))
-        pos = {ident: j for j, ident in enumerate(model.columns)}
-        idents = matrix.column_identifiers()
-        for (i, j), v in matrix.cells.items():
-            k = pos.get(idents[j])
-            if k is not None:
-                X[i, k] = v
+def _reconcile(model: BoostedModel, matrix: MatrixLike) -> sparse.csr_array:
+    """CSR matrix in the model's column order. A FeatureMatrix is matched by
+    column identifier: model columns it lacks are absent (zero), and its
+    extra columns are ignored. Arrays are matched by position."""
+    X, idents = _as_csr(matrix)
+    if not isinstance(matrix, FeatureMatrix):
+        if X.shape[1] != len(model.columns):
+            raise TrainingError("column count mismatch for array input")
         return X
-    X = np.asarray(matrix, dtype=np.float64)
-    if X.shape[1] != len(model.columns):
-        raise TrainingError("column count mismatch for ndarray input")
-    return np.ascontiguousarray(X)
+    pos = {ident: k for k, ident in enumerate(model.columns)}
+    remap = np.array([pos.get(ident, -1) for ident in idents], dtype=np.int64)
+    cells = X.tocoo()
+    col = remap[cells.col]
+    keep = col >= 0
+    return sparse.csr_array((cells.data[keep], (cells.row[keep], col[keep])),
+                            shape=(X.shape[0], len(model.columns)))
 
 
 def predict_margin(model: BoostedModel, matrix: MatrixLike) -> np.ndarray:
-    X = _reconcile(model, matrix)
-    out = np.full(X.shape[0], model.base_score)
+    cells = _kernels.SparseCells(_reconcile(model, matrix))
+    out = np.full(cells.shape[0], model.base_score)
     for tree in model.trees:
-        out += _tree_margin(tree, X)
+        out += _tree_margin(tree, cells)
     return out
 
 
@@ -425,7 +432,7 @@ def cross_validate(matrix: MatrixLike, labels: Sequence[int],
                    params: Optional[BoostParams] = None, k: int = 5) -> CVReport:
     """Stratified k-fold CV; macro precision/recall at threshold 0.5."""
     params = params or BoostParams()
-    X, _cols = _as_dense(matrix)
+    X, _cols = _as_csr(matrix)
     y = np.asarray(labels, dtype=np.int64)
     rng = np.random.default_rng(params.rng_seed)
     folds = _stratified_folds(y, k, rng)
@@ -436,7 +443,7 @@ def cross_validate(matrix: MatrixLike, labels: Sequence[int],
         train_idx = np.sort(np.concatenate([folds[i] for i in range(k) if i != f]))
         fold_params = replace(params, rng_seed=params.rng_seed + f + 1)
         model = train(X[train_idx], y[train_idx], fold_params)
-        conf = predict_confidence(model, np.ascontiguousarray(X[test_idx]))
+        conf = predict_confidence(model, X[test_idx])
         pred = (conf >= 0.5).astype(np.int64)
         prec, rec = _macro_precision_recall(y[test_idx], pred)
         precisions.append(prec)

@@ -67,20 +67,48 @@ class StageError(Exception):
 
 @contextmanager
 def output_lock(out_dir: Path):
-    """One pipeline instance per output directory."""
+    """One pipeline instance per output directory.
+
+    The lock file holds the owner's pid. A lock whose process no longer
+    exists was left by a killed run; it is removed and taken over once.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     lock = out_dir / ".lock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise StageError(f"output directory {out_dir} is locked by another "
-                         f"run (remove {lock} if stale)")
+    for attempt in (1, 2):
+        try:
+            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            break
+        except FileExistsError:
+            if attempt == 2 or not _lock_is_stale(lock):
+                raise StageError(f"output directory {out_dir} is locked by "
+                                 f"another run (remove {lock} if stale)"
+                                 ) from None
+            lock.unlink(missing_ok=True)
     try:
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
         yield
     finally:
         lock.unlink(missing_ok=True)
+
+
+def _lock_is_stale(lock: Path) -> bool:
+    """True when the lock names a pid that no longer exists. An unreadable
+    pid may belong to a run that has not written it yet, so it is not
+    stale."""
+    try:
+        pid = int(lock.read_text(encoding="ascii"))
+    except (OSError, ValueError):
+        return False
+    if pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except PermissionError:
+        pass  # the process exists but belongs to another user
+    return False
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -207,11 +235,9 @@ class Pipeline:
                         labeling.Label(value, prov, float(conf)))
         return out
 
-    def _matrices(self):
-        full = features_mod.FeatureMatrix.load(self.out / "matrix_full.txt")
-        p0 = features_mod.FeatureMatrix.load(self.out / "matrix_p0.txt")
-        p1 = features_mod.FeatureMatrix.load(self.out / "matrix_p1.txt")
-        return full, p0, p1
+    def _matrix(self, name: str) -> features_mod.FeatureMatrix:
+        """Load ``matrix_<name>.txt`` (full, p0 or p1)."""
+        return features_mod.FeatureMatrix.load(self.out / f"matrix_{name}.txt")
 
     def _build_matrix_for(self, corpus: corpus_mod.Corpus,
                           period: Optional[tuple[int, int]]
@@ -333,15 +359,14 @@ class Pipeline:
 
     def _stage_train(self) -> None:
         labels = self._labels()
-        full, _p0, _p1 = self._matrices()
-        matrix = self._leakage_dropped(full)
+        matrix = self._leakage_dropped(self._matrix("full"))
         train_users, _calib_users = self._split_stance_labels(labels)
         if not train_users:
             raise StageError("no stance-labeled users to train on")
         ridx = matrix.row_index()
         rows = [ridx[u] for u in train_users if u in ridx]
         kept_users = [u for u in train_users if u in ridx]
-        X = matrix.to_dense()[rows]
+        X = matrix.X[rows]
         y = [1 if labels.get(u, "stance").value == "defense" else 0
              for u in kept_users]
         model = gbt.train(X, y, self.config.boost)
@@ -362,7 +387,7 @@ class Pipeline:
 
     def _stage_calibrate(self) -> None:
         labels = self._labels()
-        full, _p0, _p1 = self._matrices()
+        full = self._matrix("full")
         model = gbt.BoostedModel.load(self.out / "model_stance.txt")
         train_users = set((self.out / "model_train_users.txt")
                           .read_text(encoding="utf-8").split())
@@ -398,11 +423,13 @@ class Pipeline:
         return calib.PlattModel(slope=float(slope), offset=float(offset))
 
     def _stage_predict(self) -> None:
-        full, _p0, _p1 = self._matrices()
+        full = self._matrix("full")
         model = gbt.BoostedModel.load(self.out / "model_stance.txt")
         platt = self._load_platt()
+        thr = self.config.thresholds
         conf = gbt.predict_confidence(model, full)
-        scores = calib.score_users(platt, list(full.rows), conf)
+        scores = calib.score_users(platt, list(full.rows), conf,
+                                   lower=thr.band_lower, upper=thr.band_upper)
         self._write_tsv("stance_scores.tsv",
                         ["user_id", "raw_confidence", "probability", "band"],
                         [(s.user_id, s.raw_confidence, s.probability, s.band)
@@ -417,8 +444,7 @@ class Pipeline:
                         [(b, c, c / total) for b, c in counts.items()])
 
     def _stage_importance(self) -> None:
-        full, _p0, _p1 = self._matrices()
-        matrix = self._leakage_dropped(full)
+        matrix = self._leakage_dropped(self._matrix("full"))
         model = gbt.BoostedModel.load(self.out / "model_stance.txt")
         ranked = gbt.feature_importance(model)
         col_by_id = {c.identifier: c for c in matrix.columns}
@@ -456,7 +482,7 @@ class Pipeline:
         return out
 
     def _stage_turnaround(self) -> None:
-        _full, p0, p1 = self._matrices()
+        p0, p1 = self._matrix("p0"), self._matrix("p1")
         model = gbt.BoostedModel.load(self.out / "model_stance.txt")
         platt = self._load_platt()
         demo = self._accepted_demographics()
@@ -495,9 +521,11 @@ class Pipeline:
         turn = self._read_turnaround()
         if not turn:
             raise StageError("turnaround table is empty")
-        _full, p0_matrix, _p1 = self._matrices()
-        emoji_usage = _emoji_usage(p0_matrix)
-        platt_band = {u: calib.stance_band(p0) for u, p0, _p1v, _d in turn}
+        emoji_usage = _emoji_usage(self._matrix("p0"))
+        thr = self.config.thresholds
+        platt_band = {u: calib.stance_band(p0, lower=thr.band_lower,
+                                           upper=thr.band_upper)
+                      for u, p0, _p1v, _d in turn}
 
         records, response = [], []
         t0_start = self.config.periods[0][0]
@@ -570,19 +598,18 @@ def _fmt(v) -> str:
 
 def _emoji_usage(p0_matrix) -> dict[str, tuple[float, float]]:
     """Per-user (green, blue) heart usage flags in the first period."""
-    from .synth import DEFENSE_EMOJI, OPPOSITION_EMOJI
     cidx = p0_matrix.column_index()
     out: dict[str, tuple[float, float]] = {}
-    for ident, slot in ((DEFENSE_EMOJI, 0), (OPPOSITION_EMOJI, 1)):
+    for ident, slot in ((features_mod.DEFENSE_EMOJI, 0),
+                        (features_mod.OPPOSITION_EMOJI, 1)):
         j = cidx.get(ident)
         if j is None:
             continue
-        for (i, jj), v in p0_matrix.cells.items():
-            if jj == j and v > 0:
-                u = p0_matrix.rows[i]
-                flags = list(out.get(u, (0.0, 0.0)))
-                flags[slot] = 1.0
-                out[u] = tuple(flags)
+        for i in p0_matrix.X[:, [j]].nonzero()[0]:
+            u = p0_matrix.rows[i]
+            flags = list(out.get(u, (0.0, 0.0)))
+            flags[slot] = 1.0
+            out[u] = tuple(flags)
     return out
 
 

@@ -139,17 +139,6 @@ def group_importance_test(importances: Sequence[tuple["object", float]]
 # ---------------------------------------------------------------------------
 # turnaround
 
-@dataclass(frozen=True)
-class TurnaroundRecord:
-    user_id: str
-    p_t0: float
-    p_t1: float
-
-    @property
-    def delta(self) -> float:
-        return self.p_t1 - self.p_t0
-
-
 def turnaround(p0: float, p1: float) -> float:
     """Change in defense probability between two periods, in [-1, 1]."""
     if not (0.0 <= p0 <= 1.0 and 0.0 <= p1 <= 1.0):

@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .corpus import Corpus, MicroPost, UserProfile
+from .features import DEFENSE_EMOJI, OPPOSITION_EMOJI
 
 
 def _utc(y, m, d) -> int:
@@ -24,9 +25,6 @@ def _utc(y, m, d) -> int:
 
 DEFAULT_PERIODS = ((_utc(2017, 5, 1), _utc(2017, 8, 1)),
                    (_utc(2018, 5, 1), _utc(2018, 8, 1)))
-
-DEFENSE_EMOJI = "\U0001F49A"     # green heart
-OPPOSITION_EMOJI = "\U0001F499"  # blue heart
 
 COHORT_AGES = {"<18": (13, 17), "18-29": (18, 29), "30-39": (30, 39),
                ">=40": (40, 70)}

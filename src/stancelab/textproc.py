@@ -79,9 +79,6 @@ class TermCounts:
     def vocabulary(self) -> set[Token]:
         return {tok for (_u, tok) in self.counts}
 
-    def user_counts(self, user_id: str) -> dict[Token, int]:
-        return {tok: c for (u, tok), c in self.counts.items() if u == user_id}
-
 
 def registrable_domain(url: str) -> str:
     """Approximate registrable domain of a URL (netloc minus 'www.')."""

@@ -1,4 +1,8 @@
+import re
+
+import numpy as np
 import pytest
+from scipy import sparse
 
 from stancelab import corpus as cm
 from stancelab import features as ft
@@ -83,7 +87,8 @@ def test_save_load_round_trip(tmp_path):
     m2 = ft.FeatureMatrix.load(f)
     assert m2.rows == m.rows
     assert m2.columns == m.columns
-    assert m2.cells == m.cells
+    assert np.array_equal(m2.to_dense(), m.to_dense())
+    assert m2 == m
     # byte-identical re-save
     f2 = tmp_path / "m2.txt"
     m2.save(f2)
@@ -104,15 +109,73 @@ def test_drop_columns():
 
 def test_align_rows():
     m = build()
+    X = np.zeros((2, m.shape[1]))
+    X[0, 0] = 1.0
     other = ft.FeatureMatrix(rows=("b", "z"), columns=m.columns,
-                             cells={(0, 0): 1.0})
+                             X=sparse.csr_array(X))
     a, b = ft.align_rows(m, other)
     assert a.rows == b.rows == ("b",)
     assert a.columns == m.columns
+    assert np.array_equal(a.to_dense(), m.to_dense()[[1]])
+    assert np.array_equal(b.to_dense(), X[[0]])
 
 
 def test_positive_cell_contract():
+    explicit_zero = sparse.csr_array(
+        (np.array([0.0]), np.array([0]), np.array([0, 1])), shape=(1, 1))
     with pytest.raises(ft.MatrixError):
         ft.FeatureMatrix(rows=("a",),
                          columns=(ft.FeatureColumn("x", "tweet_term", "word"),),
-                         cells={(0, 0): 0.0})
+                         X=explicit_zero)
+
+
+def _set(lines, k, text):
+    return lines[:k] + [text] + lines[k + 1:], k
+
+
+def _value(lines, k, value):
+    i, j, _v = lines[k].split(" ")
+    return _set(lines, k, f"{i} {j} {value}")
+
+
+def _first(lines, prefix):
+    return next(k for k, line in enumerate(lines) if line.startswith(prefix))
+
+
+# each edit takes the saved file's lines and the index of its first data
+# line, and returns the corrupted lines and the index of the line to blame
+CORRUPTIONS = {
+    "two_fields": lambda ls, d: _set(ls, d + 1, "0 1"),
+    "four_fields": lambda ls, d: _set(ls, d + 1, "0 1 2.0 3"),
+    "non_integer_index": lambda ls, d: _set(ls, d, "0 x 1.0"),
+    "non_numeric_value": lambda ls, d: _value(ls, d, "abc"),
+    "row_out_of_range": lambda ls, d: _set(ls, d, "3 0 1.0"),
+    "negative_row": lambda ls, d: _set(ls, d, "-1 0 1.0"),
+    "col_out_of_range": lambda ls, d: _set(ls, d, "0 999 1.0"),
+    "row_out_of_sequence":
+        lambda ls, d: _set(ls, _first(ls, "#row ") + 1, "#row 5 b"),
+    "col_out_of_sequence":
+        lambda ls, d: _set(ls, _first(ls, "#col "),
+                           "#col 1 aborto tweet_term word"),
+    "zero_value": lambda ls, d: _value(ls, d, "0.0"),
+    "negative_value": lambda ls, d: _value(ls, d, "-2.0"),
+    "nan_value": lambda ls, d: _value(ls, d, "nan"),
+    "inf_value": lambda ls, d: _value(ls, d, "inf"),
+    "duplicate": lambda ls, d: (ls[:d + 1] + ls[d:], d + 1),
+    "out_of_order":
+        lambda ls, d: (ls[:d] + [ls[d + 1], ls[d]] + ls[d + 2:], d + 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_load_rejects_corruption_with_file_and_line(tmp_path, case):
+    good = tmp_path / "good.txt"
+    build().save(good)
+    lines = good.read_text(encoding="utf-8").splitlines()
+    data_at = next(k for k, line in enumerate(lines)
+                   if not line.startswith("#"))
+    bad_lines, blame = CORRUPTIONS[case](lines, data_at)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(bad_lines) + "\n", encoding="utf-8")
+    with pytest.raises(ft.MatrixError, match=re.escape(f"{bad}:{blame + 1}:")):
+        ft.FeatureMatrix.load(bad)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from stancelab import _kernels, gbt
 from stancelab._kernels import GAIN_EPS
@@ -173,6 +174,12 @@ def test_predict_kernels_agree():
     out2 = _kernels.predict_margin(X, *args, np.zeros(len(X)))
     assert np.array_equal(out1, out2)
     assert np.allclose(out1 + model.base_score, gbt.predict_margin(model, X))
+    # the sparse cell lookup reads the same values, absent cells as zero
+    X0 = np.where(np.abs(X) < 0.5, 0.0, X)
+    cells = _kernels.SparseCells(sparse.csr_array(X0))
+    assert np.array_equal(
+        _predict_margin_loop(X0, *args, np.zeros(len(X))),
+        _kernels.predict_margin(cells, *args, np.zeros(len(X))))
 
 
 def separable_data(n=200, seed=0):
@@ -233,20 +240,19 @@ def test_column_reconciliation():
     X, y = separable_data(seed=4)
     cols = tuple(FeatureColumn(f"t{j}", "tweet_term", "word")
                  for j in range(X.shape[1]))
-    cells = {(i, j): X[i, j] for i in range(X.shape[0])
-             for j in range(X.shape[1]) if X[i, j] > 0}
     m = FeatureMatrix(rows=tuple(f"u{i}" for i in range(X.shape[0])),
-                      columns=cols, cells=cells)
+                      columns=cols, X=sparse.csr_array(X))
     model = gbt.train(m, y)
     base = gbt.predict_margin(model, m)
+    assert np.array_equal(base, gbt.predict_margin(model, X))
     # permute columns and add an unseen one: predictions must not change
     perm = (cols[3], cols[0],
             FeatureColumn("new", "tweet_term", "word")) + cols[1:3] + cols[4:]
     remap = {c.identifier: j for j, c in enumerate(perm)}
-    cells2 = {}
-    for (i, j), v in m.cells.items():
-        cells2[(i, remap[cols[j].identifier])] = v
-    m2 = FeatureMatrix(rows=m.rows, columns=perm, cells=cells2)
+    X2 = np.zeros((X.shape[0], len(perm)))
+    for j, c in enumerate(cols):
+        X2[:, remap[c.identifier]] = X[:, j]
+    m2 = FeatureMatrix(rows=m.rows, columns=perm, X=sparse.csr_array(X2))
     assert np.array_equal(gbt.predict_margin(model, m2), base)
 
 

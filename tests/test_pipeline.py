@@ -1,8 +1,12 @@
 import json
 import os
+import re
+import subprocess
+import sys
 
 import pytest
 
+from stancelab import calibration as cal
 from stancelab import corpus as cm
 from stancelab import synth
 from stancelab.config import PipelineConfig, Thresholds, config_from_dict
@@ -99,6 +103,24 @@ def test_output_lock(demo_corpus, tmp_path):
         pass
 
 
+def test_output_lock_takes_over_from_exited_run(tmp_path):
+    out = tmp_path / "run"
+    out.mkdir()
+    lock = out / ".lock"
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    lock.write_text(str(child.pid))
+    with output_lock(out):
+        assert lock.read_text() == str(os.getpid())
+    assert not lock.exists()
+    # a lock whose process is alive still blocks, and is left in place
+    lock.write_text(str(os.getppid()))
+    with pytest.raises(StageError, match="locked"):
+        with output_lock(out):
+            pass
+    assert lock.read_text() == str(os.getppid())
+
+
 def test_report_files_well_formed(demo_corpus, tmp_path):
     cfg = make_config(demo_corpus, tmp_path / "run")
     pipe = run_all(cfg)
@@ -161,3 +183,43 @@ def test_config_rejects_overlapping_periods(tmp_path):
         config_from_dict({"periods": [["2017-05-01", "2018-08-01"],
                                       ["2018-05-01", "2018-09-01"]]},
                          base_dir=tmp_path)
+
+
+@pytest.mark.parametrize("raw, key", [
+    ({"rng_sed": 5}, "rng_sed"),
+    ({"filter": {"include_term": ["aborto"]}}, "filter.include_term"),
+    ({"rules": {"gazeteer": "g.tsv"}}, "rules.gazeteer"),
+    ({"thresholds": {"foo": 1}}, "thresholds.foo"),
+    ({"thresholds": {"confidence_gender": 0.7}},
+     "thresholds.confidence_gender"),
+    ({"boost": {"n_estimator": 5}}, "boost.n_estimator"),
+])
+def test_config_rejects_unknown_keys(tmp_path, raw, key):
+    from stancelab.config import ConfigError
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        config_from_dict(raw, base_dir=tmp_path)
+
+
+def test_configured_bands_reach_predict_and_regress(demo_corpus, tmp_path,
+                                                    monkeypatch):
+    cfg = make_config(demo_corpus, tmp_path / "run")
+    cfg.thresholds = Thresholds(tweet_min_count=5, bio_min_count=2,
+                                band_lower=0.3, band_upper=0.7)
+    bounds = set()
+    band = cal.stance_band
+
+    def recording_band(p, lower=cal.LOWER_BOUND, upper=cal.UPPER_BOUND):
+        bounds.add((lower, upper))
+        return band(p, lower=lower, upper=upper)
+
+    monkeypatch.setattr(cal, "stance_band", recording_band)
+    pipe = run_all(cfg)
+    assert bounds == {(0.3, 0.7)}
+    rows = [l.split("\t") for l in
+            (pipe.out / "stance_scores.tsv").read_text().splitlines()[2:]]
+    for _u, _conf, p, b in rows:
+        p = float(p)
+        assert b == ("opposition" if p < 0.3 else
+                     "undisclosed" if p < 0.7 else "defense")
+    assert cal.stance_band(0.35, lower=0.3) == "undisclosed"
+    assert cal.stance_band(0.35) == "opposition"
