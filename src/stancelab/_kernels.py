@@ -244,36 +244,10 @@ def best_split(Xn, gn, hn, reg_lambda, min_child_weight):
         reg_lambda, min_child_weight)
 
 
-class SparseCells:
-    """Cell lookup ``cells[rows, cols]`` on a CSR matrix with sorted column
-    indices, as :func:`predict_margin` reads it.
-
-    Each stored cell has the key ``row * n_cols + col``; keys are sorted
-    because rows and, within them, columns are. A lookup is one binary
-    search, which costs less per call than scipy's fancy indexing.
-    """
-
-    __slots__ = ("shape", "keys", "data")
-
-    def __init__(self, X):
-        n, p = X.shape
-        self.shape = (n, p)
-        cells = X.tocoo()
-        # a sentinel above every key, so a search never runs off the end
-        self.keys = np.append(cells.row.astype(np.int64) * p + cells.col, n * p)
-        self.data = np.append(cells.data, 0.0)
-
-    def __getitem__(self, index):
-        rows, cols = index
-        q = rows * self.shape[1] + cols
-        pos = np.searchsorted(self.keys, q)
-        return np.where(self.keys[pos] == q, self.data[pos], 0.0)
-
-
 def predict_margin(X, feature, threshold, left, right, value, tree_start, out):
     """Add the output of every tree to ``out`` (one margin per row of X).
 
-    X is a dense array or :class:`SparseCells`.
+    X is a dense array or a scipy CSR array.
     """
     n = X.shape[0]
     rows = np.arange(n)

@@ -12,7 +12,7 @@ BAND_OPPOSITION = "opposition"
 BAND_UNDISCLOSED = "undisclosed"
 BAND_DEFENSE = "defense"
 
-# default band boundaries; 0.4 belongs to undisclosed, 0.6 to defense
+# band boundaries; 0.4 belongs to undisclosed, 0.6 to defense
 LOWER_BOUND = 0.4
 UPPER_BOUND = 0.6
 
@@ -126,30 +126,25 @@ def calibrate_many(model: PlattModel, confidences: Sequence[float]) -> np.ndarra
     return np.asarray([calibrate(model, c) for c in confidences])
 
 
-def stance_band(probability: float, lower: float = LOWER_BOUND,
-                upper: float = UPPER_BOUND) -> str:
-    """opposition for p < lower, undisclosed for lower <= p < upper, defense
-    for p >= upper (by default 0.4 and 0.6)."""
+def stance_band(probability: float) -> str:
+    """opposition for p < 0.4, undisclosed for 0.4 <= p < 0.6, defense for
+    p >= 0.6."""
     if not (0.0 <= probability <= 1.0):
         raise ValueError("probability must be in [0, 1]")
-    if probability < lower:
+    if probability < LOWER_BOUND:
         return BAND_OPPOSITION
-    if probability < upper:
+    if probability < UPPER_BOUND:
         return BAND_UNDISCLOSED
     return BAND_DEFENSE
 
 
 def score_users(model: PlattModel, user_ids: Sequence[str],
-                confidences: Sequence[float], lower: float = LOWER_BOUND,
-                upper: float = UPPER_BOUND) -> list[StanceScore]:
-    """Calibrated probability and stance band per user; ``lower`` and
-    ``upper`` are the band boundaries of :func:`stance_band`."""
+                confidences: Sequence[float]) -> list[StanceScore]:
     out = []
     for uid, conf in zip(user_ids, confidences):
         p = calibrate(model, conf)
         out.append(StanceScore(user_id=uid, raw_confidence=float(conf),
-                               probability=p,
-                               band=stance_band(p, lower=lower, upper=upper)))
+                               probability=p, band=stance_band(p)))
     return out
 
 

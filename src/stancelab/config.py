@@ -50,12 +50,6 @@ class RulePaths:
 class Thresholds:
     tweet_min_count: int = 50
     bio_min_count: int = 10
-    band_lower: float = 0.4
-    band_upper: float = 0.6
-
-    def __post_init__(self):
-        if not (0.0 < self.band_lower < self.band_upper < 1.0):
-            raise ConfigError("stance bands must satisfy 0 < lower < upper < 1")
 
 
 @dataclass

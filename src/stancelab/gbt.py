@@ -193,7 +193,7 @@ def _as_csr(matrix: MatrixLike) -> tuple[sparse.csr_array, list[str]]:
     if isinstance(matrix, FeatureMatrix):
         return matrix.X, matrix.column_identifiers()
     X = sparse.csr_array(matrix, dtype=np.float64, copy=True)
-    X.sum_duplicates()  # sorts column indices, which SparseCells needs
+    X.sum_duplicates()  # one entry per cell, as ColumnBlocks needs
     return X, [f"f{j:05d}" for j in range(X.shape[1])]
 
 
@@ -249,9 +249,9 @@ def _build_tree(root: _kernels.ColumnBlocks, g: np.ndarray, h: np.ndarray,
                 gains)
 
 
-def _tree_margin(tree: Tree, cells: _kernels.SparseCells) -> np.ndarray:
-    out = np.zeros(cells.shape[0])
-    _kernels.predict_margin(cells, tree.feature, tree.threshold, tree.left,
+def _tree_margin(tree: Tree, X: sparse.csr_array) -> np.ndarray:
+    out = np.zeros(X.shape[0])
+    _kernels.predict_margin(X, tree.feature, tree.threshold, tree.left,
                             tree.right, tree.value,
                             np.zeros(1, dtype=np.int64), out)
     return out
@@ -302,7 +302,6 @@ def train(matrix: MatrixLike, labels: Sequence[int],
     X_val, y_val = X[val_idx], y[val_idx]
 
     blocks = _kernels.ColumnBlocks.from_dense(X_tr)
-    val_cells = _kernels.SparseCells(X_val)
     margin_tr = np.full(len(y_tr), base_score)
     margin_val = np.full(len(y_val), base_score)
 
@@ -321,7 +320,7 @@ def train(matrix: MatrixLike, labels: Sequence[int],
             # too few rows to hold out a validation slice; no early stopping
             best_iter = it
             continue
-        margin_val += _tree_margin(tree, val_cells)
+        margin_val += _tree_margin(tree, X_val)
         val_loss = _log_loss(y_val, _sigmoid(margin_val))
         if val_loss < best_loss:
             best_loss = val_loss
@@ -369,10 +368,10 @@ def _reconcile(model: BoostedModel, matrix: MatrixLike) -> sparse.csr_array:
 
 
 def predict_margin(model: BoostedModel, matrix: MatrixLike) -> np.ndarray:
-    cells = _kernels.SparseCells(_reconcile(model, matrix))
-    out = np.full(cells.shape[0], model.base_score)
+    X = _reconcile(model, matrix)
+    out = np.full(X.shape[0], model.base_score)
     for tree in model.trees:
-        out += _tree_margin(tree, cells)
+        out += _tree_margin(tree, X)
     return out
 
 

@@ -8,6 +8,7 @@ inputs that produced them.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
@@ -69,46 +70,25 @@ class StageError(Exception):
 def output_lock(out_dir: Path):
     """One pipeline instance per output directory.
 
-    The lock file holds the owner's pid. A lock whose process no longer
-    exists was left by a killed run; it is removed and taken over once.
+    The run holds an exclusive ``flock`` on ``.lock``, which also records its
+    pid. The kernel drops the lock when the process exits, however it exits,
+    so a killed run never blocks a later one. The file stays in place:
+    removing it would let a run that had opened it lock a file that is no
+    longer the one at the path.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
-    lock = out_dir / ".lock"
-    for attempt in (1, 2):
-        try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            break
-        except FileExistsError:
-            if attempt == 2 or not _lock_is_stale(lock):
-                raise StageError(f"output directory {out_dir} is locked by "
-                                 f"another run (remove {lock} if stale)"
-                                 ) from None
-            lock.unlink(missing_ok=True)
+    fd = os.open(out_dir / ".lock", os.O_CREAT | os.O_RDWR)
     try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise StageError(f"output directory {out_dir} is locked by "
+                             "another run") from None
+        os.ftruncate(fd, 0)
         os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
         yield
     finally:
-        lock.unlink(missing_ok=True)
-
-
-def _lock_is_stale(lock: Path) -> bool:
-    """True when the lock names a pid that no longer exists. An unreadable
-    pid may belong to a run that has not written it yet, so it is not
-    stale."""
-    try:
-        pid = int(lock.read_text(encoding="ascii"))
-    except (OSError, ValueError):
-        return False
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    except PermissionError:
-        pass  # the process exists but belongs to another user
-    return False
+        os.close(fd)
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -426,10 +406,8 @@ class Pipeline:
         full = self._matrix("full")
         model = gbt.BoostedModel.load(self.out / "model_stance.txt")
         platt = self._load_platt()
-        thr = self.config.thresholds
         conf = gbt.predict_confidence(model, full)
-        scores = calib.score_users(platt, list(full.rows), conf,
-                                   lower=thr.band_lower, upper=thr.band_upper)
+        scores = calib.score_users(platt, list(full.rows), conf)
         self._write_tsv("stance_scores.tsv",
                         ["user_id", "raw_confidence", "probability", "band"],
                         [(s.user_id, s.raw_confidence, s.probability, s.band)
@@ -522,10 +500,7 @@ class Pipeline:
         if not turn:
             raise StageError("turnaround table is empty")
         emoji_usage = _emoji_usage(self._matrix("p0"))
-        thr = self.config.thresholds
-        platt_band = {u: calib.stance_band(p0, lower=thr.band_lower,
-                                           upper=thr.band_upper)
-                      for u, p0, _p1v, _d in turn}
+        platt_band = {u: calib.stance_band(p0) for u, p0, _p1v, _d in turn}
 
         records, response = [], []
         t0_start = self.config.periods[0][0]

@@ -174,12 +174,12 @@ def test_predict_kernels_agree():
     out2 = _kernels.predict_margin(X, *args, np.zeros(len(X)))
     assert np.array_equal(out1, out2)
     assert np.allclose(out1 + model.base_score, gbt.predict_margin(model, X))
-    # the sparse cell lookup reads the same values, absent cells as zero
+    # a CSR array reads the same values, absent cells as zero
     X0 = np.where(np.abs(X) < 0.5, 0.0, X)
-    cells = _kernels.SparseCells(sparse.csr_array(X0))
     assert np.array_equal(
         _predict_margin_loop(X0, *args, np.zeros(len(X))),
-        _kernels.predict_margin(cells, *args, np.zeros(len(X))))
+        _kernels.predict_margin(sparse.csr_array(X0), *args,
+                                np.zeros(len(X))))
 
 
 def separable_data(n=200, seed=0):

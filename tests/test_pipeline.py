@@ -3,10 +3,10 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
-from stancelab import calibration as cal
 from stancelab import corpus as cm
 from stancelab import synth
 from stancelab.config import PipelineConfig, Thresholds, config_from_dict
@@ -103,22 +103,71 @@ def test_output_lock(demo_corpus, tmp_path):
         pass
 
 
-def test_output_lock_takes_over_from_exited_run(tmp_path):
+# a child that takes the output lock of argv[1], says so, and holds it until
+# argv[2] exists; a child that finds the lock taken says "locked"
+_LOCK_CHILD = """
+import os, sys, time
+from pathlib import Path
+from stancelab.pipeline import StageError, output_lock
+try:
+    with output_lock(Path(sys.argv[1])):
+        print("held", flush=True)
+        while not os.path.exists(sys.argv[2]):
+            time.sleep(0.05)
+except StageError:
+    print("locked", flush=True)
+"""
+
+
+def _lock_child(out, release):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cm.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.Popen(
+        [sys.executable, "-c", _LOCK_CHILD, str(out), str(release)],
+        stdout=subprocess.PIPE, text=True, env=env)
+
+
+def test_output_lock_released_when_holder_is_killed(tmp_path):
+    out = tmp_path / "run"
+    child = _lock_child(out, tmp_path / "never")
+    try:
+        assert child.stdout.readline().strip() == "held"
+        with pytest.raises(StageError, match="locked"):
+            with output_lock(out):
+                pass
+    finally:
+        child.kill()
+        child.wait()
+    with output_lock(out):
+        assert (out / ".lock").read_text() == str(os.getpid())
+
+
+def test_output_lock_one_winner_among_racing_runs(tmp_path):
     out = tmp_path / "run"
     out.mkdir()
-    lock = out / ".lock"
-    child = subprocess.Popen([sys.executable, "-c", "pass"])
-    child.wait()
-    lock.write_text(str(child.pid))
-    with output_lock(out):
-        assert lock.read_text() == str(os.getpid())
-    assert not lock.exists()
-    # a lock whose process is alive still blocks, and is left in place
-    lock.write_text(str(os.getppid()))
-    with pytest.raises(StageError, match="locked"):
-        with output_lock(out):
-            pass
-    assert lock.read_text() == str(os.getppid())
+    # a leftover lock file naming a process that has exited
+    dead = subprocess.Popen([sys.executable, "-c", "pass"])
+    dead.wait()
+    (out / ".lock").write_text(str(dead.pid))
+    release = tmp_path / "release"
+    children = [_lock_child(out, release) for _ in range(2)]
+    try:
+        # the loser reports at once; the winner holds until released
+        for _ in range(600):
+            done = [c for c in children if c.poll() is not None]
+            if done:
+                break
+            time.sleep(0.05)
+        assert len(done) == 1
+        assert done[0].stdout.read().strip() == "locked"
+        release.touch()
+        winner = next(c for c in children if c is not done[0])
+        assert winner.wait(timeout=30) == 0
+        assert winner.stdout.read().strip() == "held"
+    finally:
+        for c in children:
+            c.kill()
+            c.wait()
 
 
 def test_report_files_well_formed(demo_corpus, tmp_path):
@@ -192,34 +241,10 @@ def test_config_rejects_overlapping_periods(tmp_path):
     ({"thresholds": {"foo": 1}}, "thresholds.foo"),
     ({"thresholds": {"confidence_gender": 0.7}},
      "thresholds.confidence_gender"),
+    ({"thresholds": {"band_lower": 0.3}}, "thresholds.band_lower"),
     ({"boost": {"n_estimator": 5}}, "boost.n_estimator"),
 ])
 def test_config_rejects_unknown_keys(tmp_path, raw, key):
     from stancelab.config import ConfigError
     with pytest.raises(ConfigError, match=re.escape(key)):
         config_from_dict(raw, base_dir=tmp_path)
-
-
-def test_configured_bands_reach_predict_and_regress(demo_corpus, tmp_path,
-                                                    monkeypatch):
-    cfg = make_config(demo_corpus, tmp_path / "run")
-    cfg.thresholds = Thresholds(tweet_min_count=5, bio_min_count=2,
-                                band_lower=0.3, band_upper=0.7)
-    bounds = set()
-    band = cal.stance_band
-
-    def recording_band(p, lower=cal.LOWER_BOUND, upper=cal.UPPER_BOUND):
-        bounds.add((lower, upper))
-        return band(p, lower=lower, upper=upper)
-
-    monkeypatch.setattr(cal, "stance_band", recording_band)
-    pipe = run_all(cfg)
-    assert bounds == {(0.3, 0.7)}
-    rows = [l.split("\t") for l in
-            (pipe.out / "stance_scores.tsv").read_text().splitlines()[2:]]
-    for _u, _conf, p, b in rows:
-        p = float(p)
-        assert b == ("opposition" if p < 0.3 else
-                     "undisclosed" if p < 0.7 else "defense")
-    assert cal.stance_band(0.35, lower=0.3) == "undisclosed"
-    assert cal.stance_band(0.35) == "opposition"
