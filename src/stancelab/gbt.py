@@ -10,7 +10,13 @@ non-negative count data.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import threading
+import time
+import traceback
 from dataclasses import dataclass, field, replace
+from multiprocessing import connection
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -26,6 +32,11 @@ MatrixLike = Union[FeatureMatrix, np.ndarray, sparse.sparray]
 
 class TrainingError(Exception):
     pass
+
+
+class WorkerTraceback(Exception):
+    """The traceback, as text, of an exception raised in a `fit_many`
+    worker; attached as the cause of that exception when it is re-raised."""
 
 
 @dataclass(frozen=True)
@@ -387,6 +398,92 @@ def feature_importance(model: BoostedModel) -> list[tuple[str, float]]:
     return sorted(pairs, key=lambda kv: (-kv[1], kv[0]))
 
 
+# one call of `train`: (matrix, labels, params)
+FitJob = tuple[MatrixLike, Sequence[int], Optional[BoostParams]]
+
+
+def fit_workers(n_jobs: int) -> int:
+    """How many fits `fit_many` runs at once for ``n_jobs`` jobs: one per CPU
+    this process may run on, and no more than there are jobs."""
+    return min(n_jobs, len(os.sched_getaffinity(0)))
+
+
+def _exit_when_orphaned(parent: int) -> None:
+    while os.getppid() == parent:
+        time.sleep(0.05)
+    os._exit(1)
+
+
+def _fit_in_child(job: FitJob, send: connection.Connection,
+                  parent: int) -> None:
+    # a worker left behind by a killed run would fit on for nothing
+    threading.Thread(target=_exit_when_orphaned, args=(parent,),
+                     daemon=True).start()
+    try:
+        result = (train(*job), None)
+    except Exception as exc:
+        result = (exc, traceback.format_exc())
+    send.send(result)
+
+
+def fit_many(jobs: Sequence[FitJob]) -> list[BoostedModel]:
+    """``train(*job)`` for every job, in parallel; the models come back in
+    job order.
+
+    Each fit runs in a process forked for it, at most ``fit_workers`` at a
+    time. The child inherits the job's data, sends back its model (or the
+    exception ``train`` raised) through a pipe and exits; it also exits as
+    soon as this process is gone. Once a fit fails no further fit starts,
+    and when the running ones have ended the failure of the earliest job is
+    raised, the one a loop over the jobs would have raised.
+
+    Call it from a process with no other threads: a fork copies only the
+    calling thread, and a lock another thread held stays locked in the child.
+    """
+    ctx = multiprocessing.get_context("fork")
+    n_workers = fit_workers(len(jobs))
+    models: list[Optional[BoostedModel]] = [None] * len(jobs)
+    errors: dict[int, tuple[Exception, Optional[str]]] = {}
+    running: dict[connection.Connection, tuple[int, multiprocessing.Process]] = {}
+    next_job = 0
+    try:
+        while True:
+            while (not errors and next_job < len(jobs)
+                   and len(running) < n_workers):
+                recv, send = ctx.Pipe(duplex=False)
+                proc = ctx.Process(target=_fit_in_child, daemon=True,
+                                   args=(jobs[next_job], send, os.getpid()))
+                proc.start()
+                send.close()
+                running[recv] = (next_job, proc)
+                next_job += 1
+            if not running:
+                break
+            for recv in connection.wait(list(running)):
+                i, proc = running.pop(recv)
+                try:
+                    value, child_tb = recv.recv()
+                except EOFError:  # killed, or its result would not pickle
+                    value, child_tb = None, None
+                recv.close()
+                proc.join()
+                if isinstance(value, BoostedModel):
+                    models[i] = value
+                else:
+                    errors[i] = (value or TrainingError(
+                        f"fit {i}: worker exited with code {proc.exitcode} "
+                        "without a result"), child_tb)
+    finally:
+        for recv, (_i, proc) in running.items():
+            proc.kill()
+            proc.join()
+            recv.close()
+    if errors:
+        error, child_tb = errors[min(errors)]
+        raise error from (WorkerTraceback(child_tb) if child_tb else None)
+    return models
+
+
 @dataclass(frozen=True)
 class CVReport:
     k: int
@@ -394,6 +491,9 @@ class CVReport:
     precision_std: float
     recall_mean: float
     recall_std: float
+    # with ``cross_validate(..., with_model=True)``: the model fit on all rows
+    model: Optional[BoostedModel] = field(default=None, compare=False,
+                                          repr=False)
 
     def __post_init__(self):
         if self.k < 2:
@@ -428,30 +528,43 @@ def _stratified_folds(y: np.ndarray, k: int,
 
 
 def cross_validate(matrix: MatrixLike, labels: Sequence[int],
-                   params: Optional[BoostParams] = None, k: int = 5) -> CVReport:
-    """Stratified k-fold CV; macro precision/recall at threshold 0.5."""
+                   params: Optional[BoostParams] = None, k: int = 5,
+                   with_model: bool = False) -> CVReport:
+    """Stratified k-fold CV; macro precision/recall at threshold 0.5.
+
+    Fold ``f`` is fit with seed ``params.rng_seed + f + 1``, all folds at
+    once through `fit_many`. With ``with_model`` the report also carries
+    ``train(matrix, labels, params)``, fit in the same pool, so the k + 1
+    fits share the CPUs.
+    """
     params = params or BoostParams()
     X, _cols = _as_csr(matrix)
     y = np.asarray(labels, dtype=np.int64)
     rng = np.random.default_rng(params.rng_seed)
     folds = _stratified_folds(y, k, rng)
 
-    precisions, recalls = [], []
+    # the model on all rows, the largest fit, starts first
+    jobs: list[FitJob] = [(matrix, labels, params)] if with_model else []
     for f in range(k):
-        test_idx = folds[f]
         train_idx = np.sort(np.concatenate([folds[i] for i in range(k) if i != f]))
         fold_params = replace(params, rng_seed=params.rng_seed + f + 1)
-        model = train(X[train_idx], y[train_idx], fold_params)
-        conf = predict_confidence(model, X[test_idx])
+        jobs.append((X[train_idx], y[train_idx], fold_params))
+    models = fit_many(jobs)
+    fold_models = models[1:] if with_model else models
+
+    precisions, recalls = [], []
+    for f in range(k):
+        conf = predict_confidence(fold_models[f], X[folds[f]])
         pred = (conf >= 0.5).astype(np.int64)
-        prec, rec = _macro_precision_recall(y[test_idx], pred)
+        prec, rec = _macro_precision_recall(y[folds[f]], pred)
         precisions.append(prec)
         recalls.append(rec)
     return CVReport(k=k,
                     precision_mean=float(np.mean(precisions)),
                     precision_std=float(np.std(precisions)),
                     recall_mean=float(np.mean(recalls)),
-                    recall_std=float(np.std(recalls)))
+                    recall_std=float(np.std(recalls)),
+                    model=models[0] if with_model else None)
 
 
 def accept_by_threshold(confidences: Sequence[float],

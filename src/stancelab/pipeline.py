@@ -9,6 +9,7 @@ inputs that produced them.
 from __future__ import annotations
 
 import fcntl
+import functools
 import hashlib
 import json
 import os
@@ -66,18 +67,36 @@ class StageError(Exception):
     pass
 
 
+# descriptors of the output locks this process holds
+_LOCK_FDS: set[int] = set()
+
+
+def _close_inherited_locks() -> None:
+    # a forked child (a training worker) shares the lock with its parent
+    # until it closes its copy, and would keep the directory locked if it
+    # outlived a killed parent
+    for fd in _LOCK_FDS:
+        os.close(fd)
+    _LOCK_FDS.clear()
+
+
+os.register_at_fork(after_in_child=_close_inherited_locks)
+
+
 @contextmanager
 def output_lock(out_dir: Path):
     """One pipeline instance per output directory.
 
     The run holds an exclusive ``flock`` on ``.lock``, which also records its
     pid. The kernel drops the lock when the process exits, however it exits,
-    so a killed run never blocks a later one. The file stays in place:
-    removing it would let a run that had opened it lock a file that is no
-    longer the one at the path.
+    so a killed run never blocks a later one; forked children close their
+    copy of the descriptor, so they cannot hold it either. The file stays in
+    place: removing it would let a run that had opened it lock a file that is
+    no longer the one at the path.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     fd = os.open(out_dir / ".lock", os.O_CREAT | os.O_RDWR)
+    _LOCK_FDS.add(fd)
     try:
         try:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -88,7 +107,9 @@ def output_lock(out_dir: Path):
         os.write(fd, str(os.getpid()).encode())
         yield
     finally:
-        os.close(fd)
+        if fd in _LOCK_FDS:  # not closed already by _close_inherited_locks
+            _LOCK_FDS.remove(fd)
+            os.close(fd)
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -135,7 +156,7 @@ class Pipeline:
                 "config": self.config.snapshot(),
                 "inputs": self._input_digests, "stages": {}}
 
-    def _record(self, stage: str, seconds: float) -> None:
+    def _record(self, stage: str, seconds: float, metrics: dict) -> None:
         manifest = self._load_manifest()
         manifest["digest"] = self.digest
         manifest["config"] = self.config.snapshot()
@@ -144,6 +165,7 @@ class Pipeline:
             "seconds": round(seconds, 3),
             "digest": self.digest,
             "outputs": list(_STAGE_OUTPUTS[stage]),
+            "metrics": metrics,
         }
         _atomic_write(self._manifest_path(),
                       json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -182,8 +204,8 @@ class Pipeline:
         if skip_fresh and self._is_fresh(stage):
             return
         started = time.monotonic()
-        getattr(self, f"_stage_{stage}")()
-        self._record(stage, time.monotonic() - started)
+        metrics = getattr(self, f"_stage_{stage}")()
+        self._record(stage, time.monotonic() - started, metrics or {})
 
     def run_all(self, skip_fresh: bool = False) -> None:
         with output_lock(self.out):
@@ -192,7 +214,9 @@ class Pipeline:
 
     # -- shared loaders ------------------------------------------------------
 
+    @functools.cached_property
     def _ruleset(self) -> labeling.RuleSet:
+        """The rule files, parsed once per pipeline."""
         r = self.config.rules
         return labeling.load_ruleset(r.gazetteer, r.names, r.patterns,
                                      r.stance_seeds,
@@ -292,7 +316,7 @@ class Pipeline:
 
     def _stage_label(self) -> None:
         corpus = self._corpus()
-        rules = self._ruleset()
+        rules = self._ruleset
         labels = labeling.apply_rules(corpus, rules)
         if self.config.rules.manual_labels:
             labeling.import_manual_labels(labels,
@@ -333,11 +357,11 @@ class Pipeline:
 
     def _leakage_dropped(self, matrix: features_mod.FeatureMatrix
                          ) -> features_mod.FeatureMatrix:
-        rules = self._ruleset()
+        rules = self._ruleset
         leaks = labeling.leakage_columns(rules, matrix.column_identifiers())
         return features_mod.drop_columns(matrix, leaks)
 
-    def _stage_train(self) -> None:
+    def _stage_train(self) -> dict:
         labels = self._labels()
         matrix = self._leakage_dropped(self._matrix("full"))
         train_users, _calib_users = self._split_stance_labels(labels)
@@ -349,21 +373,24 @@ class Pipeline:
         X = matrix.X[rows]
         y = [1 if labels.get(u, "stance").value == "defense" else 0
              for u in kept_users]
-        model = gbt.train(X, y, self.config.boost)
+        # the model and the CV folds are fit together, in parallel
+        k = 5
+        report = gbt.cross_validate(X, y, self.config.boost, k=k,
+                                    with_model=True)
+        model = report.model
         model.columns = matrix.column_identifiers()
         tmp = self.out / "model_stance.txt.tmp"
         model.save(tmp)
         os.replace(tmp, self.out / "model_stance.txt")
         _atomic_write(self.out / "model_train_users.txt",
                       "".join(u + "\n" for u in kept_users))
-
-        report = gbt.cross_validate(X, y, self.config.boost, k=5)
         self._write_tsv("cv_metrics.tsv",
                         ["attribute", "k", "precision_mean", "precision_std",
                          "recall_mean", "recall_std"],
                         [("stance", report.k, report.precision_mean,
                           report.precision_std, report.recall_mean,
                           report.recall_std)])
+        return {"fits": k + 1, "workers": gbt.fit_workers(k + 1)}
 
     def _stage_calibrate(self) -> None:
         labels = self._labels()

@@ -10,7 +10,9 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy import stats as sps
+
+# scipy.stats is imported by the two functions that use it: importing it
+# takes longer than the rest of stancelab, and most commands never need it
 
 
 class StatsError(Exception):
@@ -86,6 +88,7 @@ def tukey_hsd(groups: Mapping[str, Sequence[float]]) -> list[HSDComparison]:
     With zero within-group variance everywhere, p is set by limit: 0 for
     different means, 1 for equal means.
     """
+    from scipy import stats as sps
     names = sorted(groups)
     if len(names) < 2:
         raise StatsError("need at least two groups")
@@ -231,6 +234,7 @@ def ols_regress(records: Sequence[Mapping[str, object]],
     default), count covariates enter as log(1+x). Solved by QR; rank
     deficiency is fatal and names the collinear columns.
     """
+    from scipy import stats as sps
     y = np.asarray(response, dtype=np.float64)
     X, names, dummy_map = _design_matrix(records, covariates)
     n, p = X.shape

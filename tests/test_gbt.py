@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -279,6 +281,68 @@ def test_cv_needs_enough_per_class():
     y = np.array([1, 1, 1, 1, 1, 1, 1, 0, 0, 0])
     with pytest.raises(gbt.TrainingError):
         gbt.cross_validate(X, y, k=5)
+
+
+def _assert_same_model(a, b):
+    assert (a.base_score, a.columns, a.params, a.stopped_at) == \
+        (b.base_score, b.columns, b.params, b.stopped_at)
+    assert a.best_val_loss == b.best_val_loss
+    assert len(a.trees) == len(b.trees)
+    for ta, tb in zip(a.trees, b.trees):
+        for name in ("feature", "threshold", "left", "right", "value"):
+            assert np.array_equal(getattr(ta, name), getattr(tb, name))
+        assert ta.gain_by_col == tb.gain_by_col
+
+
+def test_fit_many_matches_in_process_train():
+    X, y = separable_data(n=300, seed=3)
+    folds = np.arange(300) % 4
+    params = gbt.BoostParams(n_estimators=30)
+    jobs = [(X, y, params)]
+    for f in range(4):
+        rows = folds != f
+        jobs.append((X[rows], y[rows],
+                     gbt.BoostParams(n_estimators=30, rng_seed=f + 1)))
+    pooled = gbt.fit_many(jobs)
+    assert len(pooled) == len(jobs)
+    for job, model in zip(jobs, pooled):
+        _assert_same_model(gbt.train(*job), model)
+
+
+def test_cross_validate_repeatable_and_carries_model():
+    X, y = separable_data(n=300)
+    params = gbt.BoostParams(n_estimators=40, rng_seed=4)
+    first = gbt.cross_validate(X, y, params, k=5)
+    again = gbt.cross_validate(X, y, params, k=5, with_model=True)
+    assert first == again
+    assert first.model is None
+    _assert_same_model(again.model, gbt.train(X, y, params))
+
+
+def test_fit_many_raises_worker_errors_in_job_order():
+    X, y = separable_data(n=100)
+    good = (X, y, gbt.BoostParams(n_estimators=5))
+    zeros = (X, np.zeros(100, dtype=int), None)
+    ones = (X, np.ones(100, dtype=int), None)
+    for jobs, first_bad in (([good, zeros, ones], zeros),
+                            ([ones, good, zeros], ones)):
+        with pytest.raises(gbt.TrainingError) as want:
+            gbt.train(*first_bad)
+        with pytest.raises(gbt.TrainingError) as got:
+            gbt.fit_many(jobs)
+        assert str(got.value) == str(want.value)
+        # the worker's traceback comes along as the cause
+        assert isinstance(got.value.__cause__, gbt.WorkerTraceback)
+        assert "in train" in str(got.value.__cause__)
+    assert gbt.fit_many([]) == []
+
+
+def test_fit_many_reports_a_worker_that_dies(monkeypatch):
+    X, y = separable_data(n=100)
+    # forked workers inherit the patched train
+    monkeypatch.setattr(gbt, "train", lambda *job: os._exit(3))
+    with pytest.raises(gbt.TrainingError, match="fit 0: .* code 3"):
+        gbt.fit_many([(X, y, None)])
 
 
 def test_accept_by_threshold():

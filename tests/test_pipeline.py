@@ -1,6 +1,8 @@
 import json
+import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -8,7 +10,7 @@ import time
 import pytest
 
 from stancelab import corpus as cm
-from stancelab import synth
+from stancelab import labeling, synth
 from stancelab.config import PipelineConfig, Thresholds, config_from_dict
 from stancelab.gbt import BoostParams
 from stancelab.pipeline import (REPORT_FILES, STAGES, Pipeline, StageError,
@@ -58,9 +60,18 @@ def test_end_to_end_and_byte_identity(demo_corpus, tmp_path):
         assert a.startswith(b"# manifest " + p1.digest.encode())
 
 
-def test_manifest_contents(demo_corpus, tmp_path):
+def test_manifest_contents(demo_corpus, tmp_path, monkeypatch):
+    loads = []
+    load_ruleset = labeling.load_ruleset
+
+    def counted(*args, **kwargs):
+        loads.append(args)
+        return load_ruleset(*args, **kwargs)
+
+    monkeypatch.setattr(labeling, "load_ruleset", counted)
     cfg = make_config(demo_corpus, tmp_path / "run")
     pipe = run_all(cfg)
+    assert len(loads) == 1  # label, train and importance share one parse
     manifest = json.loads((pipe.out / "manifest.json").read_text())
     assert manifest["digest"] == pipe.digest
     assert set(manifest["stages"]) == set(STAGES)
@@ -68,6 +79,8 @@ def test_manifest_contents(demo_corpus, tmp_path):
     assert len(manifest["inputs"]["corpus"]) == 64  # sha256 hex
     for entry in manifest["stages"].values():
         assert entry["seconds"] >= 0
+    assert manifest["stages"]["train"]["metrics"] == {
+        "fits": 6, "workers": min(6, len(os.sched_getaffinity(0)))}
 
 
 def test_missing_upstream_stage_fatal(demo_corpus, tmp_path):
@@ -119,12 +132,16 @@ except StageError:
 """
 
 
-def _lock_child(out, release):
+def _child(code, *args, **popen_kw):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cm.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
-    return subprocess.Popen(
-        [sys.executable, "-c", _LOCK_CHILD, str(out), str(release)],
-        stdout=subprocess.PIPE, text=True, env=env)
+    return subprocess.Popen([sys.executable, "-c", code, *map(str, args)],
+                            stdout=subprocess.PIPE, text=True, env=env,
+                            **popen_kw)
+
+
+def _lock_child(out, release):
+    return _child(_LOCK_CHILD, out, release)
 
 
 def test_output_lock_released_when_holder_is_killed(tmp_path):
@@ -140,6 +157,93 @@ def test_output_lock_released_when_holder_is_killed(tmp_path):
         child.wait()
     with output_lock(out):
         assert (out / ".lock").read_text() == str(os.getpid())
+
+
+# a child that takes the output lock of argv[1] and, holding it, fits two
+# models that would take hours
+_TRAINING_CHILD = """
+import sys
+from pathlib import Path
+import numpy as np
+from stancelab import gbt
+from stancelab.pipeline import output_lock
+rng = np.random.default_rng(0)
+X = rng.random((400, 20))
+y = rng.integers(0, 2, 400)
+params = gbt.BoostParams(n_estimators=10**6, early_stopping_rounds=10**6)
+with output_lock(Path(sys.argv[1])):
+    print("fitting", flush=True)
+    gbt.fit_many([(X, y, params)] * 2)
+"""
+
+
+def _live_members(pgid):
+    """Pids of the processes in group ``pgid`` that have not exited."""
+    pids = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                stat = fh.read()
+        except OSError:  # exited meanwhile
+            continue
+        state, _ppid, pgrp = stat[stat.rindex(")") + 2:].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            pids.append(int(entry))
+    return pids
+
+
+def _lock_is_free(out):
+    try:
+        with output_lock(out):
+            return True
+    except StageError:
+        return False
+
+
+def test_killed_run_leaves_no_worker_and_no_lock(tmp_path):
+    out = tmp_path / "run"
+    # its own process group, which its fit workers share
+    child = _child(_TRAINING_CHILD, out, start_new_session=True)
+    try:
+        assert child.stdout.readline().strip() == "fitting"
+        deadline = time.monotonic() + 30
+        while set(_live_members(child.pid)) <= {child.pid}:
+            assert time.monotonic() < deadline, "no fit worker started"
+            time.sleep(0.05)
+        child.kill()
+        child.wait()
+        deadline = time.monotonic() + 3
+        while _live_members(child.pid) or not _lock_is_free(out):
+            assert time.monotonic() < deadline, (
+                f"workers {_live_members(child.pid)} outlived the killed run, "
+                f"lock free: {_lock_is_free(out)}")
+            time.sleep(0.05)
+    finally:
+        child.kill()
+        child.wait()
+        child.stdout.close()
+        try:
+            os.killpg(child.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+
+
+def test_forked_child_does_not_hold_output_lock(tmp_path):
+    out = tmp_path / "run"
+    with output_lock(out):
+        child = multiprocessing.get_context("fork").Process(
+            target=time.sleep, args=(60,))
+        child.start()
+    try:
+        # the child closes its copy as soon as it runs after the fork
+        deadline = time.monotonic() + 5
+        while not _lock_is_free(out):
+            assert time.monotonic() < deadline, "the forked child holds the lock"
+            time.sleep(0.05)
+        assert child.is_alive()
+    finally:
+        child.kill()
+        child.join()
 
 
 def test_output_lock_one_winner_among_racing_runs(tmp_path):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +10,17 @@ from scipy import integrate
 from scipy.stats import norm
 
 from stancelab import stats
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs more to import than the rest of stancelab; only
+    # tukey_hsd and ols_regress load it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stats.__file__)))
+    code = "import sys, stancelab.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
