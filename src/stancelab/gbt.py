@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import signal
 import threading
 import time
 import traceback
@@ -422,65 +423,88 @@ def _fit_in_child(job: FitJob, send: connection.Connection,
     try:
         result = (train(*job), None)
     except Exception as exc:
-        result = (exc, traceback.format_exc())
+        result = (exc, WorkerTraceback(traceback.format_exc()))
     send.send(result)
+
+
+def _start_fit(job: FitJob) -> tuple[connection.Connection, int]:
+    """Fork a worker that fits ``job``; its result pipe and its pid."""
+    recv, send = multiprocessing.Pipe(duplex=False)
+    parent = os.getpid()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            recv.close()
+            _fit_in_child(job, send, parent)
+            code = 0
+        finally:
+            os._exit(code)  # never return into the caller's stack
+    send.close()
+    return recv, pid
+
+
+def _reap(pid: int) -> int:
+    """Wait for worker ``pid``; its exit code, or minus the killing signal."""
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
 def fit_many(jobs: Sequence[FitJob]) -> list[BoostedModel]:
     """``train(*job)`` for every job, in parallel; the models come back in
     job order.
 
-    Each fit runs in a process forked for it, at most ``fit_workers`` at a
-    time. The child inherits the job's data, sends back its model (or the
-    exception ``train`` raised) through a pipe and exits; it also exits as
-    soon as this process is gone. Once a fit fails no further fit starts,
-    and when the running ones have ended the failure of the earliest job is
-    raised, the one a loop over the jobs would have raised.
+    Each fit runs in a process forked for it with `os.fork`, at most
+    ``fit_workers`` at a time. The child inherits the job's data, sends back
+    its model (or the exception ``train`` raised) through a pipe and exits;
+    it also exits as soon as this process is gone. Once a fit fails no
+    further fit starts, and when the running ones have ended the failure of
+    the earliest job is raised, the one a loop over the jobs would have
+    raised. A worker that ends without a readable result raises
+    `TrainingError` with its exit code.
 
-    Call it from a process with no other threads: a fork copies only the
-    calling thread, and a lock another thread held stays locked in the child.
+    A fork copies only the calling thread, and a lock another thread held
+    stays locked in the child: call it from a process whose other threads,
+    if any, hold no lock that ``train`` needs. numpy's OpenBLAS pool is one
+    such thread, and OpenBLAS makes itself safe across a fork. The caller may
+    be a daemonic `multiprocessing` worker.
     """
-    ctx = multiprocessing.get_context("fork")
     n_workers = fit_workers(len(jobs))
     models: list[Optional[BoostedModel]] = [None] * len(jobs)
-    errors: dict[int, tuple[Exception, Optional[str]]] = {}
-    running: dict[connection.Connection, tuple[int, multiprocessing.Process]] = {}
+    errors: dict[int, tuple[Exception, Optional[Exception]]] = {}
+    running: dict[connection.Connection, tuple[int, int]] = {}
     next_job = 0
     try:
         while True:
             while (not errors and next_job < len(jobs)
                    and len(running) < n_workers):
-                recv, send = ctx.Pipe(duplex=False)
-                proc = ctx.Process(target=_fit_in_child, daemon=True,
-                                   args=(jobs[next_job], send, os.getpid()))
-                proc.start()
-                send.close()
-                running[recv] = (next_job, proc)
+                recv, pid = _start_fit(jobs[next_job])
+                running[recv] = (next_job, pid)
                 next_job += 1
             if not running:
                 break
             for recv in connection.wait(list(running)):
-                i, proc = running.pop(recv)
+                i, pid = running[recv]
                 try:
-                    value, child_tb = recv.recv()
-                except EOFError:  # killed, or its result would not pickle
-                    value, child_tb = None, None
+                    value, cause = recv.recv()
+                except Exception as exc:  # died mid-send, or unreadable
+                    value, cause = None, exc
+                code = _reap(pid)
+                del running[recv]
                 recv.close()
-                proc.join()
                 if isinstance(value, BoostedModel):
                     models[i] = value
                 else:
                     errors[i] = (value or TrainingError(
-                        f"fit {i}: worker exited with code {proc.exitcode} "
-                        "without a result"), child_tb)
+                        f"fit {i}: worker exited with code {code} "
+                        "without a result"), cause)
     finally:
-        for recv, (_i, proc) in running.items():
-            proc.kill()
-            proc.join()
+        for recv, (_i, pid) in running.items():
+            os.kill(pid, signal.SIGKILL)
+            _reap(pid)
             recv.close()
     if errors:
-        error, child_tb = errors[min(errors)]
-        raise error from (WorkerTraceback(child_tb) if child_tb else None)
+        error, cause = errors[min(errors)]
+        raise error from cause
     return models
 
 
@@ -491,9 +515,11 @@ class CVReport:
     precision_std: float
     recall_mean: float
     recall_std: float
-    # with ``cross_validate(..., with_model=True)``: the model fit on all rows
-    model: Optional[BoostedModel] = field(default=None, compare=False,
-                                          repr=False)
+    # ``train(matrix, labels, params)``, fit in the same pool as the folds
+    model: BoostedModel = field(compare=False, repr=False)
+    # the fits made (k folds and the model) and the processes run at once
+    fits: int = field(compare=False)
+    workers: int = field(compare=False)
 
     def __post_init__(self):
         if self.k < 2:
@@ -528,14 +554,13 @@ def _stratified_folds(y: np.ndarray, k: int,
 
 
 def cross_validate(matrix: MatrixLike, labels: Sequence[int],
-                   params: Optional[BoostParams] = None, k: int = 5,
-                   with_model: bool = False) -> CVReport:
+                   params: Optional[BoostParams] = None, k: int = 5) -> CVReport:
     """Stratified k-fold CV; macro precision/recall at threshold 0.5.
 
-    Fold ``f`` is fit with seed ``params.rng_seed + f + 1``, all folds at
-    once through `fit_many`. With ``with_model`` the report also carries
-    ``train(matrix, labels, params)``, fit in the same pool, so the k + 1
-    fits share the CPUs.
+    The report also carries ``train(matrix, labels, params)``. That model and
+    the k folds, fold ``f`` seeded ``params.rng_seed + f + 1``, are fit in
+    parallel by `fit_many`, in processes forked from this one; its docstring
+    says from which processes that is safe.
     """
     params = params or BoostParams()
     X, _cols = _as_csr(matrix)
@@ -544,13 +569,12 @@ def cross_validate(matrix: MatrixLike, labels: Sequence[int],
     folds = _stratified_folds(y, k, rng)
 
     # the model on all rows, the largest fit, starts first
-    jobs: list[FitJob] = [(matrix, labels, params)] if with_model else []
+    jobs: list[FitJob] = [(matrix, labels, params)]
     for f in range(k):
         train_idx = np.sort(np.concatenate([folds[i] for i in range(k) if i != f]))
         fold_params = replace(params, rng_seed=params.rng_seed + f + 1)
         jobs.append((X[train_idx], y[train_idx], fold_params))
-    models = fit_many(jobs)
-    fold_models = models[1:] if with_model else models
+    model, *fold_models = fit_many(jobs)
 
     precisions, recalls = [], []
     for f in range(k):
@@ -564,7 +588,8 @@ def cross_validate(matrix: MatrixLike, labels: Sequence[int],
                     precision_std=float(np.std(precisions)),
                     recall_mean=float(np.mean(recalls)),
                     recall_std=float(np.std(recalls)),
-                    model=models[0] if with_model else None)
+                    model=model, fits=len(jobs),
+                    workers=fit_workers(len(jobs)))
 
 
 def accept_by_threshold(confidences: Sequence[float],

@@ -374,9 +374,7 @@ class Pipeline:
         y = [1 if labels.get(u, "stance").value == "defense" else 0
              for u in kept_users]
         # the model and the CV folds are fit together, in parallel
-        k = 5
-        report = gbt.cross_validate(X, y, self.config.boost, k=k,
-                                    with_model=True)
+        report = gbt.cross_validate(X, y, self.config.boost, k=5)
         model = report.model
         model.columns = matrix.column_identifiers()
         tmp = self.out / "model_stance.txt.tmp"
@@ -390,7 +388,7 @@ class Pipeline:
                         [("stance", report.k, report.precision_mean,
                           report.precision_std, report.recall_mean,
                           report.recall_std)])
-        return {"fits": k + 1, "workers": gbt.fit_workers(k + 1)}
+        return {"fits": report.fits, "workers": report.workers}
 
     def _stage_calibrate(self) -> None:
         labels = self._labels()

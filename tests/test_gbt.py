@@ -1,4 +1,7 @@
+import multiprocessing
 import os
+import struct
+from multiprocessing import connection
 
 import numpy as np
 import pytest
@@ -313,10 +316,30 @@ def test_cross_validate_repeatable_and_carries_model():
     X, y = separable_data(n=300)
     params = gbt.BoostParams(n_estimators=40, rng_seed=4)
     first = gbt.cross_validate(X, y, params, k=5)
-    again = gbt.cross_validate(X, y, params, k=5, with_model=True)
+    again = gbt.cross_validate(X, y, params, k=5)
     assert first == again
-    assert first.model is None
-    _assert_same_model(again.model, gbt.train(X, y, params))
+    assert (first.fits, first.workers) == (6, gbt.fit_workers(6))
+    _assert_same_model(first.model, gbt.train(X, y, params))
+    _assert_same_model(again.model, first.model)
+
+
+def test_cross_validate_in_a_daemonic_process():
+    # e.g. a multiprocessing.Pool worker, which may not start Process children
+    X, y = separable_data(n=120)
+    params = gbt.BoostParams(n_estimators=5)
+    recv, send = multiprocessing.Pipe(duplex=False)
+    child = multiprocessing.get_context("fork").Process(
+        target=lambda: send.send(gbt.cross_validate(X, y, params, k=3)),
+        daemon=True)
+    child.start()
+    send.close()
+    try:
+        assert recv.poll(60), "no report from the daemonic process"
+        assert recv.recv() == gbt.cross_validate(X, y, params, k=3)
+    finally:
+        child.kill()
+        child.join()
+        recv.close()
 
 
 def test_fit_many_raises_worker_errors_in_job_order():
@@ -337,12 +360,40 @@ def test_fit_many_raises_worker_errors_in_job_order():
     assert gbt.fit_many([]) == []
 
 
+class _NeedsTwoArgs(Exception):
+    # pickles, but unpickling calls it with one argument and fails
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
+def _raise_needs_two_args(*job):
+    raise _NeedsTwoArgs("a", "b")
+
+
+def _send_part_and_exit(conn, obj):
+    # a message header promising more bytes than follow, as when a worker is
+    # killed while it sends its model
+    os.write(conn.fileno(), struct.pack("!i", 1 << 20) + b"partial")
+    os._exit(4)
+
+
 def test_fit_many_reports_a_worker_that_dies(monkeypatch):
     X, y = separable_data(n=100)
     # forked workers inherit the patched train
     monkeypatch.setattr(gbt, "train", lambda *job: os._exit(3))
     with pytest.raises(gbt.TrainingError, match="fit 0: .* code 3"):
         gbt.fit_many([(X, y, None)])
+    # its result cannot be read: cut off mid-message, or not unpickled
+    monkeypatch.setattr(gbt, "train", lambda *job: None)
+    monkeypatch.setattr(connection.Connection, "send", _send_part_and_exit)
+    with pytest.raises(gbt.TrainingError, match="fit 0: .* code 4") as got:
+        gbt.fit_many([(X, y, None)])
+    assert isinstance(got.value.__cause__, OSError)
+    monkeypatch.undo()
+    monkeypatch.setattr(gbt, "train", _raise_needs_two_args)
+    with pytest.raises(gbt.TrainingError, match="fit 0: .* code 0") as got:
+        gbt.fit_many([(X, y, None)])
+    assert isinstance(got.value.__cause__, TypeError)
 
 
 def test_accept_by_threshold():

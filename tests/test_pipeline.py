@@ -155,6 +155,7 @@ def test_output_lock_released_when_holder_is_killed(tmp_path):
     finally:
         child.kill()
         child.wait()
+        child.stdout.close()
     with output_lock(out):
         assert (out / ".lock").read_text() == str(os.getpid())
 
@@ -272,6 +273,7 @@ def test_output_lock_one_winner_among_racing_runs(tmp_path):
         for c in children:
             c.kill()
             c.wait()
+            c.stdout.close()
 
 
 def test_report_files_well_formed(demo_corpus, tmp_path):
