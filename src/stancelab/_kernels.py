@@ -245,12 +245,25 @@ def best_split(Xn, gn, hn, reg_lambda, min_child_weight):
 
 
 def predict_margin(X, feature, threshold, left, right, value, tree_start, out):
-    """Add the output of every tree to ``out`` (one margin per row of X).
+    """Add the output of every tree to ``out`` (one margin per row of X), one
+    tree after another in ``tree_start`` order.
 
-    X is a dense array or a scipy CSR array.
+    X is a scipy CSR array (a dense array is converted to one). A cell is
+    found by binary search for its key ``row * n_cols + col`` among the
+    stored entries' keys, which ascend in canonical form; a cell not stored
+    reads as zero.
     """
-    n = X.shape[0]
-    rows = np.arange(n)
+    if not sparse.issparse(X):
+        X = sparse.csr_array(X)
+    elif not X.has_canonical_format:
+        X = X.copy()
+        X.sum_duplicates()
+    n, p = X.shape
+    # one sentinel key past every cell, so each search lands on an entry
+    keys = np.append(np.repeat(np.arange(n, dtype=np.int64) * p,
+                               np.diff(X.indptr)) + X.indices, n * p)
+    data = np.append(X.data, 0.0)
+    rows = np.arange(n, dtype=np.int64)
     for t in range(tree_start.shape[0]):
         nodes = np.full(n, tree_start[t], dtype=np.int64)
         while True:
@@ -258,10 +271,10 @@ def predict_margin(X, feature, threshold, left, right, value, tree_start, out):
             active = feats >= 0
             if not active.any():
                 break
-            idx = rows[active]
-            f = feats[active]
-            go_left = X[idx, f] < threshold[nodes[active]]
-            nodes[idx] = np.where(go_left, left[nodes[active]],
-                                  right[nodes[active]])
+            want = rows[active] * p + feats[active]
+            pos = np.searchsorted(keys, want)
+            x = np.where(keys[pos] == want, data[pos], 0.0)
+            at = nodes[active]
+            nodes[active] = np.where(x < threshold[at], left[at], right[at])
         out += value[nodes]
     return out

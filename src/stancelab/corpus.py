@@ -135,12 +135,15 @@ def _parse_post(obj: dict) -> tuple[MicroPost, Optional[UserProfile]]:
     return post, profile
 
 
-def load_corpus(path, time_range: Optional[tuple[int, int]] = None) -> Corpus:
+def load_corpus(path, time_range: Optional[tuple[int, int]] = None,
+                counts: Optional[dict] = None) -> Corpus:
     """Load a line-delimited corpus file.
 
     Posts outside ``time_range`` (half-open ``[start, end)``) are dropped after
     parsing. Raises :class:`CorpusError` if the file is unreadable or more than
-    10% of non-empty lines are malformed.
+    10% of non-empty lines are malformed. A ``counts`` dict receives what was
+    read and dropped: ``lines_read`` (non-empty lines), ``malformed_lines``,
+    ``posts_outside_time_range`` and ``users_outside_time_range``.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -181,10 +184,21 @@ def load_corpus(path, time_range: Optional[tuple[int, int]] = None) -> Corpus:
             f"(first offenders at lines: {head})"
         )
 
+    n_parsed, n_users = len(posts), len(users)
     if time_range is not None:
         start, end = time_range
         posts = [p for p in posts if start <= p.timestamp < end]
-    posts.sort(key=lambda p: (p.timestamp, p.post_id))
+    corpus = _assemble(posts, users, time_range)
+    if counts is not None:
+        counts.update(lines_read=n_records, malformed_lines=len(bad_lines),
+                      posts_outside_time_range=n_parsed - corpus.n_posts,
+                      users_outside_time_range=n_users - corpus.n_users)
+    return corpus
+
+
+def _assemble(posts: list[MicroPost], users: dict[str, UserProfile],
+              time_range: Optional[tuple[int, int]]) -> Corpus:
+    posts = sorted(posts, key=lambda p: (p.timestamp, p.post_id))
 
     # drop profiles with no remaining posts so counts reflect the window
     authors = {p.author_id for p in posts}
@@ -196,6 +210,16 @@ def load_corpus(path, time_range: Optional[tuple[int, int]] = None) -> Corpus:
         else:
             time_range = (0, 0)
     return Corpus(posts=tuple(posts), users=users, time_range=time_range)
+
+
+def as_reloaded(corpus: Corpus) -> Corpus:
+    """What :func:`load_corpus` reads back from the file that
+    :func:`write_corpus` writes for ``corpus`` (a corpus with unique post
+    ids): users in order of first post, time range spanning the posts."""
+    users: dict[str, UserProfile] = {}
+    for p in corpus.posts:
+        users.setdefault(p.author_id, corpus.users[p.author_id])
+    return _assemble(list(corpus.posts), users, None)
 
 
 def _term_matcher(terms: Iterable[str]) -> "regex.Pattern":

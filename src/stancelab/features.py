@@ -16,13 +16,15 @@ made except by :meth:`FeatureMatrix.to_dense`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy import sparse
 
 from .corpus import Corpus, InteractionGraph
-from .textproc import EMOJI, TermCounts, Token, registrable_domain, tokenize
+from .textproc import (EMOJI, Encoding, Lexicon, TermCounts, registrable_domain,
+                       tokenize)  # noqa: F401  (perfbench's tracing tests
+                                  # look up `features.tokenize`)
 
 BLOCKS = ("tweet_term", "bio_term", "profile_meta", "retweet_edge", "directed_edge")
 FEATURE_TYPES = ("emoji", "hashtag", "mention", "url", "word",
@@ -223,115 +225,174 @@ def _check(path, first: int, data: list[str], bad, what: str) -> None:
         raise MatrixError(f"{path}:{first + k}: {what}: {data[k]!r}")
 
 
+class Block(NamedTuple):
+    """One block of columns, sorted by identifier, and its cells: row
+    ``row[k]``, column ``columns[col[k]]``, value ``val[k] > 0``."""
+    columns: tuple[FeatureColumn, ...]
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+
+
+def _block(block: str, idents: list[str], types: list[str], row, col,
+           val) -> Block:
+    """Block from cells whose ``col`` indexes ``idents``/``types``.
+
+    Columns are sorted by identifier. Terms of two kinds that share an
+    identifier (a URL whose registrable domain has no dot, like ``www.foo``,
+    and the word ``foo``) become one column, the sum of both, typed by the
+    kind that comes first in ``FEATURE_TYPES``.
+    """
+    order = sorted(range(len(idents)), key=lambda j: (
+        idents[j], FEATURE_TYPES.index(types[j])))
+    columns: list[FeatureColumn] = []
+    new_col = np.empty(len(idents), dtype=np.int64)
+    for j in order:
+        if not columns or columns[-1].identifier != idents[j]:
+            columns.append(FeatureColumn(idents[j], block, types[j]))
+        new_col[j] = len(columns) - 1
+    return Block(tuple(columns), np.asarray(row, dtype=np.int64),
+                 new_col[np.asarray(col, dtype=np.int64)],
+                 np.asarray(val, dtype=np.float64))
+
+
+def _term_cells(counts: TermCounts, prefix: str):
+    cells = counts.X.tocoo()
+    idents = [prefix + tok.surface for tok in counts.terms]
+    types = [_KIND_TO_TYPE[tok.kind] for tok in counts.terms]
+    return idents, types, cells.row, cells.col, cells.data
+
+
+def _check_rows(rows: tuple[str, ...], counts: TermCounts) -> None:
+    if counts.users != rows:
+        raise MatrixError(f"{counts.scope} counts are not over the corpus "
+                          "users in sorted order")
+
+
+def profile_blocks(corpus: Corpus, encoding: Encoding, bio_counts: TermCounts,
+                   lexicon: Lexicon) -> tuple[Block, Block]:
+    """The ``bio_term`` and ``profile_meta`` blocks of every corpus user.
+
+    They read profiles only, so every matrix of the corpus, for any period,
+    shares them: bio terms and lexicon categories (whose columns exist for
+    every category, zero or not), then home domain, time zone, the bio's
+    emoji count and the emoji of the full name.
+    """
+    rows = tuple(sorted(corpus.users))
+    _check_rows(rows, bio_counts)
+    if encoding.users != rows:
+        raise MatrixError("encoding is not over the corpus users")
+
+    idents, types, row, col, val = _term_cells(bio_counts, "profile:")
+    if rows:
+        cats, hits = encoding.lexicon_counts(lexicon)
+        hits = hits.tocoo()
+        row = np.concatenate([row, hits.row])
+        col = np.concatenate([col, len(idents) + hits.col])
+        val = np.concatenate([val, hits.data])
+        idents += [f"lexcat:{cat}" for cat in cats]
+        types += ["lexicon_category"] * len(cats)
+    bio = _block("bio_term", idents, types, row, col, val)
+
+    idents, types = [], []
+    index: dict[str, int] = {}
+    meta_row, meta_col, meta_val = [], [], []
+
+    def cell(i: int, ident: str, ftype: str, value: float) -> None:
+        if ident not in index:
+            index[ident] = len(idents)
+            idents.append(ident)
+            types.append(ftype)
+        meta_row.append(i)
+        meta_col.append(index[ident])
+        meta_val.append(value)
+
+    is_emoji = encoding.is_kind(EMOJI)
+    bio_users = encoding.token_users(encoding.bio_indptr)
+    n_emojis = np.bincount(bio_users[is_emoji[encoding.bio_terms]],
+                           minlength=len(rows)).tolist()
+    name_users = encoding.token_users(encoding.name_indptr)
+    name_emoji = is_emoji[encoding.name_terms]
+    # each emoji of a name is one flag, however often it appears
+    name_cells = np.unique(np.stack([name_users[name_emoji],
+                                     encoding.name_terms[name_emoji]]),
+                           axis=1).T.tolist()
+    for i, u in enumerate(rows):
+        prof = corpus.users[u]
+        if prof.url:
+            cell(i, f"home_domain:{registrable_domain(prof.url)}", "meta", 1.0)
+        if prof.timezone:
+            cell(i, f"timezone:{prof.timezone}", "meta", 1.0)
+        if n_emojis[i]:
+            cell(i, "n_emojis_bio", "meta", float(n_emojis[i]))
+    for i, t in name_cells:
+        cell(i, f"name:{encoding.terms[t].surface}", "emoji", 1.0)
+    meta = _block("profile_meta", idents, types, meta_row, meta_col, meta_val)
+    return bio, meta
+
+
+def _edge_blocks(graph: InteractionGraph, ridx: dict[str, int],
+                 min_in_degree: int) -> list[Block]:
+    """Adjacency columns (``rt:``, ``at:``) for targets with at least
+    ``min_in_degree`` distinct sources; mention, reply and quote weights
+    add up in the directed block."""
+    n = len(ridx)
+    src, dst, w, retweet = [], [], [], []
+    for (s, d, kind), weight in graph.edges.items():
+        src.append(ridx[s])
+        dst.append(ridx[d])
+        w.append(weight)
+        retweet.append(kind == "retweet")
+    src, dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+    w, retweet = np.array(w, dtype=np.float64), np.array(retweet, dtype=bool)
+    users = sorted(ridx, key=ridx.__getitem__)
+    out = []
+    for block, prefix, sel in (("retweet_edge", "rt:", retweet),
+                               ("directed_edge", "at:", ~retweet)):
+        # summed per (source, target); a target's in-degree is its column's
+        # count of sources
+        A = sparse.csc_array((w[sel], (src[sel], dst[sel])), shape=(n, n))
+        A.sum_duplicates()
+        targets = np.flatnonzero(np.diff(A.indptr) >= min_in_degree)
+        cells = A[:, targets].tocoo()
+        out.append(_block(block, [prefix + users[t] for t in targets],
+                          ["network"] * len(targets), cells.row, cells.col,
+                          cells.data))
+    return out
+
+
 def build_matrix(corpus: Corpus,
                  tweet_counts: TermCounts,
-                 bio_counts: TermCounts,
-                 lexicon_cat_counts: dict[str, dict[str, int]],
+                 profile: tuple[Block, Block],
                  graph: InteractionGraph,
                  period: Optional[tuple[int, int]] = None,
                  min_in_degree: int = 5) -> FeatureMatrix:
     """Assemble the concatenated feature matrix for all corpus users.
 
-    Edge columns are created only for targets with at least ``min_in_degree``
+    ``tweet_counts`` gives the tweet-term block and ``profile`` (from
+    :func:`profile_blocks`) the bio-term and profile-meta blocks. Edge
+    columns are created only for targets with at least ``min_in_degree``
     distinct in-neighbours (per edge block), to bound matrix width. Raises
     :class:`MatrixError` if the graph mentions a user missing from the corpus.
     """
     for node in graph.nodes:
         if node not in corpus.users:
             raise MatrixError(f"graph user {node} not present in corpus")
-
     rows = tuple(sorted(corpus.users))
+    _check_rows(rows, tweet_counts)
     ridx = {u: i for i, u in enumerate(rows)}
 
+    blocks = [_block("tweet_term", *_term_cells(tweet_counts, "")), *profile,
+              *_edge_blocks(graph, ridx, min_in_degree)]
     columns: list[FeatureColumn] = []
-    cell_row: list[int] = []
-    cell_col: list[int] = []
-    cell_val: list[float] = []
-
-    def add_block(column_values: dict[str, dict[str, float]], block: str,
-                  type_of: dict[str, str]) -> None:
-        for ident in sorted(column_values):
-            j = len(columns)
-            columns.append(FeatureColumn(ident, block, type_of[ident]))
-            for user_id, v in column_values[ident].items():
-                if v > 0:
-                    cell_row.append(ridx[user_id])
-                    cell_col.append(j)
-                    cell_val.append(float(v))
-
-    # block 1: tweet terms
-    vals: dict[str, dict[str, float]] = {}
-    types: dict[str, str] = {}
-    for (user_id, tok), c in tweet_counts.counts.items():
-        types[tok.surface] = _KIND_TO_TYPE[tok.kind]
-        vals.setdefault(tok.surface, {})[user_id] = c
-    add_block(vals, "tweet_term", types)
-
-    # block 2: bio terms plus lexicon categories
-    vals, types = {}, {}
-    for (user_id, tok), c in bio_counts.counts.items():
-        ident = f"profile:{tok.surface}"
-        types[ident] = _KIND_TO_TYPE[tok.kind]
-        vals.setdefault(ident, {})[user_id] = c
-    for user_id, cats in lexicon_cat_counts.items():
-        if user_id not in ridx:
-            continue
-        for cat, c in cats.items():
-            ident = f"lexcat:{cat}"
-            types[ident] = "lexicon_category"
-            vals.setdefault(ident, {})[user_id] = c
-    add_block(vals, "bio_term", types)
-
-    # block 3: one-hot / count profile meta features
-    vals, types = {}, {}
-    for user_id in rows:
-        prof = corpus.users[user_id]
-        if prof.url:
-            ident = f"home_domain:{registrable_domain(prof.url)}"
-            types[ident] = "meta"
-            vals.setdefault(ident, {})[user_id] = 1.0
-        if prof.timezone:
-            ident = f"timezone:{prof.timezone}"
-            types[ident] = "meta"
-            vals.setdefault(ident, {})[user_id] = 1.0
-        n_emojis = sum(1 for t in tokenize(prof.bio or "") if t.kind == EMOJI)
-        if n_emojis:
-            types["n_emojis_bio"] = "meta"
-            vals.setdefault("n_emojis_bio", {})[user_id] = float(n_emojis)
-        for t in tokenize(prof.full_name or ""):
-            if t.kind == EMOJI:
-                ident = f"name:{t.surface}"
-                types[ident] = "emoji"
-                vals.setdefault(ident, {})[user_id] = 1.0
-    add_block(vals, "profile_meta", types)
-
-    # blocks 4 and 5: adjacency columns for well-connected targets
-    retweet: dict[tuple[str, str], int] = {}
-    directed: dict[tuple[str, str], int] = {}
-    for (src, dst, kind), w in graph.edges.items():
-        if kind == "retweet":
-            retweet[(src, dst)] = retweet.get((src, dst), 0) + w
-        else:
-            directed[(src, dst)] = directed.get((src, dst), 0) + w
-
-    for block, prefix, pairs in (("retweet_edge", "rt:", retweet),
-                                 ("directed_edge", "at:", directed)):
-        indeg: dict[str, set[str]] = {}
-        for (src, dst) in pairs:
-            indeg.setdefault(dst, set()).add(src)
-        targets = {t for t, srcs in indeg.items() if len(srcs) >= min_in_degree}
-        vals, types = {}, {}
-        for (src, dst), w in pairs.items():
-            if dst in targets:
-                ident = prefix + dst
-                types[ident] = "network"
-                vals.setdefault(ident, {})[src] = float(w)
-        add_block(vals, block, types)
-
+    row, col, val = [], [], []
+    for b in blocks:
+        row.append(b.row)
+        col.append(len(columns) + b.col)
+        val.append(b.val)
+        columns.extend(b.columns)
     X = sparse.csr_array(
-        (np.array(cell_val, dtype=np.float64),
-         (np.array(cell_row, dtype=np.int64),
-          np.array(cell_col, dtype=np.int64))),
+        (np.concatenate(val), (np.concatenate(row), np.concatenate(col))),
         shape=(len(rows), len(columns)))
     return FeatureMatrix(rows=rows, columns=tuple(columns), X=X,
                          period=period)

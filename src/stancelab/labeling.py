@@ -11,10 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+import numpy as np
 import regex
 
 from .corpus import UserProfile
-from .textproc import Token
+from .textproc import HASHTAG, MENTION, Encoding, Token, encode
 
 STANCES = ("defense", "opposition")
 COHORTS = ("<18", "18-29", "30-39", ">=40")
@@ -228,34 +229,43 @@ def label_age(profile: UserProfile, rules: RuleSet) -> Optional[str]:
     return None
 
 
-def _seed_hits(seed: str, bio: str, tweet_tokens: Iterable[Token],
-               tweet_text: str, scope: str) -> bool:
-    if scope == "bio":
-        return seed in bio
-    if seed.startswith(("#", "@")):
-        return any(t.surface == seed for t in tweet_tokens
-                   if t.kind in ("hashtag", "mention"))
-    return seed in tweet_text
+def _tweet_seed_hits(encoding: Encoding, seeds: tuple[str, ...]
+                     ) -> np.ndarray:
+    """Per user, whether any tweet-scope seed matches their posts.
+
+    A hashtag or mention seed must equal a hashtag or mention token; a phrase
+    matches as a substring of the user's post tokens joined by spaces.
+    """
+    hit = np.zeros(len(encoding.users), dtype=bool)
+    tags = [t for seed in seeds if seed.startswith(("#", "@"))
+            for t in (encoding.term_id(Token(seed, HASHTAG)),
+                      encoding.term_id(Token(seed, MENTION)))
+            if t is not None]
+    if tags:
+        rows, terms = encoding.post_tokens()
+        hit[rows[np.isin(terms, tags)]] = True
+    phrases = [seed for seed in seeds if not seed.startswith(("#", "@"))]
+    if phrases:
+        for i, text in enumerate(encoding.tweet_texts()):
+            hit[i] |= any(seed in text for seed in phrases)
+    return hit
 
 
-def label_stance(user_bio: str, user_tweets: list[list[Token]],
-                 seeds: dict[str, dict[str, tuple[str, ...]]]) -> Optional[str]:
-    """Stance only when seeds of exactly one stance match, across bio and
-    tweets; hashtag/mention seeds require token equality, phrases match as
-    case-folded substrings."""
-    bio = (user_bio or "").casefold()
-    flat_tokens = [t for toks in user_tweets for t in toks]
-    tweet_text = " ".join(t.surface for t in flat_tokens)
-    hits = {s: 0 for s in STANCES}
-    for stance in STANCES:
-        for scope in ("bio", "tweet"):
-            for seed in seeds[stance][scope]:
-                if _seed_hits(seed, bio, flat_tokens, tweet_text, scope):
-                    hits[stance] += 1
-    matched = [s for s in STANCES if hits[s] > 0]
-    if len(matched) == 1:
-        return matched[0]
-    return None
+def label_stances(corpus, encoding: Encoding,
+                  seeds: dict[str, dict[str, tuple[str, ...]]]
+                  ) -> list[Optional[str]]:
+    """Per user of ``encoding.users``, the stance whose seeds alone match,
+    across bio and tweets, or None when seeds of both stances or of neither
+    match. Bio seeds match as substrings of the case-folded bio."""
+    tweet_hit = {s: _tweet_seed_hits(encoding, seeds[s]["tweet"])
+                 for s in STANCES}
+    out = []
+    for i, u in enumerate(encoding.users):
+        bio = (corpus.users[u].bio or "").casefold()
+        matched = [s for s in STANCES if tweet_hit[s][i]
+                   or any(seed in bio for seed in seeds[s]["bio"])]
+        out.append(matched[0] if len(matched) == 1 else None)
+    return out
 
 
 _NUMERIC_LEAK_RE = regex.compile(r"^(?:\d{2}|\d{4})$")
@@ -290,20 +300,18 @@ def leakage_columns(ruleset: RuleSet, columns: Iterable[str]) -> set[str]:
     return out
 
 
-def apply_rules(corpus, rules: RuleSet, tweet_tokens=None) -> LabelSet:
+def apply_rules(corpus, rules: RuleSet,
+                encoding: Optional[Encoding] = None) -> LabelSet:
     """Run all rule labelers over every corpus user.
 
-    ``tweet_tokens`` maps user id to per-post token lists; computed from the
-    corpus when omitted.
+    Stance seeds are matched against ``encoding``, the corpus's
+    :func:`~stancelab.textproc.encode` (computed when omitted).
     """
-    from .textproc import tokenize
-    if tweet_tokens is None:
-        tweet_tokens = {}
-        for p in corpus.posts:
-            tweet_tokens.setdefault(p.author_id, []).append(tokenize(p.text))
-
+    if encoding is None:
+        encoding = encode(corpus)
+    stances = label_stances(corpus, encoding, rules.stance_seeds)
     out = LabelSet()
-    for user_id in sorted(corpus.users):
+    for user_id, stance in zip(encoding.users, stances):
         prof = corpus.users[user_id]
         loc = label_location(prof, rules.gazetteer)
         if loc is not None:
@@ -314,8 +322,6 @@ def apply_rules(corpus, rules: RuleSet, tweet_tokens=None) -> LabelSet:
         age = label_age(prof, rules)
         if age is not None:
             out.set(user_id, "age_cohort", Label(age, "rule", 1.0))
-        stance = label_stance(prof.bio or "", tweet_tokens.get(user_id, []),
-                              rules.stance_seeds)
         if stance is not None:
             out.set(user_id, "stance", Label(stance, "rule", 1.0))
     return out

@@ -16,7 +16,6 @@ import os
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -222,80 +221,100 @@ class Pipeline:
                                      r.stance_seeds,
                                      reference_year=self.config.reference_year)
 
+    @functools.cached_property
     def _corpus(self) -> corpus_mod.Corpus:
+        """The ingested corpus, loaded from ``corpus.jsonl`` once per
+        pipeline; ingest replaces it when it rewrites the file."""
         return corpus_mod.load_corpus(self.out / "corpus.jsonl")
+
+    @functools.cached_property
+    def _encoding(self) -> textproc.Encoding:
+        """Every text of :attr:`_corpus`, tokenized once per pipeline."""
+        return textproc.encode(self._corpus)
+
+    def _set_corpus(self, corpus: corpus_mod.Corpus) -> None:
+        """Make ``corpus`` the one later stages read, in place of the cached
+        one, and drop the cached encoding."""
+        self._corpus = corpus
+        self.__dict__.pop("_encoding", None)
 
     def _stopwords(self) -> set[str]:
         return textproc.load_stopwords(self.config.rules.stopwords)
 
+    def _read_tsv(self, name: str, header: str, n_fields: int, parse) -> list:
+        """``parse(*fields)`` of each data line of ``name``, skipping ``#``
+        lines and the line starting with ``header``. A line without
+        ``n_fields`` tab-separated fields, or one ``parse`` rejects with
+        ``ValueError``, raises :class:`StageError` naming file and line."""
+        path = self.out / name
+        rows = []
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if line.startswith("#") or line.startswith(header):
+                    continue
+                text = line.rstrip("\n")
+                fields = text.split("\t")
+                try:
+                    if len(fields) != n_fields:
+                        raise ValueError(f"expected {n_fields} tab-separated "
+                                         f"fields, found {len(fields)}")
+                    rows.append(parse(*fields))
+                except ValueError as exc:
+                    raise StageError(f"{path}:{lineno}: {exc}: "
+                                     f"{text!r}") from None
+        return rows
+
     def _labels(self) -> labeling.LabelSet:
         out = labeling.LabelSet()
-        with open(self.out / "labels.tsv", encoding="utf-8") as fh:
-            for line in fh:
-                if line.startswith("#") or line.startswith("user_id\t"):
-                    continue
-                user_id, attribute, value, prov, conf = line.rstrip("\n").split("\t")
-                out.set(user_id, attribute,
-                        labeling.Label(value, prov, float(conf)))
+
+        def parse(user_id, attribute, value, prov, conf):
+            out.set(user_id, attribute,
+                    labeling.Label(value, prov, float(conf)))
+
+        self._read_tsv("labels.tsv", "user_id\t", 5, parse)
         return out
 
     def _matrix(self, name: str) -> features_mod.FeatureMatrix:
         """Load ``matrix_<name>.txt`` (full, p0 or p1)."""
         return features_mod.FeatureMatrix.load(self.out / f"matrix_{name}.txt")
 
-    def _build_matrix_for(self, corpus: corpus_mod.Corpus,
-                          period: Optional[tuple[int, int]]
-                          ) -> features_mod.FeatureMatrix:
-        cfg = self.config
-        stop = self._stopwords()
-        sub = corpus if period is None else corpus.restrict_period(*period)
-        tweet_counts = textproc.term_counts(
-            sub, "tweet", cfg.thresholds.tweet_min_count, stop,
-            include_retweets=cfg.include_retweets)
-        bio_counts = textproc.term_counts(
-            sub, "bio", cfg.thresholds.bio_min_count, stop)
-        lex = textproc.Lexicon.from_file(cfg.rules.lexicon)
-        lex_counts = textproc.lexicon_counts(textproc.bio_tokens(sub), lex)
-        graph = corpus_mod.build_interaction_graph(sub)
-        return features_mod.build_matrix(sub, tweet_counts, bio_counts,
-                                         lex_counts, graph, period=period,
-                                         min_in_degree=cfg.min_in_degree)
-
     # -- stages --------------------------------------------------------------
 
-    def _stage_ingest(self) -> None:
+    def _stage_ingest(self) -> dict:
         cfg = self.config
         if not cfg.corpus:
             raise StageError("config has no corpus path")
         time_range = None
         if cfg.time_from is not None and cfg.time_to is not None:
             time_range = (cfg.time_from, cfg.time_to)
-        corpus = corpus_mod.load_corpus(cfg.corpus, time_range)
+        metrics: dict = {}
+        corpus = corpus_mod.load_corpus(cfg.corpus, time_range, metrics)
+
+        def dropped(step: str, kept: corpus_mod.Corpus) -> corpus_mod.Corpus:
+            metrics[f"posts_{step}"] = corpus.n_posts - kept.n_posts
+            metrics[f"users_{step}"] = corpus.n_users - kept.n_users
+            return kept
+
+        relevant = corpus
         if cfg.include_terms:
-            corpus = corpus_mod.filter_relevant(corpus, cfg.include_terms,
-                                                cfg.exclude_patterns)
+            relevant = corpus_mod.filter_relevant(corpus, cfg.include_terms,
+                                                  cfg.exclude_patterns)
+        corpus = dropped("off_topic", relevant)
         graph = corpus_mod.build_interaction_graph(corpus)
         lcc = corpus_mod.largest_connected_component(graph)
-        if lcc:
-            corpus = corpus_mod.restrict_users(corpus, lcc)
+        connected = corpus_mod.restrict_users(corpus, lcc) if lcc else corpus
+        corpus = dropped("outside_lcc", connected)
+        metrics.update(posts=corpus.n_posts, users=corpus.n_users)
         tmp = self.out / "corpus.jsonl.tmp"
         corpus_mod.write_corpus(corpus, tmp)
         os.replace(tmp, self.out / "corpus.jsonl")
+        self._set_corpus(corpus_mod.as_reloaded(corpus))
 
         self._write_tsv("volume_weekly.tsv", ["week", "posts"],
                         corpus_mod.weekly_volume(corpus))
 
         # yearly relevant terms: each year against all the others
-        stop = self._stopwords()
-        by_year: dict[int, dict[str, int]] = {}
-        from datetime import datetime, timezone
-        for p in corpus.posts:
-            year = datetime.fromtimestamp(p.timestamp, tz=timezone.utc).year
-            counts = by_year.setdefault(year, {})
-            for tok in textproc.tokenize(p.text):
-                if tok.kind == "word" and tok.surface in stop:
-                    continue
-                counts[tok.surface] = counts.get(tok.surface, 0) + 1
+        by_year = self._encoding.counts_by_year(self._stopwords())
         rows = []
         for year in sorted(by_year):
             rest: dict[str, int] = {}
@@ -313,11 +332,11 @@ class Pipeline:
                 rows.append((year, t.term, t.delta, t.z))
         self._write_tsv("terms_by_year.tsv", ["year", "term", "delta", "z"],
                         rows)
+        return metrics
 
     def _stage_label(self) -> None:
-        corpus = self._corpus()
-        rules = self._ruleset
-        labels = labeling.apply_rules(corpus, rules)
+        labels = labeling.apply_rules(self._corpus, self._ruleset,
+                                      self._encoding)
         if self.config.rules.manual_labels:
             labeling.import_manual_labels(labels,
                                           self.config.rules.manual_labels)
@@ -332,16 +351,29 @@ class Pipeline:
                         ["user_id", "attribute", "value", "provenance",
                          "confidence"], rows)
 
-    def _stage_featurize(self) -> None:
-        corpus = self._corpus()
-        full = self._build_matrix_for(corpus, None)
-        p0 = self._build_matrix_for(corpus, self.config.periods[0])
-        p1 = self._build_matrix_for(corpus, self.config.periods[1])
-        for name, m in (("matrix_full.txt", full), ("matrix_p0.txt", p0),
-                        ("matrix_p1.txt", p1)):
-            tmp = self.out / (name + ".tmp")
+    def _stage_featurize(self) -> dict:
+        cfg = self.config
+        corpus, encoding = self._corpus, self._encoding
+        stop = self._stopwords()
+        bio = encoding.term_counts("bio", cfg.thresholds.bio_min_count, stop)
+        profile = features_mod.profile_blocks(
+            corpus, encoding, bio, textproc.Lexicon.from_file(cfg.rules.lexicon))
+        metrics = {"texts_encoded": encoding.n_texts,
+                   "vocabulary": len(encoding.terms)}
+        for name, period in (("full", None), ("p0", cfg.periods[0]),
+                             ("p1", cfg.periods[1])):
+            sub = corpus if period is None else corpus.restrict_period(*period)
+            tweet = encoding.term_counts(
+                "tweet", cfg.thresholds.tweet_min_count, stop,
+                include_retweets=cfg.include_retweets, period=period)
+            m = features_mod.build_matrix(
+                corpus, tweet, profile, corpus_mod.build_interaction_graph(sub),
+                period=period, min_in_degree=cfg.min_in_degree)
+            tmp = self.out / f"matrix_{name}.txt.tmp"
             m.save(tmp)
-            os.replace(tmp, self.out / name)
+            os.replace(tmp, self.out / f"matrix_{name}.txt")
+            metrics[f"nonzeros_{name}"] = int(m.X.nnz)
+        return metrics
 
     def _split_stance_labels(self, labels: labeling.LabelSet
                              ) -> tuple[list[str], list[str]]:
@@ -421,11 +453,14 @@ class Pipeline:
         _atomic_write(self.out / "calibration.tsv", "".join(lines))
 
     def _load_platt(self) -> calib.PlattModel:
-        with open(self.out / "platt.tsv", encoding="utf-8") as fh:
-            rows = [l for l in fh if not l.startswith("#")
-                    and not l.startswith("slope")]
-        slope, offset = rows[0].split("\t")
-        return calib.PlattModel(slope=float(slope), offset=float(offset))
+        rows = self._read_tsv(
+            "platt.tsv", "slope", 2,
+            lambda slope, offset: calib.PlattModel(slope=float(slope),
+                                                   offset=float(offset)))
+        if not rows:
+            raise StageError(f"{self.out / 'platt.tsv'}: no slope and offset "
+                             "line")
+        return rows[0]
 
     def _stage_predict(self) -> None:
         full = self._matrix("full")
@@ -509,17 +544,12 @@ class Pipeline:
                         ["user_id", "p_t0", "p_t1", "delta"], out_rows)
 
     def _read_turnaround(self) -> list[tuple[str, float, float, float]]:
-        rows = []
-        with open(self.out / "turnaround.tsv", encoding="utf-8") as fh:
-            for line in fh:
-                if line.startswith("#") or line.startswith("user_id"):
-                    continue
-                u, p0, p1, d = line.rstrip("\n").split("\t")
-                rows.append((u, float(p0), float(p1), float(d)))
-        return rows
+        return self._read_tsv(
+            "turnaround.tsv", "user_id", 4,
+            lambda u, p0, p1, d: (u, float(p0), float(p1), float(d)))
 
     def _stage_regress(self) -> None:
-        corpus = self._corpus()
+        corpus = self._corpus
         demo = self._accepted_demographics()
         turn = self._read_turnaround()
         if not turn:

@@ -1,23 +1,33 @@
-"""Typed tokenization of micro-post and biography text, plus per-user counts.
+"""Typed tokenization of micro-post and biography text, and the corpus
+encoding that every per-user count is derived from.
 
 Tokens are words, hashtags, mentions, URLs, and emoji. An emoji token is one
 extended grapheme cluster (skin tones and ZWJ sequences stay together), so
 each pictograph counts as a single feature.
+
+:func:`encode` tokenizes each text of a corpus once into int32 ids over one
+vocabulary of ``(surface, kind)`` terms, in CSR layout (the ``CountVectorizer``
+idiom of Pedregosa et al., "Scikit-learn", JMLR 2011). Term counts, lexicon
+hits, yearly terms and stance-seed hits are all read from it.
 """
 
 from __future__ import annotations
 
+import functools
 import unicodedata
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from datetime import datetime, timezone
+from typing import NamedTuple, Optional
 from urllib.parse import urlparse
 
+import numpy as np
 import regex
+from scipy import sparse
 
 from .corpus import Corpus
 
 WORD, HASHTAG, MENTION, URL, EMOJI = "word", "hashtag", "mention", "url", "emoji"
+KINDS = (WORD, HASHTAG, MENTION, URL, EMOJI)
 
 # one pictographic base, optional variation selector / skin tone, optionally
 # chained through ZWJ into a single family-style cluster
@@ -38,12 +48,10 @@ _TOKEN_RE = regex.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One token: its surface form and its kind (one of ``KINDS``)."""
     surface: str
     kind: str
-    # full form for tokens whose surface is normalized (currently URLs)
-    raw: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -70,14 +78,27 @@ class Lexicon:
         return cls({c: frozenset(t) for c, t in cats.items()})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TermCounts:
-    counts: dict[tuple[str, Token], int]
+    """Per-user term counts: ``X[i, j]`` is how often user ``users[i]`` used
+    term ``terms[j]`` (an int64 CSR array; absent cells are zero). URLs are
+    counted by registrable domain, and every term passed the corpus-wide
+    ``min_count`` floor."""
+    users: tuple[str, ...]
+    terms: tuple[Token, ...]
+    X: sparse.csr_array
     scope: str  # "tweet" or "bio"
     min_count: int
 
+    @property
+    def counts(self) -> dict[tuple[str, Token], int]:
+        """``{(user, term): count}`` over the nonzero cells."""
+        cells = self.X.tocoo()
+        return {(self.users[i], self.terms[j]): c for i, j, c in zip(
+            cells.row.tolist(), cells.col.tolist(), cells.data.tolist())}
+
     def vocabulary(self) -> set[Token]:
-        return {tok for (_u, tok) in self.counts}
+        return set(self.terms)
 
 
 def registrable_domain(url: str) -> str:
@@ -90,12 +111,7 @@ def registrable_domain(url: str) -> str:
     return netloc or url.lower()
 
 
-def tokenize(text: str) -> list[Token]:
-    """Split text into typed tokens, in order of appearance.
-
-    Words are lowercased and NFC-normalized; accents are preserved.
-    Punctuation is dropped. Hashtags and mentions keep their sigil.
-    """
+def _tokens(text: str) -> list[Token]:
     if not text:
         return []
     text = unicodedata.normalize("NFC", text)
@@ -103,14 +119,27 @@ def tokenize(text: str) -> list[Token]:
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         surface = m.group()
-        if kind == "url":
-            surface = surface.rstrip(".,;:!?)…")
-            out.append(Token(surface=surface, kind=URL, raw=surface))
-        elif kind == "emoji":
-            out.append(Token(surface=surface, kind=EMOJI))
+        if kind == URL:
+            out.append(Token(surface.rstrip(".,;:!?)…"), URL))
+        elif kind == EMOJI:
+            out.append(Token(surface, EMOJI))
         else:
-            out.append(Token(surface=surface.lower(), kind=kind))
+            out.append(Token(surface.lower(), kind))
     return out
+
+
+def tokenize(text: str, *more: str):
+    """Split text into typed tokens, in order of appearance.
+
+    Words are lowercased and NFC-normalized; accents are preserved.
+    Punctuation is dropped. Hashtags and mentions keep their sigil.
+
+    Given more texts, returns one token list per text: :func:`encode` reads a
+    profile, its full name and its bio, as one text of two fields.
+    """
+    if more:
+        return [_tokens(t) for t in (text, *more)]
+    return _tokens(text)
 
 
 def load_stopwords(path) -> set[str]:
@@ -124,70 +153,229 @@ def load_stopwords(path) -> set[str]:
     return words
 
 
-def _count_token(tok: Token) -> Token:
-    # URLs are counted by their registrable domain; other kinds count as-is
-    if tok.kind == URL:
-        return Token(surface=registrable_domain(tok.surface), kind=URL)
-    return tok
+@dataclass(frozen=True, eq=False)
+class Encoding:
+    """Every text of a corpus, tokenized once, as int32 term ids.
+
+    Term ``t`` is ``terms[t]``. Post ``p`` (in corpus order) reads
+    ``post_terms[post_indptr[p]:post_indptr[p + 1]]`` in order of
+    appearance, and user ``i`` (``users`` is sorted) reads
+    ``bio_terms[bio_indptr[i]:bio_indptr[i + 1]]`` and the same slice of
+    ``name_terms`` for the full name: three CSR layouts over one vocabulary.
+    ``count_term[t]`` is the term that ``t`` is counted as: a URL's
+    registrable domain (added to the vocabulary), else ``t`` itself.
+    ``post_user`` is the author's row, ``post_time`` the timestamp and
+    ``post_retweet`` whether the post is a retweet.
+    """
+    users: tuple[str, ...]
+    terms: tuple[Token, ...]
+    kinds: np.ndarray        # int8, index into KINDS
+    count_term: np.ndarray   # int32
+    post_user: np.ndarray    # int32
+    post_time: np.ndarray    # int64
+    post_retweet: np.ndarray  # bool
+    post_indptr: np.ndarray
+    post_terms: np.ndarray   # int32
+    bio_indptr: np.ndarray
+    bio_terms: np.ndarray    # int32
+    name_indptr: np.ndarray
+    name_terms: np.ndarray   # int32
+
+    @property
+    def n_texts(self) -> int:
+        """Texts encoded: the posts plus one profile per user."""
+        return len(self.post_user) + len(self.users)
+
+    def term_id(self, token: Token) -> Optional[int]:
+        return self._index.get(token)
+
+    @functools.cached_property
+    def _index(self) -> dict[Token, int]:
+        return {tok: t for t, tok in enumerate(self.terms)}
+
+    def is_kind(self, kind: str) -> np.ndarray:
+        """Per term, whether it is of ``kind``."""
+        return self.kinds == KINDS.index(kind)
+
+    def token_users(self, indptr: np.ndarray) -> np.ndarray:
+        """Per token of a per-user layout (bio or name), the user's row."""
+        return np.repeat(np.arange(len(self.users), dtype=np.int32),
+                         np.diff(indptr))
+
+    def post_tokens(self, posts: Optional[np.ndarray] = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """(author row, term) of every token of the posts selected by the
+        boolean mask ``posts`` (all posts when None), in corpus order."""
+        per_post = np.diff(self.post_indptr)
+        rows = np.repeat(self.post_user, per_post)
+        if posts is None:
+            return rows, self.post_terms
+        keep = np.repeat(posts, per_post)
+        return rows[keep], self.post_terms[keep]
+
+    def _tally(self, rows: np.ndarray, terms: np.ndarray,
+              n_rows: int) -> sparse.csr_array:
+        """``X[r, t]``: how many of the (row, term) pairs are ``(r, t)``."""
+        return sparse.csr_array(
+            (np.ones(len(rows), dtype=np.int64), (rows, terms)),
+            shape=(n_rows, len(self.terms)))
+
+    def _is_stopword(self, stopwords: Optional[set[str]]) -> np.ndarray:
+        """Per term, whether it is a word listed in ``stopwords``."""
+        out = np.zeros(len(self.terms), dtype=bool)
+        if stopwords:
+            out[[t for t, tok in enumerate(self.terms)
+                 if tok.kind == WORD and tok.surface in stopwords]] = True
+        return out
+
+    def term_counts(self, scope: str, min_count: int,
+                    stopwords: Optional[set[str]] = None,
+                    include_retweets: bool = True,
+                    period: Optional[tuple[int, int]] = None) -> TermCounts:
+        """Per-user token counts with a corpus-wide frequency floor.
+
+        ``scope`` selects tweet text or profile biographies; tweets may be
+        limited to the posts with ``start <= timestamp < end`` of
+        ``period``. Stopwords are removed before counting; terms whose total
+        frequency is below ``min_count`` are removed after counting.
+        """
+        if scope not in ("tweet", "bio"):
+            raise ValueError(f"unknown scope {scope!r}")
+        if min_count < 1:
+            raise ValueError("min_count must be >= 1")
+        if scope == "tweet":
+            posts = np.ones(len(self.post_user), dtype=bool)
+            if not include_retweets:
+                posts &= ~self.post_retweet
+            if period is not None:
+                posts &= ((self.post_time >= period[0])
+                          & (self.post_time < period[1]))
+            rows, terms = self.post_tokens(posts)
+        else:
+            rows, terms = self.token_users(self.bio_indptr), self.bio_terms
+        keep = ~self._is_stopword(stopwords)[terms]
+        X = self._tally(rows[keep], self.count_term[terms[keep]],
+                       len(self.users))
+        cols = np.flatnonzero(X.sum(axis=0) >= min_count)
+        return TermCounts(users=self.users,
+                          terms=tuple(self.terms[t] for t in cols.tolist()),
+                          X=X[:, cols], scope=scope, min_count=min_count)
+
+    def lexicon_counts(self, lexicon: Lexicon
+                       ) -> tuple[tuple[str, ...], sparse.csr_array]:
+        """Trigger-term hits in every bio token, per user (rows) and lexicon
+        category (columns, in lexicon order).
+
+        A term listed in two categories increments both.
+        """
+        cats = tuple(lexicon.categories)
+        term, cat = [], []
+        for t in np.unique(self.bio_terms).tolist():
+            low = self.terms[t].surface.lower()
+            for k, name in enumerate(cats):
+                if low in lexicon.categories[name]:
+                    term.append(t)
+                    cat.append(k)
+        hits = sparse.csr_array(
+            (np.ones(len(term), dtype=np.int64), (term, cat)),
+            shape=(len(self.terms), len(cats)))
+        bio = self._tally(self.token_users(self.bio_indptr), self.bio_terms,
+                         len(self.users))
+        return cats, bio @ hits
+
+    def counts_by_year(self, stopwords: Optional[set[str]] = None
+                       ) -> dict[int, dict[str, int]]:
+        """Token counts by surface per UTC calendar year of the post, over
+        all posts; stopwords are left out and URLs keep their full form."""
+        years = np.array([datetime.fromtimestamp(ts, tz=timezone.utc).year
+                          for ts in self.post_time.tolist()], dtype=np.int64)
+        labels, year_of_post = np.unique(years, return_inverse=True)
+        rows = np.repeat(year_of_post, np.diff(self.post_indptr))
+        keep = ~self._is_stopword(stopwords)[self.post_terms]
+        X = self._tally(rows[keep], self.post_terms[keep], len(labels))
+        out: dict[int, dict[str, int]] = {}
+        for k, year in enumerate(labels.tolist()):
+            lo, hi = X.indptr[k], X.indptr[k + 1]
+            counts = out.setdefault(year, {})
+            for t, c in zip(X.indices[lo:hi].tolist(),
+                            X.data[lo:hi].tolist()):
+                surface = self.terms[t].surface
+                counts[surface] = counts.get(surface, 0) + c
+        return out
+
+    def tweet_texts(self) -> list[str]:
+        """Per user, the surfaces of all their post tokens in corpus order,
+        joined by single spaces."""
+        rows, terms = self.post_tokens()
+        order = np.argsort(rows, kind="stable")
+        surfaces = np.array([tok.surface for tok in self.terms],
+                            dtype=object)[terms[order]]
+        bounds = np.searchsorted(rows[order],
+                                 np.arange(len(self.users) + 1))
+        return [" ".join(surfaces[a:b])
+                for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+
+
+def encode(corpus: Corpus) -> Encoding:
+    """Tokenize every post text and every profile (full name and bio) of the
+    corpus once, into one vocabulary."""
+    vocab: dict[Token, int] = {}
+
+    def ids(tokens: list[Token], into: list[int]) -> int:
+        into.extend([vocab.setdefault(tok, len(vocab)) for tok in tokens])
+        return len(tokens)
+
+    post_terms: list[int] = []
+    post_len = [ids(tokenize(p.text), post_terms) for p in corpus.posts]
+    users = tuple(sorted(corpus.users))
+    bio_terms: list[int] = []
+    name_terms: list[int] = []
+    bio_len, name_len = [], []
+    for u in users:
+        prof = corpus.users[u]
+        name, bio = tokenize(prof.full_name or "", prof.bio or "")
+        name_len.append(ids(name, name_terms))
+        bio_len.append(ids(bio, bio_terms))
+
+    # each URL is counted as its registrable domain, itself a term
+    count_term = list(range(len(vocab)))
+    for tok, t in list(vocab.items()):
+        if tok.kind == URL:
+            domain = Token(registrable_domain(tok.surface), URL)
+            count_term[t] = vocab.setdefault(domain, len(vocab))
+    count_term.extend(range(len(count_term), len(vocab)))
+
+    kind_code = {kind: k for k, kind in enumerate(KINDS)}
+    row = {u: i for i, u in enumerate(users)}
+    return Encoding(
+        users=users,
+        terms=tuple(vocab),
+        kinds=np.array([kind_code[tok.kind] for tok in vocab], dtype=np.int8),
+        count_term=np.array(count_term, dtype=np.int32),
+        post_user=np.array([row[p.author_id] for p in corpus.posts],
+                           dtype=np.int32),
+        post_time=np.array([p.timestamp for p in corpus.posts],
+                           dtype=np.int64),
+        post_retweet=np.array([bool(p.retweet_of) for p in corpus.posts],
+                              dtype=bool),
+        post_indptr=_indptr(post_len), post_terms=_ids(post_terms),
+        bio_indptr=_indptr(bio_len), bio_terms=_ids(bio_terms),
+        name_indptr=_indptr(name_len), name_terms=_ids(name_terms))
+
+
+def _indptr(lengths: list[int]) -> np.ndarray:
+    out = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=out[1:])
+    return out
+
+
+def _ids(ids: list[int]) -> np.ndarray:
+    return np.array(ids, dtype=np.int32)
 
 
 def term_counts(corpus: Corpus, scope: str, min_count: int,
                 stopwords: Optional[set[str]] = None,
                 include_retweets: bool = True) -> TermCounts:
-    """Per-user token counts with a corpus-wide frequency floor.
-
-    ``scope`` selects tweet text or profile biographies. Stopwords are removed
-    before counting; tokens whose total frequency is below ``min_count`` are
-    removed after counting.
-    """
-    if scope not in ("tweet", "bio"):
-        raise ValueError(f"unknown scope {scope!r}")
-    if min_count < 1:
-        raise ValueError("min_count must be >= 1")
-    stop = stopwords or set()
-
-    counts: Counter = Counter()
-    if scope == "tweet":
-        for p in corpus.posts:
-            if not include_retweets and p.retweet_of:
-                continue
-            for tok in tokenize(p.text):
-                if tok.kind == WORD and tok.surface in stop:
-                    continue
-                counts[(p.author_id, _count_token(tok))] += 1
-    else:
-        for user_id, prof in corpus.users.items():
-            for tok in tokenize(prof.bio or ""):
-                if tok.kind == WORD and tok.surface in stop:
-                    continue
-                counts[(user_id, _count_token(tok))] += 1
-
-    totals: Counter = Counter()
-    for (_u, tok), c in counts.items():
-        totals[tok] += c
-    kept = {key: c for key, c in counts.items() if totals[key[1]] >= min_count}
-    return TermCounts(counts=kept, scope=scope, min_count=min_count)
-
-
-def lexicon_counts(bio_tokens: dict[str, list[Token]],
-                   lexicon: Lexicon) -> dict[str, dict[str, int]]:
-    """Trigger-term hits per lexicon category per user.
-
-    A term listed in two categories increments both. Every category appears in
-    every user's result, with zero for no hits.
-    """
-    out: dict[str, dict[str, int]] = {}
-    for user_id, tokens in bio_tokens.items():
-        row = {cat: 0 for cat in lexicon.categories}
-        for tok in tokens:
-            surf = tok.surface.lower()
-            for cat, terms in lexicon.categories.items():
-                if surf in terms:
-                    row[cat] += 1
-        out[user_id] = row
-    return out
-
-
-def bio_tokens(corpus: Corpus) -> dict[str, list[Token]]:
-    """Tokenized biography per user (empty list for missing bios)."""
-    return {u: tokenize(prof.bio or "") for u, prof in corpus.users.items()}
+    """Per-user token counts of a corpus; see :meth:`Encoding.term_counts`."""
+    return encode(corpus).term_counts(scope, min_count, stopwords,
+                                      include_retweets=include_retweets)

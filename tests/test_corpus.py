@@ -202,3 +202,33 @@ def test_write_and_reload_round_trip(tmp_path):
     c2 = cm.load_corpus(f)
     assert c2.posts == c.posts
     assert c2.users == c.users
+
+
+def test_load_reports_what_it_drops(tmp_path):
+    f = tmp_path / "c.jsonl"
+    write_lines(f, [
+        _post("p1", "a", 100, "x", author={}),
+        _post("p2", "b", 5, "y", author={}),   # b's only post: out of range
+        _post("p3", "a", 300, "z"),           # out of range
+        "{broken",
+    ] + [_post(f"q{i}", "a", 150, "w") for i in range(9)])
+    counts = {}
+    c = cm.load_corpus(f, time_range=(100, 200), counts=counts)
+    assert c.n_posts == 10 and set(c.users) == {"a"}
+    assert counts == {"lines_read": 13, "malformed_lines": 1,
+                      "posts_outside_time_range": 2,
+                      "users_outside_time_range": 1}
+
+
+def test_as_reloaded_equals_the_written_file_read_back(tmp_path):
+    from stancelab import synth
+    corpus, _truth = synth.generate(synth.SynthSpec(n_users=40, rng_seed=5))
+    corpus = cm.filter_relevant(corpus, ["aborto"])
+    keep = set(sorted(corpus.users)[::2])
+    corpus = cm.restrict_users(corpus, keep)
+    f = tmp_path / "c.jsonl"
+    cm.write_corpus(corpus, f)
+    reread = cm.load_corpus(f)
+    expected = cm.as_reloaded(corpus)
+    assert reread == expected
+    assert list(reread.users) == list(expected.users)

@@ -26,12 +26,13 @@ def small_corpus():
 
 def build(min_in_degree=1):
     c = small_corpus()
-    tweet = tp.term_counts(c, "tweet", 1)
-    bio = tp.term_counts(c, "bio", 1)
-    lex = tp.lexicon_counts(tp.bio_tokens(c),
-                            tp.Lexicon(categories={"family": frozenset({"madre"})}))
+    enc = tp.encode(c)
+    profile = ft.profile_blocks(
+        c, enc, enc.term_counts("bio", 1),
+        tp.Lexicon(categories={"family": frozenset({"madre"})}))
     g = cm.build_interaction_graph(c)
-    return ft.build_matrix(c, tweet, bio, lex, g, min_in_degree=min_in_degree)
+    return ft.build_matrix(c, enc.term_counts("tweet", 1), profile, g,
+                           min_in_degree=min_in_degree)
 
 
 def test_matrix_values_hand_checked():
@@ -73,11 +74,12 @@ def test_min_in_degree_prunes_edges():
 
 def test_graph_user_outside_corpus_fatal():
     c = small_corpus()
-    tweet = tp.term_counts(c, "tweet", 1)
-    bio = tp.term_counts(c, "bio", 1)
+    enc = tp.encode(c)
+    profile = ft.profile_blocks(c, enc, enc.term_counts("bio", 1),
+                                tp.Lexicon(categories={}))
     g = cm.InteractionGraph(nodes=frozenset({"ghost"}), edges={})
     with pytest.raises(ft.MatrixError):
-        ft.build_matrix(c, tweet, bio, {}, g)
+        ft.build_matrix(c, enc.term_counts("tweet", 1), profile, g)
 
 
 def test_save_load_round_trip(tmp_path):

@@ -2,8 +2,8 @@ import pytest
 
 from stancelab import labeling as lb
 from stancelab.config import default_rule_path
-from stancelab.corpus import UserProfile
-from stancelab.textproc import tokenize
+from stancelab.corpus import Corpus, MicroPost, UserProfile
+from stancelab.textproc import encode
 
 
 @pytest.fixture(scope="module")
@@ -72,8 +72,12 @@ def test_age_implausible_or_conflicting(rules):
 
 
 def _stance(bio, tweets, rules):
-    return lb.label_stance(bio, [tokenize(t) for t in tweets],
-                           rules.stance_seeds)
+    users = {"u": UserProfile(user_id="u", bio=bio)}
+    posts = tuple(MicroPost(f"p{k}", "u", k, text)
+                  for k, text in enumerate(tweets))
+    corpus = Corpus(posts=posts, users=users, time_range=(0, len(posts)))
+    [stance] = lb.label_stances(corpus, encode(corpus), rules.stance_seeds)
+    return stance
 
 
 def test_stance_exclusive_seed(rules):
@@ -125,3 +129,18 @@ def test_manual_labels_override(tmp_path, rules):
     assert ls.get("u1", "gender").value == "female"
     assert ls.get("u1", "gender").provenance == "manual"
     assert ls.get("u2", "stance").value == "defense"
+
+
+def test_stance_tweet_phrase_spans_tokens_and_posts():
+    seeds = {"defense": {"bio": (), "tweet": ("aborto legal",)},
+             "opposition": {"bio": (), "tweet": ("#provida",)}}
+    users = {u: UserProfile(user_id=u) for u in ("a", "b", "c", "d")}
+    posts = (MicroPost("p1", "a", 1, "¡Aborto, LEGAL!"),
+             MicroPost("p2", "b", 2, "aborto"),
+             MicroPost("p3", "b", 3, "legal hoy"),
+             MicroPost("p4", "c", 4, "abortolegal"),
+             MicroPost("p5", "d", 5, "aborto legal #provida"))
+    corpus = Corpus(posts=posts, users=users, time_range=(1, 6))
+    # a phrase matches the user's post tokens joined by spaces, across posts
+    assert lb.label_stances(corpus, encode(corpus), seeds) == [
+        "defense", "defense", None, None]

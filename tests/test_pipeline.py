@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import os
@@ -6,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -81,6 +83,212 @@ def test_manifest_contents(demo_corpus, tmp_path, monkeypatch):
         assert entry["seconds"] >= 0
     assert manifest["stages"]["train"]["metrics"] == {
         "fits": 6, "workers": min(6, len(os.sched_getaffinity(0)))}
+
+
+def _stages(cfg, stages):
+    pipe = Pipeline(cfg)
+    with output_lock(pipe.out):
+        for stage in stages:
+            pipe.run_stage(stage)
+    return pipe
+
+
+def _without_manifest(path):
+    return b"".join(line for line in path.read_bytes().splitlines(True)
+                    if not line.startswith(b"# manifest "))
+
+
+# sha256 of the 150-user demo run's outputs, "# manifest" line left out, as
+# the Token-keyed counting code wrote them before the corpus encoding
+GOLDEN = {
+    "matrix_full.txt":
+        "f72d37eaa7530dc20f216a933dbf7729527c987dc7a7e1fd98a86478446b3199",
+    "matrix_p0.txt":
+        "9ded4615d41cf7a6728a9252513c9a15569a6bb436aa16fb261d8daa22ac555f",
+    "matrix_p1.txt":
+        "41cd71967ed05abacfbbb49da172afb420402211df9c6c4a3952fdb2477caf15",
+    "labels.tsv":
+        "a954d6e6ae62942533ab4b2ea83c03fc76b4c81e34522748574a354e5c264e0e",
+    "terms_by_year.tsv":
+        "be09414e33d25561a61803b5920b508395f6e2fb6f5b19b920d43632fb1d81a7",
+}
+
+
+def test_text_stage_outputs_match_golden_digests(demo_corpus, tmp_path):
+    pipe = _stages(make_config(demo_corpus, tmp_path / "run"),
+                   ("ingest", "label", "featurize"))
+    for name, digest in GOLDEN.items():
+        got = hashlib.sha256(_without_manifest(pipe.out / name)).hexdigest()
+        assert got == digest, name
+
+
+def test_run_writes_what_separate_stage_commands_write(demo_corpus, tmp_path):
+    from click.testing import CliRunner
+    from stancelab import cli
+
+    def config(out):
+        path = tmp_path / f"{out}.yaml"
+        path.write_text(
+            f"corpus: {demo_corpus}\noutput_dir: {tmp_path / out}\n"
+            "thresholds: {tweet_min_count: 5, bio_min_count: 2}\n"
+            "boost: {n_estimators: 40, early_stopping_rounds: 8}\n"
+            "min_in_degree: 2\nrng_seed: 11\n", encoding="utf-8")
+        return str(path)
+
+    runner = CliRunner()
+    done = runner.invoke(cli.main, ["run", "--config", config("run")])
+    assert done.exit_code == 0, done.output
+    for stage in STAGES:
+        done = runner.invoke(cli.main,
+                             ["stage", stage, "--config", config("stages")])
+        assert done.exit_code == 0, done.output
+    for name in ("matrix_full.txt", "matrix_p0.txt", "matrix_p1.txt",
+                 "labels.tsv", *REPORT_FILES):
+        assert (tmp_path / "run" / name).read_bytes() == \
+            (tmp_path / "stages" / name).read_bytes(), name
+
+
+def test_ingest_replaces_the_cached_corpus(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    text_outputs = ("matrix_full.txt", "matrix_p0.txt", "matrix_p1.txt",
+                    "labels.tsv", "terms_by_year.tsv")
+
+    def write(seed):
+        corpus, _truth = synth.generate(synth.SynthSpec(n_users=80,
+                                                        rng_seed=seed))
+        cm.write_corpus(corpus, path)
+
+    write(1)
+    pipe = Pipeline(make_config(str(path), tmp_path / "one"))
+    with output_lock(pipe.out):
+        for stage in ("ingest", "label", "featurize"):
+            pipe.run_stage(stage)
+        before = {n: _without_manifest(pipe.out / n) for n in text_outputs}
+        write(2)
+        for stage in ("ingest", "label", "featurize"):
+            pipe.run_stage(stage)
+    fresh = _stages(make_config(str(path), tmp_path / "fresh"),
+                    ("ingest", "label", "featurize"))
+    for name in text_outputs:
+        after = _without_manifest(pipe.out / name)
+        assert after != before[name], name
+        assert after == _without_manifest(fresh.out / name), name
+
+
+def test_ingest_and_featurize_report_counts(tmp_path):
+    from datetime import datetime, timezone
+    from stancelab import features, textproc
+    corpus, _truth = synth.generate(synth.SynthSpec(
+        n_users=60, rng_seed=3, topic_term_rate=1.0))
+    path = tmp_path / "corpus.jsonl"
+    cm.write_corpus(corpus, path)
+    t0 = int(datetime(2017, 1, 1, tzinfo=timezone.utc).timestamp())
+    t1 = int(datetime(2019, 1, 1, tzinfo=timezone.utc).timestamp())
+    inside = corpus.posts[0].timestamp
+    some_user = corpus.posts[0].author_id
+
+    def line(pid, user, ts, text, author=True):
+        obj = {"post_id": pid, "author_id": user, "timestamp": ts,
+               "text": text}
+        if author:
+            obj["author"] = {"user_id": user}
+        return json.dumps(obj) + "\n"
+
+    planted = [
+        "{broken\n", '{"post_id": "m1"}\n',
+        line("m2", "ghost", inside, "aborto", author=False),
+        line("t1", some_user, t0 - 5, "aborto"),
+        line("t2", some_user, t1, "aborto"),
+        line("o1", "zz_off", inside, "hola mundo"),
+        line("o2", "zz_off", inside + 1, "otro tema"),
+        line("i1", "zz_iso1", inside, "aborto sí"),
+        line("i2", "zz_iso2", inside, "aborto no"),
+    ]
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.writelines(planted)
+
+    cfg = make_config(str(path), tmp_path / "run")
+    cfg.time_from, cfg.time_to = t0, t1
+    pipe = _stages(cfg, ("ingest", "label", "featurize"))
+    stages = json.loads((pipe.out / "manifest.json").read_text())["stages"]
+
+    # the largest component, by union-find over the kept posts
+    kept = [p for p in corpus.posts] + [
+        cm.MicroPost("i1", "zz_iso1", inside, ""),
+        cm.MicroPost("i2", "zz_iso2", inside, "")]
+    authors = {p.author_id for p in kept}
+    parent = {u: u for u in authors}
+
+    def find(u):
+        while parent[u] != u:
+            u = parent[u]
+        return u
+
+    for p in kept:
+        for target in [p.retweet_of] + [t for t, _k in p.directed_at]:
+            if target in authors:
+                parent[find(p.author_id)] = find(target)
+    sizes = Counter(find(u) for u in authors)
+    root, size = sizes.most_common(1)[0]
+    outside = {u for u in authors if find(u) != root}
+    assert {"zz_iso1", "zz_iso2"} <= outside
+    assert stages["ingest"]["metrics"] == {
+        "lines_read": len(corpus.posts) + len(planted),
+        "malformed_lines": 3,
+        "posts_outside_time_range": 2, "users_outside_time_range": 0,
+        "posts_off_topic": 2, "users_off_topic": 1,
+        "posts_outside_lcc": sum(p.author_id in outside for p in kept),
+        "users_outside_lcc": len(outside),
+        "posts": sum(p.author_id not in outside for p in kept),
+        "users": size,
+    }
+
+    ingested = cm.load_corpus(pipe.out / "corpus.jsonl")
+    texts = [p.text for p in ingested.posts] + [
+        t for prof in ingested.users.values()
+        for t in (prof.full_name, prof.bio or "")]
+    vocab = {tok for t in texts for tok in textproc.tokenize(t)}
+    vocab |= {textproc.Token(textproc.registrable_domain(tok.surface), "url")
+              for tok in vocab if tok.kind == "url"}
+    want = {"texts_encoded": ingested.n_posts + ingested.n_users,
+            "vocabulary": len(vocab)}
+    for name in ("full", "p0", "p1"):
+        data = [line for line in (pipe.out / f"matrix_{name}.txt")
+                .read_text().splitlines() if not line.startswith("#")]
+        want[f"nonzeros_{name}"] = len(data)
+    assert stages["featurize"]["metrics"] == want
+
+
+@pytest.mark.parametrize("name, reader, header, good, bad", [
+    ("labels.tsv", "_labels", "user_id\tattribute\tvalue\tprovenance"
+     "\tconfidence", "u1\tgender\tmale\trule\t1.0", "u2\tgender\tfemale"),
+    ("labels.tsv", "_labels", "user_id\tattribute\tvalue\tprovenance"
+     "\tconfidence", "u1\tgender\tmale\trule\t1.0",
+     "u2\tgender\tfemale\trule\tsure"),
+    ("platt.tsv", "_load_platt", "slope\toffset", "1.5\t-0.25", "1.5"),
+    ("turnaround.tsv", "_read_turnaround", "user_id\tp_t0\tp_t1\tdelta",
+     "u1\t0.25\t0.5\t0.25", "u2\t0.25\t0.5"),
+    ("turnaround.tsv", "_read_turnaround", "user_id\tp_t0\tp_t1\tdelta",
+     "u1\t0.25\t0.5\t0.25", "u2\t0.25\thalf\t0.25"),
+])
+def test_stage_readers_name_file_and_line(tmp_path, name, reader, header,
+                                          good, bad):
+    pipe = Pipeline(PipelineConfig(output_dir=str(tmp_path)))
+    path = tmp_path / name
+    path.write_text(f"# manifest x\n{header}\n{good}\n", encoding="utf-8")
+    getattr(pipe, reader)()
+    path.write_text(f"# manifest x\n{header}\n{good}\n{bad}\n",
+                    encoding="utf-8")
+    with pytest.raises(StageError, match=re.escape(f"{path}:4: ")):
+        getattr(pipe, reader)()
+
+
+def test_platt_file_without_values_is_a_named_error(tmp_path):
+    pipe = Pipeline(PipelineConfig(output_dir=str(tmp_path)))
+    (tmp_path / "platt.tsv").write_text("# manifest x\nslope\toffset\n",
+                                        encoding="utf-8")
+    with pytest.raises(StageError, match="platt.tsv: no slope and offset"):
+        pipe._load_platt()
 
 
 def test_missing_upstream_stage_fatal(demo_corpus, tmp_path):

@@ -3,7 +3,8 @@ import numpy as np
 from stancelab import labeling as lb
 from stancelab import synth
 from stancelab.config import default_rule_path
-from stancelab.textproc import tokenize
+from stancelab.corpus import Corpus
+from stancelab.textproc import encode
 
 
 def test_deterministic_per_seed():
@@ -57,6 +58,11 @@ def test_self_reports_parseable_by_shipped_rules():
                             default_rule_path("names.tsv"),
                             default_rule_path("patterns.tsv"),
                             default_rule_path("stance_seeds.tsv"))
+    # bios alone: the users without their posts
+    bios_only = Corpus(posts=(), users=c.users, time_range=(0, 0))
+    stances = dict(zip(sorted(c.users),
+                       lb.label_stances(bios_only, encode(bios_only),
+                                        rules.stance_seeds)))
     for uid, prof in c.users.items():
         rep = truth.self_reported[uid]
         if "gender" in rep:
@@ -66,8 +72,7 @@ def test_self_reports_parseable_by_shipped_rules():
         if "age_cohort" in rep:
             assert lb.label_age(prof, rules) == truth.cohort[uid]
         if "stance" in rep:
-            got = lb.label_stance(prof.bio or "", [], rules.stance_seeds)
-            assert got == truth.stance[uid]
+            assert stances[uid] == truth.stance[uid]
 
 
 def test_planted_effect_shifts_delta():
