@@ -248,16 +248,19 @@ def predict_margin(X, feature, threshold, left, right, value, tree_start, out):
     """Add the output of every tree to ``out`` (one margin per row of X), one
     tree after another in ``tree_start`` order.
 
-    X is a scipy CSR array (a dense array is converted to one). A cell is
-    found by binary search for its key ``row * n_cols + col`` among the
-    stored entries' keys, which ascend in canonical form; a cell not stored
-    reads as zero.
+    X is a scipy CSR array (a dense array is converted to one). Only the
+    columns the trees split on are kept; a cell of them is found by binary
+    search for its key ``row * n_used + column`` among the stored entries'
+    keys, which ascend in canonical form, and a cell not stored reads as
+    zero.
     """
     if not sparse.issparse(X):
         X = sparse.csr_array(X)
-    elif not X.has_canonical_format:
-        X = X.copy()
-        X.sum_duplicates()
+    used = np.unique(feature[feature >= 0])
+    column = np.full(X.shape[1], -1, dtype=np.int64)
+    column[used] = np.arange(len(used))
+    X = sparse.csr_array(X[:, used])
+    X.sum_duplicates()
     n, p = X.shape
     # one sentinel key past every cell, so each search lands on an entry
     keys = np.append(np.repeat(np.arange(n, dtype=np.int64) * p,
@@ -271,7 +274,7 @@ def predict_margin(X, feature, threshold, left, right, value, tree_start, out):
             active = feats >= 0
             if not active.any():
                 break
-            want = rows[active] * p + feats[active]
+            want = rows[active] * p + column[feats[active]]
             pos = np.searchsorted(keys, want)
             x = np.where(keys[pos] == want, data[pos], 0.0)
             at = nodes[active]
