@@ -307,7 +307,8 @@ def profile_blocks(corpus: Corpus, encoding: Encoding, bio_counts: TermCounts,
         meta_col.append(index[ident])
         meta_val.append(value)
 
-    is_emoji = encoding.is_kind(EMOJI)
+    is_emoji = np.array([tok.kind == EMOJI for tok in encoding.terms],
+                        dtype=bool)
     bio_users = encoding.token_users(encoding.bio_indptr)
     n_emojis = np.bincount(bio_users[is_emoji[encoding.bio_terms]],
                            minlength=len(rows)).tolist()

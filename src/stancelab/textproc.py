@@ -27,7 +27,6 @@ from scipy import sparse
 from .corpus import Corpus
 
 WORD, HASHTAG, MENTION, URL, EMOJI = "word", "hashtag", "mention", "url", "emoji"
-KINDS = (WORD, HASHTAG, MENTION, URL, EMOJI)
 
 # one pictographic base, optional variation selector / skin tone, optionally
 # chained through ZWJ into a single family-style cluster
@@ -49,7 +48,8 @@ _TOKEN_RE = regex.compile(
 
 
 class Token(NamedTuple):
-    """One token: its surface form and its kind (one of ``KINDS``)."""
+    """One token: its surface form and its kind (``WORD``, ``HASHTAG``,
+    ``MENTION``, ``URL`` or ``EMOJI``)."""
     surface: str
     kind: str
 
@@ -169,7 +169,6 @@ class Encoding:
     """
     users: tuple[str, ...]
     terms: tuple[Token, ...]
-    kinds: np.ndarray        # int8, index into KINDS
     count_term: np.ndarray   # int32
     post_user: np.ndarray    # int32
     post_time: np.ndarray    # int64
@@ -192,10 +191,6 @@ class Encoding:
     @functools.cached_property
     def _index(self) -> dict[Token, int]:
         return {tok: t for t, tok in enumerate(self.terms)}
-
-    def is_kind(self, kind: str) -> np.ndarray:
-        """Per term, whether it is of ``kind``."""
-        return self.kinds == KINDS.index(kind)
 
     def token_users(self, indptr: np.ndarray) -> np.ndarray:
         """Per token of a per-user layout (bio or name), the user's row."""
@@ -345,12 +340,10 @@ def encode(corpus: Corpus) -> Encoding:
             count_term[t] = vocab.setdefault(domain, len(vocab))
     count_term.extend(range(len(count_term), len(vocab)))
 
-    kind_code = {kind: k for k, kind in enumerate(KINDS)}
     row = {u: i for i, u in enumerate(users)}
     return Encoding(
         users=users,
         terms=tuple(vocab),
-        kinds=np.array([kind_code[tok.kind] for tok in vocab], dtype=np.int8),
         count_term=np.array(count_term, dtype=np.int32),
         post_user=np.array([row[p.author_id] for p in corpus.posts],
                            dtype=np.int32),
