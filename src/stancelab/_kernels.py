@@ -245,28 +245,12 @@ def best_split(Xn, gn, hn, reg_lambda, min_child_weight):
 
 
 def predict_margin(X, feature, threshold, left, right, value, tree_start, out):
-    """Add the output of every tree to ``out`` (one margin per row of X), one
-    tree after another in ``tree_start`` order.
+    """Add the output of every tree to ``out`` (one margin per row of X).
 
-    X is a scipy CSR array (a dense array is converted to one). Only the
-    columns the trees split on are kept; a cell of them is found by binary
-    search for its key ``row * n_used + column`` among the stored entries'
-    keys, which ascend in canonical form, and a cell not stored reads as
-    zero.
+    X is a dense array or a scipy CSR array.
     """
-    if not sparse.issparse(X):
-        X = sparse.csr_array(X)
-    used = np.unique(feature[feature >= 0])
-    column = np.full(X.shape[1], -1, dtype=np.int64)
-    column[used] = np.arange(len(used))
-    X = sparse.csr_array(X[:, used])
-    X.sum_duplicates()
-    n, p = X.shape
-    # one sentinel key past every cell, so each search lands on an entry
-    keys = np.append(np.repeat(np.arange(n, dtype=np.int64) * p,
-                               np.diff(X.indptr)) + X.indices, n * p)
-    data = np.append(X.data, 0.0)
-    rows = np.arange(n, dtype=np.int64)
+    n = X.shape[0]
+    rows = np.arange(n)
     for t in range(tree_start.shape[0]):
         nodes = np.full(n, tree_start[t], dtype=np.int64)
         while True:
@@ -274,10 +258,10 @@ def predict_margin(X, feature, threshold, left, right, value, tree_start, out):
             active = feats >= 0
             if not active.any():
                 break
-            want = rows[active] * p + column[feats[active]]
-            pos = np.searchsorted(keys, want)
-            x = np.where(keys[pos] == want, data[pos], 0.0)
-            at = nodes[active]
-            nodes[active] = np.where(x < threshold[at], left[at], right[at])
+            idx = rows[active]
+            f = feats[active]
+            go_left = X[idx, f] < threshold[nodes[active]]
+            nodes[idx] = np.where(go_left, left[nodes[active]],
+                                  right[nodes[active]])
         out += value[nodes]
     return out

@@ -6,6 +6,7 @@ author profile embedded on its first occurrence (see FORMATS.md).
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field, replace
@@ -75,9 +76,14 @@ class Corpus:
             out[p.author_id].append(p)
         return out
 
+    def in_period(self, start: int, end: int) -> list[bool]:
+        """Per post, whether start <= timestamp < end: the one rule that
+        every period view of the corpus applies."""
+        return [start <= p.timestamp < end for p in self.posts]
+
     def restrict_period(self, start: int, end: int) -> "Corpus":
-        """Corpus view containing only posts with start <= timestamp < end."""
-        kept = tuple(p for p in self.posts if start <= p.timestamp < end)
+        """Corpus view containing only the posts :meth:`in_period`."""
+        kept = tuple(itertools.compress(self.posts, self.in_period(start, end)))
         return Corpus(posts=kept, users=dict(self.users), time_range=(start, end))
 
 

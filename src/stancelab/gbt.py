@@ -382,23 +382,8 @@ def _reconcile(model: BoostedModel, matrix: MatrixLike) -> sparse.csr_array:
 def predict_margin(model: BoostedModel, matrix: MatrixLike) -> np.ndarray:
     X = _reconcile(model, matrix)
     out = np.full(X.shape[0], model.base_score)
-    trees = model.trees
-    if not trees:
-        return out
-    # all trees in one kernel call: node arrays end to end, child links
-    # shifted by each tree's first node (leaves keep -1)
-    tree_start = np.cumsum([0] + [t.n_nodes for t in trees[:-1]],
-                           dtype=np.int64)
-
-    def links(a: np.ndarray, start: int) -> np.ndarray:
-        return np.where(a >= 0, a + start, a)
-
-    _kernels.predict_margin(
-        X, np.concatenate([t.feature for t in trees]),
-        np.concatenate([t.threshold for t in trees]),
-        np.concatenate([links(t.left, s) for t, s in zip(trees, tree_start)]),
-        np.concatenate([links(t.right, s) for t, s in zip(trees, tree_start)]),
-        np.concatenate([t.value for t in trees]), tree_start, out)
+    for tree in model.trees:
+        out += _tree_margin(tree, X)
     return out
 
 

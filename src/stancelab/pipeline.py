@@ -362,10 +362,14 @@ class Pipeline:
                    "vocabulary": len(encoding.terms)}
         for name, period in (("full", None), ("p0", cfg.periods[0]),
                              ("p1", cfg.periods[1])):
-            sub = corpus if period is None else corpus.restrict_period(*period)
+            if period is None:
+                sub, posts = corpus, None
+            else:
+                sub = corpus.restrict_period(*period)
+                posts = np.array(corpus.in_period(*period), dtype=bool)
             tweet = encoding.term_counts(
                 "tweet", cfg.thresholds.tweet_min_count, stop,
-                include_retweets=cfg.include_retweets, period=period)
+                include_retweets=cfg.include_retweets, posts=posts)
             m = features_mod.build_matrix(
                 corpus, tweet, profile, corpus_mod.build_interaction_graph(sub),
                 period=period, min_in_degree=cfg.min_in_degree)

@@ -111,7 +111,12 @@ def registrable_domain(url: str) -> str:
     return netloc or url.lower()
 
 
-def _tokens(text: str) -> list[Token]:
+def tokenize(text: str) -> list[Token]:
+    """Split text into typed tokens, in order of appearance.
+
+    Words are lowercased and NFC-normalized; accents are preserved.
+    Punctuation is dropped. Hashtags and mentions keep their sigil.
+    """
     if not text:
         return []
     text = unicodedata.normalize("NFC", text)
@@ -126,20 +131,6 @@ def _tokens(text: str) -> list[Token]:
         else:
             out.append(Token(surface.lower(), kind))
     return out
-
-
-def tokenize(text: str, *more: str):
-    """Split text into typed tokens, in order of appearance.
-
-    Words are lowercased and NFC-normalized; accents are preserved.
-    Punctuation is dropped. Hashtags and mentions keep their sigil.
-
-    Given more texts, returns one token list per text: :func:`encode` reads a
-    profile, its full name and its bio, as one text of two fields.
-    """
-    if more:
-        return [_tokens(t) for t in (text, *more)]
-    return _tokens(text)
 
 
 def load_stopwords(path) -> set[str]:
@@ -182,8 +173,8 @@ class Encoding:
 
     @property
     def n_texts(self) -> int:
-        """Texts encoded: the posts plus one profile per user."""
-        return len(self.post_user) + len(self.users)
+        """Texts encoded: the post texts, full names and bios."""
+        return len(self.post_user) + 2 * len(self.users)
 
     def term_id(self, token: Token) -> Optional[int]:
         return self._index.get(token)
@@ -226,26 +217,26 @@ class Encoding:
     def term_counts(self, scope: str, min_count: int,
                     stopwords: Optional[set[str]] = None,
                     include_retweets: bool = True,
-                    period: Optional[tuple[int, int]] = None) -> TermCounts:
+                    posts: Optional[np.ndarray] = None) -> TermCounts:
         """Per-user token counts with a corpus-wide frequency floor.
 
         ``scope`` selects tweet text or profile biographies; tweets may be
-        limited to the posts with ``start <= timestamp < end`` of
-        ``period``. Stopwords are removed before counting; terms whose total
-        frequency is below ``min_count`` are removed after counting.
+        limited to the posts selected by the boolean mask ``posts`` (in
+        corpus order, such as :meth:`Corpus.in_period` gives). Stopwords are
+        removed before counting; terms whose total frequency is below
+        ``min_count`` are removed after counting.
         """
         if scope not in ("tweet", "bio"):
             raise ValueError(f"unknown scope {scope!r}")
         if min_count < 1:
             raise ValueError("min_count must be >= 1")
         if scope == "tweet":
-            posts = np.ones(len(self.post_user), dtype=bool)
+            selected = np.ones(len(self.post_user), dtype=bool)
+            if posts is not None:
+                selected &= posts
             if not include_retweets:
-                posts &= ~self.post_retweet
-            if period is not None:
-                posts &= ((self.post_time >= period[0])
-                          & (self.post_time < period[1]))
-            rows, terms = self.post_tokens(posts)
+                selected &= ~self.post_retweet
+            rows, terms = self.post_tokens(selected)
         else:
             rows, terms = self.token_users(self.bio_indptr), self.bio_terms
         keep = ~self._is_stopword(stopwords)[terms]
@@ -328,9 +319,8 @@ def encode(corpus: Corpus) -> Encoding:
     bio_len, name_len = [], []
     for u in users:
         prof = corpus.users[u]
-        name, bio = tokenize(prof.full_name or "", prof.bio or "")
-        name_len.append(ids(name, name_terms))
-        bio_len.append(ids(bio, bio_terms))
+        name_len.append(ids(tokenize(prof.full_name or ""), name_terms))
+        bio_len.append(ids(tokenize(prof.bio or ""), bio_terms))
 
     # each URL is counted as its registrable domain, itself a term
     count_term = list(range(len(vocab)))

@@ -250,7 +250,7 @@ def test_ingest_and_featurize_report_counts(tmp_path):
     vocab = {tok for t in texts for tok in textproc.tokenize(t)}
     vocab |= {textproc.Token(textproc.registrable_domain(tok.surface), "url")
               for tok in vocab if tok.kind == "url"}
-    want = {"texts_encoded": ingested.n_posts + ingested.n_users,
+    want = {"texts_encoded": len(texts),
             "vocabulary": len(vocab)}
     for name in ("full", "p0", "p1"):
         data = [line for line in (pipe.out / f"matrix_{name}.txt")

@@ -1,6 +1,7 @@
 from collections import Counter
 from datetime import datetime, timezone
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -191,8 +192,10 @@ def test_encoding_counts_equal_a_direct_tally(corpus, min_count, retweets):
                        and (period is None
                             or period[0] <= p.timestamp < period[1])],
                       min_count)
+        posts = None if period is None else np.array(
+            corpus.in_period(*period), dtype=bool)
         got = enc.term_counts("tweet", min_count, _STOP,
-                              include_retweets=retweets, period=period)
+                              include_retweets=retweets, posts=posts)
         assert got.counts == want
     # the module-level function is a view of the same encoding
     assert tp.term_counts(corpus, "tweet", min_count, _STOP,
