@@ -12,10 +12,15 @@ from dataclasses import replace
 
 import click
 
+from . import calibration, features, gbt, stats, tsv
 from . import corpus as corpus_mod
-from . import pipeline as pipeline_mod
 from .config import ConfigError, load_config
 from .pipeline import STAGES, Pipeline, StageError, output_lock
+
+# errors that name their cause; the CLI prints each as one line
+_NAMED_ERRORS = (StageError, ConfigError, corpus_mod.CorpusError,
+                 tsv.RuleFileError, features.MatrixError, gbt.TrainingError,
+                 calibration.CalibrationError, stats.StatsError)
 
 
 def _pipeline(config_path: str, seed) -> Pipeline:
@@ -42,11 +47,11 @@ def main():
               help="Skip the stage if its outputs match the current config.")
 def stage(stage, config_path, seed, skip_fresh):
     """Run one pipeline STAGE."""
-    pipe = _pipeline(config_path, seed)
     try:
+        pipe = _pipeline(config_path, seed)
         with output_lock(pipe.out):
             pipe.run_stage(stage, skip_fresh=skip_fresh)
-    except (StageError, ConfigError, corpus_mod.CorpusError) as exc:
+    except _NAMED_ERRORS as exc:
         raise click.ClickException(str(exc))
     click.echo(f"{stage}: done ({pipe.out})")
 
@@ -60,8 +65,8 @@ def stage(stage, config_path, seed, skip_fresh):
               help="Skip stages whose outputs match the current config.")
 def run(config_path, seed, skip_fresh):
     """Run every pipeline stage in order."""
-    pipe = _pipeline(config_path, seed)
     try:
+        pipe = _pipeline(config_path, seed)
         with output_lock(pipe.out):
             for s in STAGES:
                 if skip_fresh and pipe._is_fresh(s):
@@ -69,7 +74,7 @@ def run(config_path, seed, skip_fresh):
                     continue
                 pipe.run_stage(s)
                 click.echo(f"{s}: done")
-    except (StageError, ConfigError, corpus_mod.CorpusError) as exc:
+    except _NAMED_ERRORS as exc:
         raise click.ClickException(str(exc))
     click.echo(f"all stages complete ({pipe.out})")
 

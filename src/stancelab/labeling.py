@@ -16,16 +16,13 @@ import regex
 
 from .corpus import UserProfile
 from .textproc import HASHTAG, MENTION, Encoding, Token, encode
+from .tsv import RuleFileError, read_tsv  # noqa: F401 (re-exported)
 
 STANCES = ("defense", "opposition")
 COHORTS = ("<18", "18-29", "30-39", ">=40")
 
 # birth years outside this window are treated as non-birth-year numbers
 BIRTH_YEAR_RANGE = (1920, 2010)
-
-
-class RuleFileError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -72,30 +69,11 @@ class LabelSet:
         return sorted(u for u, d in self.labels.items() if attribute in d)
 
 
-def load_gazetteer(path) -> dict[str, str]:
-    """`place<TAB>country` lines."""
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            place, country = line.split("\t", 1)
-            out[place.strip().casefold()] = country.strip()
-    return out
-
-
-def load_name_genders(path) -> dict[str, str]:
-    """`name<TAB>gender` lines."""
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            name, gender = line.split("\t", 1)
-            out[name.strip().casefold()] = gender.strip()
-    return out
+def load_lookup(path) -> dict[str, str]:
+    """`key<TAB>value` lines as ``{casefolded key: value}``: the gazetteer
+    (place to country) and the first-name list (name to gender)."""
+    return dict(read_tsv(path, 2, lambda key, value: (key.strip().casefold(),
+                                                       value.strip())))
 
 
 def load_attribute_patterns(path):
@@ -104,49 +82,35 @@ def load_attribute_patterns(path):
     Returns (gender_expressions, age_patterns) with patterns compiled
     case-insensitively.
     """
-    genders: list[tuple["regex.Pattern", str]] = []
-    ages: list[tuple["regex.Pattern", str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            try:
-                attribute, value, pattern = line.split("\t", 2)
-            except ValueError as exc:
-                raise RuleFileError(f"{path}:{lineno}: expected 3 fields") from exc
-            try:
-                pat = regex.compile(pattern, regex.IGNORECASE)
-            except regex.error as exc:
-                raise RuleFileError(f"{path}:{lineno}: bad pattern: {exc}") from exc
-            if attribute == "gender":
-                genders.append((pat, value))
-            elif attribute == "age":
-                if value not in ("age", "birth_year"):
-                    raise RuleFileError(f"{path}:{lineno}: bad age value {value!r}")
-                ages.append((pat, value))
-            else:
-                raise RuleFileError(f"{path}:{lineno}: unknown attribute {attribute!r}")
-    return tuple(genders), tuple(ages)
+    def parse(attribute, value, pattern):
+        attribute, value = attribute.strip(), value.strip()
+        if attribute not in ("gender", "age"):
+            raise ValueError(f"unknown attribute {attribute!r}")
+        if attribute == "age" and value not in ("age", "birth_year"):
+            raise ValueError(f"bad age value {value!r}")
+        try:
+            return attribute, (regex.compile(pattern, regex.IGNORECASE), value)
+        except regex.error as exc:
+            raise ValueError(f"bad pattern: {exc}") from None
+
+    rows = read_tsv(path, 3, parse)
+    return (tuple(p for a, p in rows if a == "gender"),
+            tuple(p for a, p in rows if a == "age"))
 
 
 def load_stance_seeds(path) -> dict[str, dict[str, tuple[str, ...]]]:
     """Seed file: `stance<TAB>scope<TAB>pattern` per line, scope in {bio, tweet}."""
+    def parse(stance, scope, pattern):
+        stance, scope = stance.strip(), scope.strip()
+        if stance not in STANCES or scope not in ("bio", "tweet"):
+            raise ValueError("bad stance/scope")
+        return stance, scope, pattern.strip().lower()
+
     seeds: dict[str, dict[str, list[str]]] = {
         s: {"bio": [], "tweet": []} for s in STANCES
     }
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            try:
-                stance, scope, pattern = line.split("\t", 2)
-            except ValueError as exc:
-                raise RuleFileError(f"{path}:{lineno}: expected 3 fields") from exc
-            if stance not in STANCES or scope not in ("bio", "tweet"):
-                raise RuleFileError(f"{path}:{lineno}: bad stance/scope")
-            seeds[stance][scope].append(pattern.strip().lower())
+    for stance, scope, pattern in read_tsv(path, 3, parse):
+        seeds[stance][scope].append(pattern)
     return {s: {sc: tuple(p) for sc, p in d.items()} for s, d in seeds.items()}
 
 
@@ -154,8 +118,8 @@ def load_ruleset(gazetteer_path, names_path, patterns_path, seeds_path,
                  reference_year: int = 2017) -> RuleSet:
     genders, ages = load_attribute_patterns(patterns_path)
     return RuleSet(
-        gazetteer=load_gazetteer(gazetteer_path),
-        name_genders=load_name_genders(names_path),
+        gazetteer=load_lookup(gazetteer_path),
+        name_genders=load_lookup(names_path),
         gender_expressions=genders,
         age_patterns=ages,
         stance_seeds=load_stance_seeds(seeds_path),
@@ -332,14 +296,9 @@ def import_manual_labels(label_set: LabelSet, path) -> LabelSet:
 
     Manual labels override rule labels for the same attribute.
     """
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                user_id, attribute, value = line.split("\t", 2)
-            except ValueError as exc:
-                raise RuleFileError(f"{path}:{lineno}: expected 3 fields") from exc
-            label_set.set(user_id, attribute, Label(value, "manual", 1.0))
+    def parse(user_id, attribute, value):
+        label_set.set(user_id.strip(), attribute.strip(),
+                      Label(value.strip(), "manual", 1.0))
+
+    read_tsv(path, 3, parse)
     return label_set

@@ -8,6 +8,7 @@ inputs that produced them.
 
 from __future__ import annotations
 
+import dataclasses
 import fcntl
 import functools
 import hashlib
@@ -24,6 +25,7 @@ from . import corpus as corpus_mod
 from . import features as features_mod
 from . import gbt, labeling, stats, textproc
 from .config import PipelineConfig
+from .tsv import read_tsv
 
 VERSION = "stancelab 0.1.0"
 
@@ -60,6 +62,12 @@ _STAGE_NEEDS = {
     "report": ("ingest", "train", "calibrate", "predict", "importance",
                "turnaround", "regress"),
 }
+
+
+# the stage tables written by one stage and read by a later one
+_LABELS_HEADER = ("user_id", "attribute", "value", "provenance", "confidence")
+_PLATT_HEADER = ("slope", "offset")
+_TURNAROUND_HEADER = ("user_id", "p_t0", "p_t1", "delta")
 
 
 class StageError(Exception):
@@ -111,10 +119,16 @@ def output_lock(out_dir: Path):
             os.close(fd)
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _publish(path: Path, write) -> None:
+    """``write(tmp)`` a sibling of ``path``, then rename it onto ``path``, so
+    that a reader sees either the old file or the whole new one."""
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    write(tmp)
     os.replace(tmp, path)
+
+
+def _atomic_write(path: Path, text: str) -> None:
+    _publish(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
 def _sha256_file(path) -> str:
@@ -132,14 +146,11 @@ class Pipeline:
         self.config = config
         self.out = Path(config.output_dir)
         self.out.mkdir(parents=True, exist_ok=True)
-        self._input_digests = {}
-        if config.corpus and Path(config.corpus).exists():
-            self._input_digests["corpus"] = _sha256_file(config.corpus)
-        for name in ("gazetteer", "names", "patterns", "stance_seeds",
-                     "stopwords", "lexicon"):
-            path = getattr(config.rules, name)
-            if path and Path(path).exists():
-                self._input_digests[name] = _sha256_file(path)
+        # the corpus and every rule file, the manual labels among them
+        inputs = {"corpus": config.corpus, **dataclasses.asdict(config.rules)}
+        self._input_digests = {name: _sha256_file(path)
+                               for name, path in inputs.items()
+                               if path and Path(path).exists()}
         self.digest = config.digest(self._input_digests)
 
     # -- manifest ------------------------------------------------------------
@@ -187,12 +198,14 @@ class Pipeline:
     def _report_header(self) -> str:
         return f"# manifest {self.digest}\n"
 
-    def _write_tsv(self, name: str, header: list[str],
-                   rows: list[tuple]) -> None:
-        lines = [self._report_header(), "\t".join(header) + "\n"]
-        for row in rows:
-            lines.append("\t".join(_fmt(v) for v in row) + "\n")
-        _atomic_write(self.out / name, "".join(lines))
+    def _write_tsv(self, name: str, header, rows, before=(),
+                   after=()) -> None:
+        """Write the report or stage table ``name``: the manifest line, the
+        ``before`` lines, the header, the rows, then the ``after`` lines
+        (``before`` and ``after`` are ``#`` lines, without line ends)."""
+        lines = [*before, _tsv_line(header), *map(_tsv_line, rows), *after]
+        _atomic_write(self.out / name, self._report_header()
+                      + "".join(line + "\n" for line in lines))
 
     # -- stage dispatch ------------------------------------------------------
 
@@ -238,31 +251,17 @@ class Pipeline:
         self._corpus = corpus
         self.__dict__.pop("_encoding", None)
 
+    @functools.cached_property
     def _stopwords(self) -> set[str]:
+        """The stopword file, read once per pipeline."""
         return textproc.load_stopwords(self.config.rules.stopwords)
 
-    def _read_tsv(self, name: str, header: str, n_fields: int, parse) -> list:
-        """``parse(*fields)`` of each data line of ``name``, skipping ``#``
-        lines and the line starting with ``header``. A line without
-        ``n_fields`` tab-separated fields, or one ``parse`` rejects with
-        ``ValueError``, raises :class:`StageError` naming file and line."""
-        path = self.out / name
-        rows = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                if line.startswith("#") or line.startswith(header):
-                    continue
-                text = line.rstrip("\n")
-                fields = text.split("\t")
-                try:
-                    if len(fields) != n_fields:
-                        raise ValueError(f"expected {n_fields} tab-separated "
-                                         f"fields, found {len(fields)}")
-                    rows.append(parse(*fields))
-                except ValueError as exc:
-                    raise StageError(f"{path}:{lineno}: {exc}: "
-                                     f"{text!r}") from None
-        return rows
+    def _read_tsv(self, name: str, header: tuple[str, ...], parse) -> list:
+        """``parse(*fields)`` of each data line of the stage table ``name``,
+        whose first line after the ``#`` lines is ``header``; a fault raises
+        :class:`StageError` naming file and line."""
+        return read_tsv(self.out / name, len(header), parse,
+                        header="\t".join(header), error=StageError)
 
     def _labels(self) -> labeling.LabelSet:
         out = labeling.LabelSet()
@@ -271,7 +270,7 @@ class Pipeline:
             out.set(user_id, attribute,
                     labeling.Label(value, prov, float(conf)))
 
-        self._read_tsv("labels.tsv", "user_id\t", 5, parse)
+        self._read_tsv("labels.tsv", _LABELS_HEADER, parse)
         return out
 
     def _matrix(self, name: str) -> features_mod.FeatureMatrix:
@@ -305,16 +304,15 @@ class Pipeline:
         connected = corpus_mod.restrict_users(corpus, lcc) if lcc else corpus
         corpus = dropped("outside_lcc", connected)
         metrics.update(posts=corpus.n_posts, users=corpus.n_users)
-        tmp = self.out / "corpus.jsonl.tmp"
-        corpus_mod.write_corpus(corpus, tmp)
-        os.replace(tmp, self.out / "corpus.jsonl")
+        _publish(self.out / "corpus.jsonl",
+                 lambda tmp: corpus_mod.write_corpus(corpus, tmp))
         self._set_corpus(corpus_mod.as_reloaded(corpus))
 
         self._write_tsv("volume_weekly.tsv", ["week", "posts"],
                         corpus_mod.weekly_volume(corpus))
 
         # yearly relevant terms: each year against all the others
-        by_year = self._encoding.counts_by_year(self._stopwords())
+        by_year = self._encoding.counts_by_year(self._stopwords)
         rows = []
         for year in sorted(by_year):
             rest: dict[str, int] = {}
@@ -347,14 +345,12 @@ class Pipeline:
                 if lab is not None:
                     rows.append((user_id, attribute, lab.value,
                                  lab.provenance, lab.confidence))
-        self._write_tsv("labels.tsv",
-                        ["user_id", "attribute", "value", "provenance",
-                         "confidence"], rows)
+        self._write_tsv("labels.tsv", _LABELS_HEADER, rows)
 
     def _stage_featurize(self) -> dict:
         cfg = self.config
         corpus, encoding = self._corpus, self._encoding
-        stop = self._stopwords()
+        stop = self._stopwords
         bio = encoding.term_counts("bio", cfg.thresholds.bio_min_count, stop)
         profile = features_mod.profile_blocks(
             corpus, encoding, bio, textproc.Lexicon.from_file(cfg.rules.lexicon))
@@ -373,9 +369,7 @@ class Pipeline:
             m = features_mod.build_matrix(
                 corpus, tweet, profile, corpus_mod.build_interaction_graph(sub),
                 period=period, min_in_degree=cfg.min_in_degree)
-            tmp = self.out / f"matrix_{name}.txt.tmp"
-            m.save(tmp)
-            os.replace(tmp, self.out / f"matrix_{name}.txt")
+            _publish(self.out / f"matrix_{name}.txt", m.save)
             metrics[f"nonzeros_{name}"] = int(m.X.nnz)
         return metrics
 
@@ -413,9 +407,7 @@ class Pipeline:
         report = gbt.cross_validate(X, y, self.config.boost, k=5)
         model = report.model
         model.columns = matrix.column_identifiers()
-        tmp = self.out / "model_stance.txt.tmp"
-        model.save(tmp)
-        os.replace(tmp, self.out / "model_stance.txt")
+        _publish(self.out / "model_stance.txt", model.save)
         _atomic_write(self.out / "model_train_users.txt",
                       "".join(u + "\n" for u in kept_users))
         self._write_tsv("cv_metrics.tsv",
@@ -443,22 +435,18 @@ class Pipeline:
              for u in calib_users]
         platt = calib.fit_platt(c, y, user_ids=calib_users,
                                 training_user_ids=train_users)
-        self._write_tsv("platt.tsv", ["slope", "offset"],
+        self._write_tsv("platt.tsv", _PLATT_HEADER,
                         [(platt.slope, platt.offset)])
         probs = calib.calibrate_many(platt, c)
-        rows = calib.calibration_table(probs, y)
-        table = [(mean_c, emp, cnt) for (mean_c, emp, cnt) in rows]
-        header = ["mean_confidence", "empirical_rate", "count"]
-        lines = [self._report_header(),
-                 f"# platt slope={platt.slope!r} offset={platt.offset!r}\n",
-                 "\t".join(header) + "\n"]
-        for row in table:
-            lines.append("\t".join(_fmt(v) for v in row) + "\n")
-        _atomic_write(self.out / "calibration.tsv", "".join(lines))
+        self._write_tsv(
+            "calibration.tsv",
+            ("mean_confidence", "empirical_rate", "count"),
+            calib.calibration_table(probs, y),
+            before=[f"# platt slope={platt.slope!r} offset={platt.offset!r}"])
 
     def _load_platt(self) -> calib.PlattModel:
         rows = self._read_tsv(
-            "platt.tsv", "slope", 2,
+            "platt.tsv", _PLATT_HEADER,
             lambda slope, offset: calib.PlattModel(slope=float(slope),
                                                    offset=float(offset)))
         if not rows:
@@ -492,21 +480,19 @@ class Pipeline:
         col_by_id = {c.identifier: c for c in matrix.columns}
         pairs = [(col_by_id[ident], gain) for ident, gain in ranked
                  if ident in col_by_id]
-        lines = [self._report_header(),
-                 "column\tfeature_type\ttotal_gain\n"]
-        for col, gain in pairs:
-            lines.append(f"{col.identifier}\t{col.feature_type}\t{_fmt(gain)}\n")
         try:
             comparisons = stats.group_importance_test(pairs)
-            lines.append("#hsd group_a\tgroup_b\tmean_diff\tq\tp_adjusted"
-                         "\tsignificant_at_05\n")
-            for c in comparisons:
-                lines.append(f"#hsd {c.group_a}\t{c.group_b}"
-                             f"\t{_fmt(c.mean_diff)}\t{_fmt(c.q_statistic)}"
-                             f"\t{_fmt(c.p_adjusted)}\t{c.significant_at_05}\n")
+            hsd = [("group_a", "group_b", "mean_diff", "q", "p_adjusted",
+                    "significant_at_05")]
+            hsd += [(c.group_a, c.group_b, c.mean_diff, c.q_statistic,
+                     c.p_adjusted, c.significant_at_05) for c in comparisons]
+            after = ["#hsd " + _tsv_line(row) for row in hsd]
         except stats.StatsError as exc:
-            lines.append(f"#hsd skipped: {exc}\n")
-        _atomic_write(self.out / "importance_hsd.tsv", "".join(lines))
+            after = [f"#hsd skipped: {exc}"]
+        self._write_tsv("importance_hsd.tsv",
+                        ("column", "feature_type", "total_gain"),
+                        [(col.identifier, col.feature_type, gain)
+                         for col, gain in pairs], after=after)
 
     def _accepted_demographics(self) -> dict[str, dict[str, str]]:
         """gender/location/age per user: rule or manual labels only.
@@ -544,12 +530,11 @@ class Pipeline:
             prob0 = calib.calibrate(platt, float(conf0[i]))
             prob1 = calib.calibrate(platt, float(conf1[i]))
             out_rows.append((u, prob0, prob1, stats.turnaround(prob0, prob1)))
-        self._write_tsv("turnaround.tsv",
-                        ["user_id", "p_t0", "p_t1", "delta"], out_rows)
+        self._write_tsv("turnaround.tsv", _TURNAROUND_HEADER, out_rows)
 
     def _read_turnaround(self) -> list[tuple[str, float, float, float]]:
         return self._read_tsv(
-            "turnaround.tsv", "user_id", 4,
+            "turnaround.tsv", _TURNAROUND_HEADER,
             lambda u, p0, p1, d: (u, float(p0), float(p1), float(d)))
 
     def _stage_regress(self) -> None:
@@ -598,20 +583,16 @@ class Pipeline:
         covariates = _drop_constant(records, covariates)
         covariates, dropped = _drop_collinear(records, covariates)
         result = stats.ols_regress(records, response, covariates)
-        lines = [self._report_header(),
-                 f"# n={result.n} adjusted_r2={_fmt(result.adjusted_r2)} "
-                 f"mse={_fmt(result.mse)} f={_fmt(result.f_statistic)} "
-                 f"f_p={_fmt(result.f_pvalue)} "
-                 f"loglik={_fmt(result.log_likelihood)}\n"]
-        for cov, ref in sorted(result.dummy_map.items()):
-            lines.append(f"# reference {cov}={ref}\n")
-        for name in dropped:
-            lines.append(f"# dropped collinear covariate {name}\n")
-        lines.append("coefficient\testimate\tstderr\tci_low\tci_high\n")
-        for name, est, se, lo, hi in result.to_rows():
-            lines.append(f"{name}\t{_fmt(est)}\t{_fmt(se)}\t{_fmt(lo)}"
-                         f"\t{_fmt(hi)}\n")
-        _atomic_write(self.out / "regression.tsv", "".join(lines))
+        before = [f"# n={result.n} adjusted_r2={_fmt(result.adjusted_r2)} "
+                  f"mse={_fmt(result.mse)} f={_fmt(result.f_statistic)} "
+                  f"f_p={_fmt(result.f_pvalue)} "
+                  f"loglik={_fmt(result.log_likelihood)}"]
+        before += [f"# reference {cov}={ref}"
+                   for cov, ref in sorted(result.dummy_map.items())]
+        before += [f"# dropped collinear covariate {name}" for name in dropped]
+        self._write_tsv("regression.tsv",
+                        ("coefficient", "estimate", "stderr", "ci_low",
+                         "ci_high"), result.to_rows(), before=before)
 
     def _stage_report(self) -> None:
         missing = [f for f in REPORT_FILES if not (self.out / f).exists()]
@@ -628,6 +609,10 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return repr(v)
     return str(v)
+
+
+def _tsv_line(row) -> str:
+    return "\t".join(_fmt(v) for v in row)
 
 
 def _emoji_usage(p0_matrix) -> dict[str, tuple[float, float]]:

@@ -67,8 +67,10 @@ class SynthSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if abs(sum(self.stance_weights) - 1.0) > 1e-9:
-            raise SynthError("stance weights must sum to 1")
+        for name in ("stance", "gender", "country", "cohort"):
+            weights = getattr(self, f"{name}_weights")
+            if min(weights) < 0 or abs(sum(weights) - 1.0) > 1e-9:
+                raise SynthError(f"{name} weights must be >= 0 and sum to 1")
         for r in (self.signal_word_rate, self.signal_emoji_rate,
                   self.signal_emoji_cross_rate, self.topic_term_rate):
             if not (0.0 <= r <= 1.0):
@@ -90,8 +92,15 @@ class GroundTruth:
     self_reported: dict[str, set[str]]   # user -> attributes present in profile
 
 
-def _choice(rng, options, weights):
-    return options[int(rng.choice(len(options), p=np.asarray(weights)))]
+def _cdf(weights) -> np.ndarray:
+    # the CDF Generator.choice(p=weights) builds: searching it for a uniform
+    # draw gives choice's random stream without its per-call checks
+    cum = np.asarray(weights, dtype=np.float64).cumsum()
+    return cum / cum[-1]
+
+
+def _choice(rng, options, cdf):
+    return options[int(cdf.searchsorted(rng.random(), "right"))]
 
 
 def generate(spec: SynthSpec) -> tuple[Corpus, GroundTruth]:
@@ -109,7 +118,7 @@ def generate(spec: SynthSpec) -> tuple[Corpus, GroundTruth]:
 
     # zipf-ish background word distribution
     ranks = np.arange(1, spec.n_background_words + 1, dtype=np.float64)
-    bg_probs = (1.0 / ranks) / (1.0 / ranks).sum()
+    bg_cdf = _cdf((1.0 / ranks) / (1.0 / ranks).sum())
     bg_words = [f"w{k:03d}" for k in range(spec.n_background_words)]
     sig_words = {
         "defense": [f"sig{k:02d}" for k in range(spec.n_signal_words // 2)],
@@ -119,12 +128,15 @@ def generate(spec: SynthSpec) -> tuple[Corpus, GroundTruth]:
     own_emoji = {"defense": DEFENSE_EMOJI, "opposition": OPPOSITION_EMOJI}
     other_emoji = {"defense": OPPOSITION_EMOJI, "opposition": DEFENSE_EMOJI}
 
+    stance_cdf, gender_cdf, country_cdf, cohort_cdf = (
+        _cdf(w) for w in (spec.stance_weights, spec.gender_weights,
+                          spec.country_weights, spec.cohort_weights))
     earliest = min(p[0] for p in spec.periods)
     for uid in user_ids:
-        stance = _choice(rng, ("defense", "opposition"), spec.stance_weights)
-        gender = _choice(rng, ("female", "male"), spec.gender_weights)
-        country = _choice(rng, ("Argentina", "Chile"), spec.country_weights)
-        cohort = _choice(rng, tuple(COHORT_AGES), spec.cohort_weights)
+        stance = _choice(rng, ("defense", "opposition"), stance_cdf)
+        gender = _choice(rng, ("female", "male"), gender_cdf)
+        country = _choice(rng, ("Argentina", "Chile"), country_cdf)
+        cohort = _choice(rng, tuple(COHORT_AGES), cohort_cdf)
         lo, hi = COHORT_AGES[cohort]
         age = int(rng.integers(lo, hi + 1))
         stances[uid], genders[uid] = stance, gender
@@ -190,8 +202,8 @@ def generate(spec: SynthSpec) -> tuple[Corpus, GroundTruth]:
                 is_signal = rng.random(spec.tokens_per_post) < spec.signal_word_rate
                 sig_idx = rng.integers(len(sig_words[stance]),
                                        size=spec.tokens_per_post)
-                bg_idx = rng.choice(spec.n_background_words,
-                                    size=spec.tokens_per_post, p=bg_probs)
+                bg_idx = bg_cdf.searchsorted(rng.random(spec.tokens_per_post),
+                                             "right")
                 for slot in range(spec.tokens_per_post):
                     if is_signal[slot]:
                         tokens.append(sig_words[stance][int(sig_idx[slot])])

@@ -25,6 +25,7 @@ import regex
 from scipy import sparse
 
 from .corpus import Corpus
+from .tsv import read_tsv
 
 WORD, HASHTAG, MENTION, URL, EMOJI = "word", "hashtag", "mention", "url", "emoji"
 
@@ -68,13 +69,9 @@ class Lexicon:
     def from_file(cls, path) -> "Lexicon":
         """Read `category<TAB>term` lines, UTF-8."""
         cats: dict[str, set[str]] = {}
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                cat, term = line.split("\t", 1)
-                cats.setdefault(cat, set()).add(term.strip().lower())
+        for cat, term in read_tsv(path, 2, lambda cat, term: (
+                cat.strip(), term.strip().lower())):
+            cats.setdefault(cat, set()).add(term)
         return cls({c: frozenset(t) for c, t in cats.items()})
 
 
@@ -134,14 +131,8 @@ def tokenize(text: str) -> list[Token]:
 
 
 def load_stopwords(path) -> set[str]:
-    """Read one stopword per line, UTF-8; blank lines and '#' comments skipped."""
-    words = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                words.add(line.lower())
-    return words
+    """Read one stopword per line, UTF-8."""
+    return set(read_tsv(path, 1, lambda word: word.strip().lower()))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,6 +1,8 @@
 import pytest
+import regex
 
 from stancelab import labeling as lb
+from stancelab import textproc as tp
 from stancelab.config import default_rule_path
 from stancelab.corpus import Corpus, MicroPost, UserProfile
 from stancelab.textproc import encode
@@ -144,3 +146,83 @@ def test_stance_tweet_phrase_spans_tokens_and_posts():
     # a phrase matches the user's post tokens joined by spaces, across posts
     assert lb.label_stances(corpus, encode(corpus), seeds) == [
         "defense", "defense", None, None]
+
+
+def test_shipped_rule_files_load_these_values(rules):
+    assert rules.gazetteer == {
+        **dict.fromkeys(["chile", "santiago", "santiago de chile",
+                         "valparaíso", "valparaiso", "concepción",
+                         "concepcion", "antofagasta", "temuco"], "Chile"),
+        **dict.fromkeys(["argentina", "buenos aires", "caba", "córdoba",
+                         "cordoba", "rosario", "mendoza", "la plata",
+                         "mar del plata", "san miguel de tucumán"],
+                        "Argentina")}
+    assert rules.name_genders == {
+        **dict.fromkeys(["maría", "maria", "ana", "sofía", "sofia", "camila",
+                         "valentina", "carla", "lucía", "lucia", "josefa"],
+                        "female"),
+        **dict.fromkeys(["juan", "josé", "jose", "pedro", "diego", "matías",
+                         "matias", "carlos", "felipe", "martín", "martin"],
+                        "male")}
+    assert [(p.pattern, g) for p, g in rules.gender_expressions] == [
+        (r"\bmadre\b", "female"), (r"\bmamá\b", "female"),
+        (r"\babogada\b", "female"), (r"\bingeniera\b", "female"),
+        (r"\bprofesora\b", "female"),
+        (r"\bestudiante de\b.*\bella\b", "female"),
+        (r"\bpadre\b", "male"), (r"\bpapá\b", "male"),
+        (r"\babogado\b", "male"), (r"\bingeniero\b", "male"),
+        (r"\bprofesor\b", "male")]
+    assert [(p.pattern, kind) for p, kind in rules.age_patterns] == [
+        (r"\b(\d{1,3})\s*añ(?:os|itos)\b", "age"),
+        (r"\b(\d{1,3})\s*years?\s*old\b", "age"),
+        (r"\bnacid[oa]\s*(?:en|el)?\s*(\d{4})\b", "birth_year"),
+        (r"\b(?:desde|est\.?)\s*(\d{4})\b", "birth_year")]
+    assert all(p.flags & regex.IGNORECASE for p, _ in
+               rules.gender_expressions + rules.age_patterns)
+    assert rules.stance_seeds == {
+        "defense": {
+            "bio": ("#abortolegal", "#abortolibre", "#abortoseguro",
+                    "#abortogratuito", "feminista", "a favor del aborto",
+                    "#proeleccion", "#prochoice"),
+            "tweet": ("#abortolegal", "#abortolibre", "#abortoseguro",
+                      "@abortolegalcl", "#nobastantrescausales", "#seraley",
+                      "@campabortolegal")},
+        "opposition": {
+            "bio": ("@siemprexlavida", "derecho a la vida", "#antiaborto",
+                    "contrario al aborto", "contraria al aborto",
+                    "las dos vidas", "cristiano", "cristiana",
+                    "#salvemoslasdosvidas", "aborto no es la solución",
+                    "#siempreporlavida", "#porlasdosvidas", "#profamilia",
+                    "#provida", "#noalaborto"),
+            "tweet": ("#provida", "#salvemoslasdosvidas", "#sialavida",
+                      "#abortolegalno", "#noalaborto", "#noesley",
+                      "@mmreivindica", "@noalaborto_arg")}}
+
+
+def test_shipped_lexicon_and_stopwords_load_these_values():
+    lexicon = tp.Lexicon.from_file(default_rule_path("lexicon.tsv"))
+    assert list(lexicon.categories) == ["social_media", "profession",
+                                        "family", "education"]
+    assert lexicon.categories == {
+        "social_media": frozenset(
+            "ig insta instagram snap snapchat fb facebook tiktok "
+            "youtube".split()),
+        "profession": frozenset(
+            "médico médica abogado abogada periodista estudiante profesor "
+            "profesora ingeniero ingeniera director directora".split()),
+        "family": frozenset(
+            "madre padre mamá papá hijo hija esposo esposa abuelo "
+            "abuela".split()),
+        "education": frozenset(
+            "liceo educación doctorado universidad colegio magíster".split())}
+    assert tp.load_stopwords(default_rule_path("stopwords_es.txt")) == set("""
+        a al algo algunas algunos ante antes como con contra cual cuando de
+        del desde donde durante e el ella ellas ellos en entre era es esa esas
+        ese eso esos esta estar estas este esto estos fue hasta hay la las le
+        les lo los mas me mi mis mucho muchos muy más mí mía mías mío míos
+        nada ni no nos nosotras nosotros nuestra nuestras nuestro nuestros o
+        os otra otras otro otros para pero poco por porque que quien quienes
+        qué se ser si sin sobre son su sus suya suyas suyo suyos sí también
+        tanto te ti todo todos tu tus tuya tuyas tuyo tuyos tú un una uno unos
+        vosotras vosotros vuestra vuestras vuestro vuestros y ya yo él
+        """.split())

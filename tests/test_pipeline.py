@@ -12,8 +12,9 @@ from collections import Counter
 import pytest
 
 from stancelab import corpus as cm
-from stancelab import labeling, synth
-from stancelab.config import PipelineConfig, Thresholds, config_from_dict
+from stancelab import labeling, synth, textproc
+from stancelab.config import (PipelineConfig, RulePaths, Thresholds,
+                              config_from_dict)
 from stancelab.gbt import BoostParams
 from stancelab.pipeline import (REPORT_FILES, STAGES, Pipeline, StageError,
                                 output_lock)
@@ -177,7 +178,7 @@ def test_ingest_replaces_the_cached_corpus(tmp_path):
 
 def test_ingest_and_featurize_report_counts(tmp_path):
     from datetime import datetime, timezone
-    from stancelab import features, textproc
+    from stancelab import features
     corpus, _truth = synth.generate(synth.SynthSpec(
         n_users=60, rng_seed=3, topic_term_rate=1.0))
     path = tmp_path / "corpus.jsonl"
@@ -283,6 +284,67 @@ def test_stage_readers_name_file_and_line(tmp_path, name, reader, header,
         getattr(pipe, reader)()
 
 
+def test_stage_tables_keep_rows_that_start_like_the_header(tmp_path):
+    pipe = Pipeline(PipelineConfig(output_dir=str(tmp_path)))
+    (tmp_path / "turnaround.tsv").write_text(
+        "# manifest x\nuser_id\tp_t0\tp_t1\tdelta\n"
+        "user_idol\t0.25\t0.5\t0.25\n", encoding="utf-8")
+    assert pipe._read_turnaround() == [("user_idol", 0.25, 0.5, 0.25)]
+    (tmp_path / "labels.tsv").write_text(
+        "# manifest x\nuser_id\tattribute\tvalue\tprovenance\tconfidence\n"
+        "user_id\tgender\tmale\trule\t1.0\n", encoding="utf-8")
+    assert pipe._labels().get("user_id", "gender").value == "male"
+
+
+def _rule_loader(role):
+    """Loads a file in the place of the shipped rule file ``role``."""
+    def load(path):
+        if role == "lexicon":
+            return textproc.Lexicon.from_file(path)
+        if role == "stopwords":
+            return textproc.load_stopwords(path)
+        if role == "manual_labels":
+            return labeling.import_manual_labels(labeling.LabelSet(), path)
+        r = RulePaths(**{role: str(path)})
+        return labeling.load_ruleset(r.gazetteer, r.names, r.patterns,
+                                     r.stance_seeds)
+    return load
+
+
+@pytest.mark.parametrize("role, good, bad", [
+    ("gazetteer", "santiago\tChile", "santiago"),
+    ("gazetteer", "santiago\tChile", "santiago\tChile\tExtra"),
+    ("gazetteer", "santiago\tChile", "santiago\t "),
+    ("names", "ana\tfemale", "ana"),
+    ("names", "ana\tfemale", "ana\tfemale\tmale"),
+    ("patterns", "gender\tfemale\t\\bmadre\\b", "gender\tfemale"),
+    ("patterns", "gender\tfemale\t\\bmadre\\b",
+     "gender\tfemale\t\\bmadre\\b\textra"),
+    ("patterns", "gender\tfemale\t\\bmadre\\b", "gender\tfemale\t(madre"),
+    ("stance_seeds", "defense\tbio\t#abortolegal", "defense\tbio"),
+    ("stance_seeds", "defense\tbio\t#abortolegal",
+     "defense\tbio\t#abortolegal\textra"),
+    ("lexicon", "family\tmadre", "family"),
+    ("lexicon", "family\tmadre", "family\tmadre\tpadre"),
+    ("stopwords", "de", "de\tla"),
+    ("manual_labels", "u1\tgender\tfemale", "u1\tgender"),
+    ("manual_labels", "u1\tgender\tfemale", "u1\tgender\tfemale\textra"),
+    ("manual_labels", "u1\tgender\tfemale", "u1\tshoe_size\t38"),
+])
+def test_rule_readers_name_file_and_line(tmp_path, role, good, bad):
+    # a comment may be indented; blank lines are skipped
+    loader = _rule_loader(role)
+    path = tmp_path / "rules.tsv"
+    path.write_text(f"# comment\n  # indented comment\n\n{good}\n",
+                    encoding="utf-8")
+    loader(path)
+    path.write_text(f"# comment\n  # indented comment\n\n{good}\n{bad}\n",
+                    encoding="utf-8")
+    with pytest.raises(labeling.RuleFileError,
+                       match=re.escape(f"{path}:5: ")):
+        loader(path)
+
+
 def test_platt_file_without_values_is_a_named_error(tmp_path):
     pipe = Pipeline(PipelineConfig(output_dir=str(tmp_path)))
     (tmp_path / "platt.tsv").write_text("# manifest x\nslope\toffset\n",
@@ -310,6 +372,34 @@ def test_skip_fresh(demo_corpus, tmp_path):
     cfg2 = make_config(demo_corpus, tmp_path / "run", seed=99)
     pipe2 = Pipeline(cfg2)
     assert not pipe2._is_fresh("ingest")
+
+
+def test_editing_manual_labels_makes_label_stale(demo_corpus, tmp_path):
+    manual = tmp_path / "manual.tsv"
+    manual.write_text("u00001\tgender\tfemale\n", encoding="utf-8")
+    cfg = make_config(demo_corpus, tmp_path / "run")
+    cfg.rules.manual_labels = str(manual)
+    _stages(cfg, ("ingest", "label"))
+    assert Pipeline(cfg)._is_fresh("label")
+    manual.write_text("u00001\tgender\tmale\n", encoding="utf-8")
+    assert not Pipeline(cfg)._is_fresh("label")
+
+
+def test_cli_prints_rule_file_error_as_one_line(demo_corpus, tmp_path):
+    from click.testing import CliRunner
+    from stancelab import cli
+
+    gazetteer = tmp_path / "gazetteer.tsv"
+    gazetteer.write_text("santiago\tChile\nmendoza\n", encoding="utf-8")
+    config = tmp_path / "config.yaml"
+    config.write_text(
+        f"corpus: {demo_corpus}\noutput_dir: {tmp_path / 'out'}\n"
+        f"rules: {{gazetteer: {gazetteer}}}\n", encoding="utf-8")
+    done = CliRunner().invoke(cli.main, ["run", "--config", str(config)])
+    assert done.exit_code == 1
+    assert isinstance(done.exception, SystemExit)  # not an uncaught error
+    assert f"Error: {gazetteer}:2: " in done.output
+    assert "Traceback" not in done.output
 
 
 def test_output_lock(demo_corpus, tmp_path):
