@@ -1,8 +1,11 @@
 """Command-line entry points.
 
-The pipeline runs stage by stage against one config file; each stage reads
-the previous stage's outputs from the configured output directory, so stages
-can be re-run individually. `stancelab run` executes all of them in order.
+The pipeline runs stage by stage against one config file, and every stage
+writes its outputs into the configured output directory. `stancelab stage`
+runs one stage, which reads the earlier stages' outputs from those files, so
+stages can be re-run individually. `stancelab run` executes all of them in
+order in one process: it still writes every file, and hands each stage's
+outputs to the later stages in memory instead of reading them back.
 """
 
 from __future__ import annotations

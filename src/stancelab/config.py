@@ -96,8 +96,16 @@ class PipelineConfig:
 
 
 def load_config(path) -> PipelineConfig:
+    """The config file ``path``; YAML that does not parse raises
+    :class:`ConfigError` naming the file and line."""
     with open(path, encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh) or {}
+        try:
+            raw = yaml.safe_load(fh) or {}
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            where = f"{path}:{mark.line + 1}" if mark else str(path)
+            what = getattr(exc, "problem", None) or exc
+            raise ConfigError(f"{where}: invalid YAML: {what}") from None
     return config_from_dict(raw, base_dir=Path(path).parent)
 
 

@@ -132,11 +132,44 @@ class BoostedModel:
 
     @classmethod
     def load(cls, path) -> "BoostedModel":
-        with open(path, encoding="utf-8") as fh:
-            if fh.readline().strip() != "stancelab-model v1":
-                raise TrainingError(f"unrecognized model file {path}")
-            kv = dict(item.split("=", 1)
-                      for item in fh.readline().split()[1:])
+        """Parse the format written by :meth:`save`.
+
+        A malformed line, a node or child index out of range, a node out of
+        order, or a file that ends before its ``end`` line (a file cut off
+        anywhere) raises :class:`TrainingError` naming the file and line.
+        """
+        with open(path, "rb") as fh:
+            # a line counts only with its line end: the piece after the last
+            # one is empty in a whole file, and never read
+            lines = fh.read().split(b"\n")
+        at = 0  # the 1-based number of the line read last
+
+        def line(tag: str, maxsplit: int = -1) -> list[str]:
+            """The fields after ``tag`` of the next line, which must start
+            with it."""
+            nonlocal at
+            at += 1
+            if at >= len(lines):
+                raise ValueError(f"the file ends before its {tag!r} line")
+            text = lines[at - 1].decode("utf-8")
+            fields = text.split(" ", maxsplit)
+            if fields[0] != tag:
+                raise ValueError(f"expected a {tag!r} line, found {text!r}")
+            return fields[1:]
+
+        def index(field: str, stop: int, start: int = 0) -> int:
+            i = int(field)
+            if not start <= i < stop:
+                raise ValueError(f"index {i} out of range [{start}, {stop})")
+            return i
+
+        def next_tag() -> bytes:
+            return lines[at].split(b" ", 1)[0] if at + 1 < len(lines) else b""
+
+        try:
+            if line("stancelab-model") != ["v1"]:
+                raise ValueError("unrecognized model file")
+            kv = dict(item.split("=", 1) for item in line("params"))
             params = BoostParams(
                 n_estimators=int(kv["n_estimators"]),
                 learning_rate=float(kv["learning_rate"]),
@@ -148,43 +181,62 @@ class BoostedModel:
                 min_child_weight=float(kv["min_child_weight"]),
                 rng_seed=int(kv["rng_seed"]),
             )
-            base_score = float(fh.readline().split()[1])
-            stopped_at = int(fh.readline().split()[1])
-            best_val_loss = float(fh.readline().split()[1])
-            n_cols = int(fh.readline().split()[1])
+            (base_score,) = map(float, line("base_score"))
+            (stopped_at,) = map(int, line("stopped_at"))
+            (best_val_loss,) = map(float, line("best_val_loss"))
+            (n_cols,) = map(int, line("columns"))
             columns = []
-            for _ in range(n_cols):
-                _tag, _j, ident = fh.readline().rstrip("\n").split(" ", 2)
+            for j in range(n_cols):
+                k, ident = line("col", 2)
+                index(k, j + 1, j)
                 columns.append(ident)
-            n_trees = int(fh.readline().split()[1])
+            (n_trees,) = map(int, line("trees"))
             trees = []
-            line = fh.readline()
-            for _ in range(n_trees):
-                _tag, _t, n_nodes = line.split()
+            for t in range(n_trees):
+                k, n_nodes = line("tree")
+                index(k, t + 1, t)
                 n_nodes = int(n_nodes)
+                if n_nodes < 1:
+                    raise ValueError("a tree needs at least one node")
+                if n_nodes >= len(lines) - at:  # a line per node
+                    raise ValueError(f"the file ends before the {n_nodes} "
+                                     f"nodes of tree {t}")
+                # leaves keep feature and children -1, as training makes them
                 feature = np.full(n_nodes, -1, dtype=np.int64)
                 threshold = np.zeros(n_nodes)
-                left = np.zeros(n_nodes, dtype=np.int64)
-                right = np.zeros(n_nodes, dtype=np.int64)
+                left = np.full(n_nodes, -1, dtype=np.int64)
+                right = np.full(n_nodes, -1, dtype=np.int64)
                 value = np.zeros(n_nodes)
-                gains: dict[int, float] = {}
-                while True:
-                    line = fh.readline()
-                    parts = line.split()
-                    if parts[0] == "n":
-                        i = int(parts[1])
-                        if parts[2] == "s":
-                            feature[i] = int(parts[3])
-                            threshold[i] = float(parts[4])
-                            left[i] = int(parts[5])
-                            right[i] = int(parts[6])
-                        else:
-                            value[i] = float(parts[3])
-                    elif parts[0] == "treegain":
-                        gains[int(parts[2])] = float(parts[3])
+                for i in range(n_nodes):
+                    k, kind, *rest = line("n")
+                    index(k, i + 1, i)
+                    if kind == "s":
+                        f, thr, lo, hi = rest
+                        feature[i] = index(f, n_cols)
+                        threshold[i] = float(thr)
+                        # children follow their parent, so a walk ends
+                        left[i] = index(lo, n_nodes, i + 1)
+                        right[i] = index(hi, n_nodes, i + 1)
+                    elif kind == "l":
+                        (leaf,) = rest
+                        value[i] = float(leaf)
                     else:
-                        break
+                        raise ValueError(f"unknown node kind {kind!r}")
+                gains: dict[int, float] = {}
+                while next_tag() == b"treegain":
+                    k, col, gain = line("treegain")
+                    index(k, t + 1, t)
+                    gains[index(col, n_cols)] = float(gain)
                 trees.append(Tree(feature, threshold, left, right, value, gains))
+            if line("end"):
+                raise ValueError("malformed 'end' line")
+            if at + 1 != len(lines) or lines[-1]:
+                at += 1
+                raise ValueError("the file goes on after its 'end' line")
+        except (ValueError, KeyError) as exc:
+            # a KeyError is a params field left out
+            what = f"no {exc} field" if isinstance(exc, KeyError) else exc
+            raise TrainingError(f"{path}:{at}: {what}") from None
         return cls(trees=trees, base_score=base_score, columns=columns,
                    params=params, stopped_at=stopped_at,
                    best_val_loss=best_val_loss)

@@ -1,9 +1,11 @@
 """File-mediated pipeline stages.
 
-Every stage reads artifacts from earlier stages out of the output directory
-and writes its own atomically, appending an entry to ``manifest.json``. Report
-files start with a ``# manifest <digest>`` line tying them to the config and
-inputs that produced them.
+Every stage writes its outputs atomically into the output directory and
+appends an entry to ``manifest.json``. Report files start with a ``# manifest
+<digest>`` line tying them to the config and inputs that produced them. A
+stage gets each output of an earlier stage through :meth:`Pipeline._artifact`:
+the object the same pipeline published, which is what reading the file back
+gives, or else the file, loaded once.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ import hashlib
 import json
 import os
 import time
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -24,7 +28,7 @@ from . import calibration as calib
 from . import corpus as corpus_mod
 from . import features as features_mod
 from . import gbt, labeling, stats, textproc
-from .config import PipelineConfig
+from .config import ConfigError, PipelineConfig
 from .tsv import read_tsv
 
 VERSION = "stancelab 0.1.0"
@@ -64,14 +68,76 @@ _STAGE_NEEDS = {
 }
 
 
-# the stage tables written by one stage and read by a later one
+class StageError(Exception):
+    pass
+
+
+# The stage tables that a later stage reads, by file name: the header, the
+# parse of one data line's fields (a ValueError names the fault) and what the
+# parsed lines make.
 _LABELS_HEADER = ("user_id", "attribute", "value", "provenance", "confidence")
 _PLATT_HEADER = ("slope", "offset")
 _TURNAROUND_HEADER = ("user_id", "p_t0", "p_t1", "delta")
 
 
-class StageError(Exception):
-    pass
+def _label_line(user_id, attribute, value, provenance, confidence):
+    if attribute not in labeling.LabelSet.ATTRIBUTES:
+        raise ValueError(f"unknown attribute {attribute!r}")
+    return user_id, attribute, labeling.Label(value, provenance,
+                                              float(confidence))
+
+
+def _label_set(lines) -> labeling.LabelSet:
+    labels = labeling.LabelSet()
+    for line in lines:
+        labels.set(*line)
+    return labels
+
+
+def _first_platt(models: list) -> calib.PlattModel:
+    if not models:
+        raise ValueError("no slope and offset line")
+    return models[0]
+
+
+_TABLES = {
+    "labels.tsv": (_LABELS_HEADER, _label_line, _label_set),
+    "platt.tsv": (_PLATT_HEADER, lambda slope, offset: calib.PlattModel(
+        slope=float(slope), offset=float(offset)), _first_platt),
+    "turnaround.tsv": (_TURNAROUND_HEADER, lambda u, p0, p1, d: (
+        u, float(p0), float(p1), float(d)), list),
+}
+
+
+def _read_table(path: Path, text: str | None = None):
+    """The stage table at ``path``, or what the file holding ``text`` would
+    read as; a fault raises :class:`StageError` naming the file and, for a
+    fault in one line, the line."""
+    header, parse, collect = _TABLES[path.name]
+    lines = read_tsv(path, len(header), parse, header="\t".join(header),
+                     error=StageError, contents=text)
+    try:
+        return collect(lines)
+    except ValueError as exc:
+        raise StageError(f"{path}: {exc}") from None
+
+
+def _train_users(text: str) -> set[str]:
+    return set(text.split())
+
+
+# How each stage output that a later stage reads is loaded from its file. An
+# entry looks its function up when called, so that a wrapper put on the
+# module or class (a tracer's, a test's) sees the call.
+_LOADERS: dict[str, Callable[[Path], object]] = {
+    "corpus.jsonl": lambda path: corpus_mod.load_corpus(path),
+    **dict.fromkeys(("matrix_full.txt", "matrix_p0.txt", "matrix_p1.txt"),
+                    lambda path: features_mod.FeatureMatrix.load(path)),
+    "model_stance.txt": lambda path: gbt.BoostedModel.load(path),
+    "model_train_users.txt":
+        lambda path: _train_users(path.read_text(encoding="utf-8")),
+    **dict.fromkeys(_TABLES, _read_table),
+}
 
 
 # descriptors of the output locks this process holds
@@ -127,8 +193,9 @@ def _publish(path: Path, write) -> None:
     os.replace(tmp, path)
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    _publish(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
+def _writes(text: str):
+    """A ``write`` for :func:`_publish` that writes ``text``."""
+    return lambda tmp: tmp.write_text(text, encoding="utf-8")
 
 
 def _sha256_file(path) -> str:
@@ -144,45 +211,44 @@ class Pipeline:
 
     def __init__(self, config: PipelineConfig):
         self.config = config
+        rules = {k: v for k, v in dataclasses.asdict(config.rules).items() if v}
+        for key, path in rules.items():
+            if not Path(path).is_file():
+                raise ConfigError(f"rules.{key}: no such file: {path}")
         self.out = Path(config.output_dir)
         self.out.mkdir(parents=True, exist_ok=True)
+        self._manifest = self.out / "manifest.json"
         # the corpus and every rule file, the manual labels among them
-        inputs = {"corpus": config.corpus, **dataclasses.asdict(config.rules)}
+        inputs = {"corpus": config.corpus, **rules}
         self._input_digests = {name: _sha256_file(path)
                                for name, path in inputs.items()
                                if path and Path(path).exists()}
         self.digest = config.digest(self._input_digests)
+        # the stage outputs held for later stages, by file name
+        self._held: dict[str, object] = {}
 
     # -- manifest ------------------------------------------------------------
 
-    def _manifest_path(self) -> Path:
-        return self.out / "manifest.json"
-
     def _load_manifest(self) -> dict:
-        path = self._manifest_path()
-        if path.exists():
-            return json.loads(path.read_text(encoding="utf-8"))
-        return {"version": VERSION, "digest": self.digest,
-                "config": self.config.snapshot(),
-                "inputs": self._input_digests, "stages": {}}
+        if self._manifest.exists():
+            return json.loads(self._manifest.read_text(encoding="utf-8"))
+        return {"version": VERSION, "stages": {}}
 
     def _record(self, stage: str, seconds: float, metrics: dict) -> None:
         manifest = self._load_manifest()
-        manifest["digest"] = self.digest
-        manifest["config"] = self.config.snapshot()
-        manifest["inputs"] = self._input_digests
+        manifest.update(digest=self.digest, config=self.config.snapshot(),
+                        inputs=self._input_digests)
         manifest["stages"][stage] = {
             "seconds": round(seconds, 3),
             "digest": self.digest,
             "outputs": list(_STAGE_OUTPUTS[stage]),
             "metrics": metrics,
         }
-        _atomic_write(self._manifest_path(),
-                      json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        _publish(self._manifest, _writes(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n"))
 
     def _is_fresh(self, stage: str) -> bool:
-        manifest = self._load_manifest()
-        entry = manifest["stages"].get(stage)
+        entry = self._load_manifest()["stages"].get(stage)
         if not entry or entry.get("digest") != self.digest:
             return False
         return all((self.out / f).exists() for f in _STAGE_OUTPUTS[stage])
@@ -200,12 +266,17 @@ class Pipeline:
 
     def _write_tsv(self, name: str, header, rows, before=(),
                    after=()) -> None:
-        """Write the report or stage table ``name``: the manifest line, the
+        """Publish the report or stage table ``name``: the manifest line, the
         ``before`` lines, the header, the rows, then the ``after`` lines
-        (``before`` and ``after`` are ``#`` lines, without line ends)."""
+        (``before`` and ``after`` are ``#`` lines, without line ends). A stage
+        table is held as what its text reads as."""
         lines = [*before, _tsv_line(header), *map(_tsv_line, rows), *after]
-        _atomic_write(self.out / name, self._report_header()
-                      + "".join(line + "\n" for line in lines))
+        text = self._report_header() + "".join(line + "\n" for line in lines)
+        path = self.out / name
+        if name in _TABLES:
+            self._put(name, _writes(text), _read_table(path, text))
+        else:
+            _publish(path, _writes(text))
 
     # -- stage dispatch ------------------------------------------------------
 
@@ -224,7 +295,23 @@ class Pipeline:
             for stage in STAGES:
                 self.run_stage(stage, skip_fresh=skip_fresh)
 
-    # -- shared loaders ------------------------------------------------------
+    # -- stage outputs and shared inputs -------------------------------------
+
+    def _put(self, name: str, write, value) -> None:
+        """Publish the stage output ``name`` through ``write(tmp)``; hold
+        ``value``, what reading the file back gives, for later stages."""
+        _publish(self.out / name, write)
+        self._held[name] = value
+        if name == "corpus.jsonl":
+            self.__dict__.pop("_encoding", None)
+
+    def _artifact(self, name: str):
+        """The stage output ``name``, as a later stage reads it: the object
+        this pipeline published or loaded before, else the file, loaded once
+        (see ``_LOADERS``)."""
+        if name not in self._held:
+            self._held[name] = _LOADERS[name](self.out / name)
+        return self._held[name]
 
     @functools.cached_property
     def _ruleset(self) -> labeling.RuleSet:
@@ -235,47 +322,15 @@ class Pipeline:
                                      reference_year=self.config.reference_year)
 
     @functools.cached_property
-    def _corpus(self) -> corpus_mod.Corpus:
-        """The ingested corpus, loaded from ``corpus.jsonl`` once per
-        pipeline; ingest replaces it when it rewrites the file."""
-        return corpus_mod.load_corpus(self.out / "corpus.jsonl")
-
-    @functools.cached_property
     def _encoding(self) -> textproc.Encoding:
-        """Every text of :attr:`_corpus`, tokenized once per pipeline."""
-        return textproc.encode(self._corpus)
-
-    def _set_corpus(self, corpus: corpus_mod.Corpus) -> None:
-        """Make ``corpus`` the one later stages read, in place of the cached
-        one, and drop the cached encoding."""
-        self._corpus = corpus
-        self.__dict__.pop("_encoding", None)
+        """Every text of the ingested corpus, tokenized once per pipeline;
+        dropped when ingest publishes the corpus again."""
+        return textproc.encode(self._artifact("corpus.jsonl"))
 
     @functools.cached_property
     def _stopwords(self) -> set[str]:
         """The stopword file, read once per pipeline."""
         return textproc.load_stopwords(self.config.rules.stopwords)
-
-    def _read_tsv(self, name: str, header: tuple[str, ...], parse) -> list:
-        """``parse(*fields)`` of each data line of the stage table ``name``,
-        whose first line after the ``#`` lines is ``header``; a fault raises
-        :class:`StageError` naming file and line."""
-        return read_tsv(self.out / name, len(header), parse,
-                        header="\t".join(header), error=StageError)
-
-    def _labels(self) -> labeling.LabelSet:
-        out = labeling.LabelSet()
-
-        def parse(user_id, attribute, value, prov, conf):
-            out.set(user_id, attribute,
-                    labeling.Label(value, prov, float(conf)))
-
-        self._read_tsv("labels.tsv", _LABELS_HEADER, parse)
-        return out
-
-    def _matrix(self, name: str) -> features_mod.FeatureMatrix:
-        """Load ``matrix_<name>.txt`` (full, p0 or p1)."""
-        return features_mod.FeatureMatrix.load(self.out / f"matrix_{name}.txt")
 
     # -- stages --------------------------------------------------------------
 
@@ -304,9 +359,9 @@ class Pipeline:
         connected = corpus_mod.restrict_users(corpus, lcc) if lcc else corpus
         corpus = dropped("outside_lcc", connected)
         metrics.update(posts=corpus.n_posts, users=corpus.n_users)
-        _publish(self.out / "corpus.jsonl",
-                 lambda tmp: corpus_mod.write_corpus(corpus, tmp))
-        self._set_corpus(corpus_mod.as_reloaded(corpus))
+        self._put("corpus.jsonl",
+                  lambda tmp: corpus_mod.write_corpus(corpus, tmp),
+                  corpus_mod.as_reloaded(corpus))
 
         self._write_tsv("volume_weekly.tsv", ["week", "posts"],
                         corpus_mod.weekly_volume(corpus))
@@ -315,41 +370,35 @@ class Pipeline:
         by_year = self._encoding.counts_by_year(self._stopwords)
         rows = []
         for year in sorted(by_year):
-            rest: dict[str, int] = {}
+            rest: Counter[str] = Counter()
             for other, counts in by_year.items():
-                if other == year:
-                    continue
-                for term, c in counts.items():
-                    rest[term] = rest.get(term, 0) + c
+                if other != year:
+                    rest.update(counts)
             if not rest:
                 continue
             scores = stats.log_odds_prior(by_year[year], rest,
                                           alpha0=cfg.alpha0)
             top = sorted(scores, key=lambda t: (-abs(t.z), t.term))[:15]
-            for t in top:
-                rows.append((year, t.term, t.delta, t.z))
+            rows += [(year, t.term, t.delta, t.z) for t in top]
         self._write_tsv("terms_by_year.tsv", ["year", "term", "delta", "z"],
                         rows)
         return metrics
 
     def _stage_label(self) -> None:
-        labels = labeling.apply_rules(self._corpus, self._ruleset,
-                                      self._encoding)
+        labels = labeling.apply_rules(self._artifact("corpus.jsonl"),
+                                      self._ruleset, self._encoding)
         if self.config.rules.manual_labels:
             labeling.import_manual_labels(labels,
                                           self.config.rules.manual_labels)
-        rows = []
-        for user_id in sorted(labels.labels):
-            for attribute in labeling.LabelSet.ATTRIBUTES:
-                lab = labels.get(user_id, attribute)
-                if lab is not None:
-                    rows.append((user_id, attribute, lab.value,
-                                 lab.provenance, lab.confidence))
+        rows = [(user_id, attribute, lab.value, lab.provenance, lab.confidence)
+                for user_id in sorted(labels.labels)
+                for attribute in labeling.LabelSet.ATTRIBUTES
+                if (lab := labels.get(user_id, attribute)) is not None]
         self._write_tsv("labels.tsv", _LABELS_HEADER, rows)
 
     def _stage_featurize(self) -> dict:
         cfg = self.config
-        corpus, encoding = self._corpus, self._encoding
+        corpus, encoding = self._artifact("corpus.jsonl"), self._encoding
         stop = self._stopwords
         bio = encoding.term_counts("bio", cfg.thresholds.bio_min_count, stop)
         profile = features_mod.profile_blocks(
@@ -369,7 +418,7 @@ class Pipeline:
             m = features_mod.build_matrix(
                 corpus, tweet, profile, corpus_mod.build_interaction_graph(sub),
                 period=period, min_in_degree=cfg.min_in_degree)
-            _publish(self.out / f"matrix_{name}.txt", m.save)
+            self._put(f"matrix_{name}.txt", m.save, m)
             metrics[f"nonzeros_{name}"] = int(m.X.nnz)
         return metrics
 
@@ -387,29 +436,29 @@ class Pipeline:
 
     def _leakage_dropped(self, matrix: features_mod.FeatureMatrix
                          ) -> features_mod.FeatureMatrix:
-        rules = self._ruleset
-        leaks = labeling.leakage_columns(rules, matrix.column_identifiers())
+        leaks = labeling.leakage_columns(self._ruleset,
+                                         matrix.column_identifiers())
         return features_mod.drop_columns(matrix, leaks)
 
     def _stage_train(self) -> dict:
-        labels = self._labels()
-        matrix = self._leakage_dropped(self._matrix("full"))
+        labels = self._artifact("labels.tsv")
+        matrix = self._leakage_dropped(self._artifact("matrix_full.txt"))
         train_users, _calib_users = self._split_stance_labels(labels)
         if not train_users:
             raise StageError("no stance-labeled users to train on")
         ridx = matrix.row_index()
-        rows = [ridx[u] for u in train_users if u in ridx]
         kept_users = [u for u in train_users if u in ridx]
-        X = matrix.X[rows]
+        X = matrix.X[[ridx[u] for u in kept_users]]
         y = [1 if labels.get(u, "stance").value == "defense" else 0
              for u in kept_users]
         # the model and the CV folds are fit together, in parallel
         report = gbt.cross_validate(X, y, self.config.boost, k=5)
         model = report.model
         model.columns = matrix.column_identifiers()
-        _publish(self.out / "model_stance.txt", model.save)
-        _atomic_write(self.out / "model_train_users.txt",
-                      "".join(u + "\n" for u in kept_users))
+        self._put("model_stance.txt", model.save, model)
+        users = "".join(u + "\n" for u in kept_users)
+        self._put("model_train_users.txt", _writes(users),
+                  _train_users(users))
         self._write_tsv("cv_metrics.tsv",
                         ["attribute", "k", "precision_mean", "precision_std",
                          "recall_mean", "recall_std"],
@@ -419,11 +468,10 @@ class Pipeline:
         return {"fits": report.fits, "workers": report.workers}
 
     def _stage_calibrate(self) -> None:
-        labels = self._labels()
-        full = self._matrix("full")
-        model = gbt.BoostedModel.load(self.out / "model_stance.txt")
-        train_users = set((self.out / "model_train_users.txt")
-                          .read_text(encoding="utf-8").split())
+        labels = self._artifact("labels.tsv")
+        full = self._artifact("matrix_full.txt")
+        model = self._artifact("model_stance.txt")
+        train_users = self._artifact("model_train_users.txt")
         _train, calib_users = self._split_stance_labels(labels)
         ridx = full.row_index()
         calib_users = [u for u in calib_users if u in ridx]
@@ -444,38 +492,27 @@ class Pipeline:
             calib.calibration_table(probs, y),
             before=[f"# platt slope={platt.slope!r} offset={platt.offset!r}"])
 
-    def _load_platt(self) -> calib.PlattModel:
-        rows = self._read_tsv(
-            "platt.tsv", _PLATT_HEADER,
-            lambda slope, offset: calib.PlattModel(slope=float(slope),
-                                                   offset=float(offset)))
-        if not rows:
-            raise StageError(f"{self.out / 'platt.tsv'}: no slope and offset "
-                             "line")
-        return rows[0]
-
     def _stage_predict(self) -> None:
-        full = self._matrix("full")
-        model = gbt.BoostedModel.load(self.out / "model_stance.txt")
-        platt = self._load_platt()
+        full = self._artifact("matrix_full.txt")
+        model = self._artifact("model_stance.txt")
+        platt = self._artifact("platt.tsv")
         conf = gbt.predict_confidence(model, full)
         scores = calib.score_users(platt, list(full.rows), conf)
         self._write_tsv("stance_scores.tsv",
                         ["user_id", "raw_confidence", "probability", "band"],
                         [(s.user_id, s.raw_confidence, s.probability, s.band)
                          for s in scores])
-        counts = {b: 0 for b in (calib.BAND_OPPOSITION, calib.BAND_UNDISCLOSED,
-                                 calib.BAND_DEFENSE)}
-        for s in scores:
-            counts[s.band] += 1
+        counts = Counter(s.band for s in scores)
         total = max(len(scores), 1)
         self._write_tsv("stance_distribution.tsv",
                         ["band", "users", "share"],
-                        [(b, c, c / total) for b, c in counts.items()])
+                        [(b, counts[b], counts[b] / total) for b in (
+                            calib.BAND_OPPOSITION, calib.BAND_UNDISCLOSED,
+                            calib.BAND_DEFENSE)])
 
     def _stage_importance(self) -> None:
-        matrix = self._leakage_dropped(self._matrix("full"))
-        model = gbt.BoostedModel.load(self.out / "model_stance.txt")
+        matrix = self._leakage_dropped(self._artifact("matrix_full.txt"))
+        model = self._artifact("model_stance.txt")
         ranked = gbt.feature_importance(model)
         col_by_id = {c.identifier: c for c in matrix.columns}
         pairs = [(col_by_id[ident], gain) for ident, gain in ranked
@@ -494,92 +531,71 @@ class Pipeline:
                         [(col.identifier, col.feature_type, gain)
                          for col, gain in pairs], after=after)
 
-    def _accepted_demographics(self) -> dict[str, dict[str, str]]:
-        """gender/location/age per user: rule or manual labels only.
-
-        Predicted demographic attributes flow through the library API
-        (train/accept_by_threshold); the file pipeline keeps the high-trust
-        labels so downstream selection is reproducible from labels.tsv alone.
-        """
-        labels = self._labels()
-        out: dict[str, dict[str, str]] = {}
-        for user_id, attrs in labels.labels.items():
-            for attribute, lab in attrs.items():
-                if attribute in ("gender", "age_cohort", "location"):
-                    out.setdefault(user_id, {})[attribute] = lab.value
-        return out
-
     def _stage_turnaround(self) -> None:
-        p0, p1 = self._matrix("p0"), self._matrix("p1")
-        model = gbt.BoostedModel.load(self.out / "model_stance.txt")
-        platt = self._load_platt()
-        demo = self._accepted_demographics()
+        p0 = self._artifact("matrix_p0.txt")
+        p1 = self._artifact("matrix_p1.txt")
+        model = self._artifact("model_stance.txt")
+        platt = self._artifact("platt.tsv")
+        # demographics come from labels.tsv (rule and manual labels only), so
+        # that the selection is reproducible from that file
+        labels = self._artifact("labels.tsv")
         a, b = features_mod.align_rows(p0, p1)
         users = [u for u in a.rows
-                 if "gender" in demo.get(u, {}) and "age_cohort" in demo.get(u, {})]
+                 if labels.get(u, "gender") and labels.get(u, "age_cohort")]
         if not users:
             raise StageError(
                 f"no users overlap both periods with known gender and age "
                 f"(period intersection: {len(a.rows)} users)")
         ridx = a.row_index()
-        rows = [ridx[u] for u in users]
         conf0 = gbt.predict_confidence(model, a)
         conf1 = gbt.predict_confidence(model, b)
         out_rows = []
-        for u, i in zip(users, rows):
-            prob0 = calib.calibrate(platt, float(conf0[i]))
-            prob1 = calib.calibrate(platt, float(conf1[i]))
+        for u in users:
+            prob0 = calib.calibrate(platt, float(conf0[ridx[u]]))
+            prob1 = calib.calibrate(platt, float(conf1[ridx[u]]))
             out_rows.append((u, prob0, prob1, stats.turnaround(prob0, prob1)))
         self._write_tsv("turnaround.tsv", _TURNAROUND_HEADER, out_rows)
 
-    def _read_turnaround(self) -> list[tuple[str, float, float, float]]:
-        return self._read_tsv(
-            "turnaround.tsv", _TURNAROUND_HEADER,
-            lambda u, p0, p1, d: (u, float(p0), float(p1), float(d)))
-
     def _stage_regress(self) -> None:
-        corpus = self._corpus
-        demo = self._accepted_demographics()
-        turn = self._read_turnaround()
+        corpus = self._artifact("corpus.jsonl")
+        labels = self._artifact("labels.tsv")
+        turn = self._artifact("turnaround.tsv")
         if not turn:
             raise StageError("turnaround table is empty")
-        emoji_usage = _emoji_usage(self._matrix("p0"))
-        platt_band = {u: calib.stance_band(p0) for u, p0, _p1v, _d in turn}
+        first = self._artifact("matrix_p0.txt")
+        defense = _users_with(first, features_mod.DEFENSE_EMOJI)
+        opposition = _users_with(first, features_mod.OPPOSITION_EMOJI)
 
         records, response = [], []
         t0_start = self.config.periods[0][0]
-        for u, _p0v, _p1v, delta in turn:
+        for u, p0, _p1, delta in turn:
             prof = corpus.users.get(u)
             if prof is None:
                 continue
             age_days = max((t0_start - prof.account_created) / 86400.0, 0.0)
+            location = labels.get(u, "location")
             rec = {
-                "gender": demo[u]["gender"],
-                "age_cohort": demo[u]["age_cohort"],
-                "country": demo.get(u, {}).get("location", "unknown"),
+                "gender": labels.get(u, "gender").value,
+                "age_cohort": labels.get(u, "age_cohort").value,
+                "country": location.value if location else "unknown",
                 "followers": prof.n_followers,
                 "friends": prof.n_friends,
                 "activity_ratio": prof.n_posts / age_days if age_days else 0.0,
                 "account_age_years": age_days / 365.25,
-                "stance_t0": platt_band[u],
-                "uses_defense_emoji": emoji_usage.get(u, (0.0, 0.0))[0],
-                "uses_opposition_emoji": emoji_usage.get(u, (0.0, 0.0))[1],
+                "stance_t0": calib.stance_band(p0),
+                "uses_defense_emoji": float(u in defense),
+                "uses_opposition_emoji": float(u in opposition),
             }
             records.append(rec)
             response.append(delta)
 
-        covariates = [
-            stats.Covariate("gender", "categorical"),
-            stats.Covariate("age_cohort", "categorical"),
-            stats.Covariate("country", "categorical"),
-            stats.Covariate("followers", "count"),
-            stats.Covariate("friends", "count"),
-            stats.Covariate("activity_ratio", "count"),
-            stats.Covariate("account_age_years", "numeric"),
-            stats.Covariate("stance_t0", "categorical"),
-            stats.Covariate("uses_defense_emoji", "numeric"),
-            stats.Covariate("uses_opposition_emoji", "numeric"),
-        ]
+        covariates = [stats.Covariate(name, kind) for name, kind in (
+            ("gender", "categorical"), ("age_cohort", "categorical"),
+            ("country", "categorical"), ("followers", "count"),
+            ("friends", "count"), ("activity_ratio", "count"),
+            ("account_age_years", "numeric"), ("stance_t0", "categorical"),
+            ("uses_defense_emoji", "numeric"),
+            ("uses_opposition_emoji", "numeric"))]
         covariates = _drop_constant(records, covariates)
         covariates, dropped = _drop_collinear(records, covariates)
         result = stats.ols_regress(records, response, covariates)
@@ -595,41 +611,27 @@ class Pipeline:
                          "ci_high"), result.to_rows(), before=before)
 
     def _stage_report(self) -> None:
-        missing = [f for f in REPORT_FILES if not (self.out / f).exists()]
-        if missing:
-            raise StageError(f"missing report inputs: {', '.join(missing)}")
+        # every report file exists: run_stage required report's needs
         lines = [self._report_header(), f"{VERSION}\n",
-                 f"output directory: {self.out}\n", "report files:\n"]
-        for f in REPORT_FILES:
-            lines.append(f"  {f}\n")
-        _atomic_write(self.out / "summary.txt", "".join(lines))
+                 f"output directory: {self.out}\n", "report files:\n",
+                 *(f"  {f}\n" for f in REPORT_FILES)]
+        _publish(self.out / "summary.txt", _writes("".join(lines)))
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 def _tsv_line(row) -> str:
     return "\t".join(_fmt(v) for v in row)
 
 
-def _emoji_usage(p0_matrix) -> dict[str, tuple[float, float]]:
-    """Per-user (green, blue) heart usage flags in the first period."""
-    cidx = p0_matrix.column_index()
-    out: dict[str, tuple[float, float]] = {}
-    for ident, slot in ((features_mod.DEFENSE_EMOJI, 0),
-                        (features_mod.OPPOSITION_EMOJI, 1)):
-        j = cidx.get(ident)
-        if j is None:
-            continue
-        for i in p0_matrix.X[:, [j]].nonzero()[0]:
-            u = p0_matrix.rows[i]
-            flags = list(out.get(u, (0.0, 0.0)))
-            flags[slot] = 1.0
-            out[u] = tuple(flags)
-    return out
+def _users_with(matrix: features_mod.FeatureMatrix, ident: str) -> set[str]:
+    """The users with a stored cell in column ``ident`` (none if absent)."""
+    j = matrix.column_index().get(ident)
+    if j is None:
+        return set()
+    return {matrix.rows[i] for i in matrix.X[:, [j]].nonzero()[0]}
 
 
 def _owns(cov, design_name) -> bool:
@@ -667,9 +669,5 @@ def _drop_collinear(records, covariates):
 def _drop_constant(records, covariates):
     """Remove covariates with a single observed level/value (they would be
     collinear with the intercept)."""
-    kept = []
-    for cov in covariates:
-        values = {str(r[cov.name]) for r in records}
-        if len(values) > 1:
-            kept.append(cov)
-    return kept
+    return [cov for cov in covariates
+            if len({str(r[cov.name]) for r in records}) > 1]

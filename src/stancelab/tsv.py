@@ -5,23 +5,29 @@ stage tables. A file loads whole, or raises an error naming the file and the
 
 from __future__ import annotations
 
+import io
+
 
 class RuleFileError(Exception):
     """A rule file or manual-label file that does not parse."""
 
 
 def read_tsv(path, n_fields: int, parse, *, header: str | None = None,
-             error: type[Exception] = RuleFileError) -> list:
+             error: type[Exception] = RuleFileError,
+             contents: str | None = None) -> list:
     """``parse(*fields)`` of each data line of ``path``, in file order.
 
     Blank lines and lines whose first non-blank character is ``#`` are
     skipped. With ``header``, the first line not skipped must equal it, and
     every later line is data. A line that does not split on tabs into
     ``n_fields`` fields, a blank field, or a line that ``parse`` rejects
-    with ``ValueError`` raises ``error``.
+    with ``ValueError`` raises ``error``. ``contents``, when given, are read
+    in place of the file's (as the file holding them would read), and
+    ``path`` only names the file in errors.
     """
     rows = []
-    with open(path, encoding="utf-8") as fh:
+    with (open(path, encoding="utf-8") if contents is None
+          else io.StringIO(contents, newline=None)) as fh:
         for lineno, line in enumerate(fh, 1):
             text = line.rstrip("\n")
             if text.lstrip()[:1] in ("", "#"):

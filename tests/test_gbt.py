@@ -1,10 +1,12 @@
 import multiprocessing
 import os
+import re
 import struct
 from multiprocessing import connection
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from stancelab import _kernels, gbt
@@ -238,6 +240,50 @@ def test_save_load_round_trip(tmp_path):
     f2 = tmp_path / "m2.txt"
     model2.save(f2)
     assert f.read_bytes() == f2.read_bytes()
+    _assert_same_model(model, model2)  # leaves included, not only bytes
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    """A saved model with a multi-byte column identifier."""
+    X, y = separable_data(seed=5)
+    model = gbt.train(X, y, gbt.BoostParams(n_estimators=8))
+    model.columns = [f"c{j}" for j in range(X.shape[1] - 1)] + ["name:💚"]
+    path = tmp_path_factory.mktemp("model") / "model.txt"
+    model.save(path)
+    return path.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cut_model_file_is_a_named_error(saved_model, tmp_path_factory, data):
+    cut = data.draw(st.integers(0, len(saved_model) - 1))
+    path = tmp_path_factory.mktemp("cut") / "model.txt"
+    path.write_bytes(saved_model[:cut])
+    with pytest.raises(gbt.TrainingError, match=re.escape(f"{path}:")):
+        gbt.BoostedModel.load(path)
+
+
+@pytest.mark.parametrize("old, new, what", [
+    (b"stancelab-model v1", b"stancelab-model v2", "unrecognized"),
+    (b" max_depth=", b" depth=", "no 'max_depth' field"),
+    (b"stopped_at ", b"stopped_at x", "invalid literal"),
+    (b"col 1 ", b"col 2 ", "out of range"),
+    (b"\nn 0 s 0 ", b"\nn 0 s 99 ", "out of range"),  # no such column
+    (b"\nn 1 s 1 1.5 2 ", b"\nn 1 s 1 1.5 1 ", "out of range"),  # a loop
+    (b"\nn 1 s ", b"\nn 2 s ", "out of range"),  # out of order
+    (b" l ", b" x ", "unknown node kind"),
+    (b"\ntree 0 ", b"\ntree 0 99999999999", "ends before the"),
+    (b"\nend\n", b"\nend\nend\n", "goes on after"),
+])
+def test_malformed_model_file_is_a_named_error(saved_model, tmp_path, old,
+                                               new, what):
+    assert old in saved_model
+    path = tmp_path / "model.txt"
+    path.write_bytes(saved_model.replace(old, new, 1))
+    with pytest.raises(gbt.TrainingError,
+                       match=re.escape(f"{path}:") + r"\d+: .*" + what):
+        gbt.BoostedModel.load(path)
 
 
 def test_column_reconciliation():

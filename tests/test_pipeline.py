@@ -9,15 +9,16 @@ import sys
 import time
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from stancelab import corpus as cm
-from stancelab import labeling, synth, textproc
+from stancelab import features, gbt, labeling, pipeline, synth, textproc
 from stancelab.config import (PipelineConfig, RulePaths, Thresholds,
                               config_from_dict)
 from stancelab.gbt import BoostParams
-from stancelab.pipeline import (REPORT_FILES, STAGES, Pipeline, StageError,
-                                output_lock)
+from stancelab.pipeline import (_LOADERS, _STAGE_OUTPUTS, REPORT_FILES, STAGES,
+                                Pipeline, StageError, output_lock)
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +87,91 @@ def test_manifest_contents(demo_corpus, tmp_path, monkeypatch):
         "fits": 6, "workers": min(6, len(os.sched_getaffinity(0)))}
 
 
+def _count_loads(monkeypatch):
+    """Calls, by the file they load, of the loader table's entries, of
+    ``FeatureMatrix.load``, ``BoostedModel.load`` and ``load_corpus``, and
+    the stage-table reads of a file (not of text held in memory)."""
+    calls = Counter()
+
+    def counted(key, fn):
+        def wrapper(path, *args, **kwargs):
+            if kwargs.get("contents") is None:
+                calls[key, os.path.basename(path)] += 1
+            return fn(path, *args, **kwargs)
+        return wrapper
+
+    for name, load in _LOADERS.items():
+        monkeypatch.setitem(_LOADERS, name, counted("table", load))
+    for cls in (features.FeatureMatrix, gbt.BoostedModel):
+        monkeypatch.setattr(cls, "load",
+                            staticmethod(counted(cls.__name__, cls.load)))
+    monkeypatch.setattr(cm, "load_corpus", counted("load_corpus",
+                                                   cm.load_corpus))
+    monkeypatch.setattr(pipeline, "read_tsv", counted("read_tsv",
+                                                      pipeline.read_tsv))
+    return calls
+
+
+def test_run_loads_no_stage_output_and_a_stage_loads_each_input_once(
+        demo_corpus, tmp_path, monkeypatch):
+    calls = _count_loads(monkeypatch)
+    pipe = run_all(make_config(demo_corpus, tmp_path / "run"))
+    # the input corpus only: every later stage gets what an earlier one
+    # published
+    assert calls == {("load_corpus", "corpus.jsonl"): 1}
+    assert pipe._held.keys() == _LOADERS.keys()
+
+    calls.clear()
+    Pipeline(make_config(demo_corpus, tmp_path / "run")).run_stage(
+        "turnaround")
+    inputs = ("matrix_p0.txt", "matrix_p1.txt", "model_stance.txt",
+              "platt.tsv", "labels.tsv")
+    assert calls == {
+        **{("table", name): 1 for name in inputs},
+        ("FeatureMatrix", "matrix_p0.txt"): 1,
+        ("FeatureMatrix", "matrix_p1.txt"): 1,
+        ("BoostedModel", "model_stance.txt"): 1,
+        ("read_tsv", "platt.tsv"): 1, ("read_tsv", "labels.tsv"): 1}
+
+
+def _same_model(a, b):
+    return (a.base_score, a.columns, a.params, a.stopped_at,
+            a.best_val_loss, len(a.trees)) == \
+        (b.base_score, b.columns, b.params, b.stopped_at, b.best_val_loss,
+         len(b.trees)) and all(
+            all(np.array_equal(getattr(ta, f), getattr(tb, f))
+                and getattr(ta, f).dtype == getattr(tb, f).dtype
+                for f in ("feature", "threshold", "left", "right", "value"))
+            and ta.gain_by_col == tb.gain_by_col
+            for ta, tb in zip(a.trees, b.trees))
+
+
+def test_held_outputs_equal_what_reading_the_files_gives(demo_corpus,
+                                                         tmp_path):
+    pipe = run_all(make_config(demo_corpus, tmp_path / "run"))
+    for name, load in _LOADERS.items():
+        held, loaded = pipe._held[name], load(pipe.out / name)
+        assert type(held) is type(loaded), name
+        if name == "model_stance.txt":
+            assert _same_model(held, loaded)
+        else:
+            assert held == loaded, name
+
+
+def test_held_stage_table_is_what_its_file_reads_as(tmp_path):
+    # the line grammar reads a user id "#u1" as a comment, and "u2\r3" as
+    # two lines: the held table reads the text as the file does
+    pipe = Pipeline(PipelineConfig(output_dir=str(tmp_path)))
+    pipe._write_tsv("turnaround.tsv", pipeline._TURNAROUND_HEADER,
+                    [("#u1", 0.25, 0.5, 0.25), ("u2", 0.5, 0.75, 0.25)])
+    assert pipe._artifact("turnaround.tsv") == Pipeline(PipelineConfig(
+        output_dir=str(tmp_path)))._artifact("turnaround.tsv")
+    with pytest.raises(StageError, match=re.escape(
+            f"{tmp_path / 'labels.tsv'}:3: ")):
+        pipe._write_tsv("labels.tsv", pipeline._LABELS_HEADER,
+                        [("u2\r3", "gender", "male", "rule", 1.0)])
+
+
 def _stages(cfg, stages):
     pipe = Pipeline(cfg)
     with output_lock(pipe.out):
@@ -143,37 +229,43 @@ def test_run_writes_what_separate_stage_commands_write(demo_corpus, tmp_path):
         done = runner.invoke(cli.main,
                              ["stage", stage, "--config", config("stages")])
         assert done.exit_code == 0, done.output
-    for name in ("matrix_full.txt", "matrix_p0.txt", "matrix_p1.txt",
-                 "labels.tsv", *REPORT_FILES):
+    # summary.txt names the output directory, which differs
+    outputs = [name for names in _STAGE_OUTPUTS.values() for name in names
+               if name != "summary.txt"]
+    assert len(outputs) == 17
+    for name in outputs:
         assert (tmp_path / "run" / name).read_bytes() == \
             (tmp_path / "stages" / name).read_bytes(), name
 
 
 def test_ingest_replaces_the_cached_corpus(tmp_path):
     path = tmp_path / "corpus.jsonl"
+    outputs = [name for names in _STAGE_OUTPUTS.values() for name in names
+               if name != "summary.txt"]
     text_outputs = ("matrix_full.txt", "matrix_p0.txt", "matrix_p1.txt",
                     "labels.tsv", "terms_by_year.tsv")
 
     def write(seed):
-        corpus, _truth = synth.generate(synth.SynthSpec(n_users=80,
-                                                        rng_seed=seed))
+        corpus, _truth = synth.generate(synth.SynthSpec(
+            n_users=150, rng_seed=seed,
+            turnaround_effects={"gender": {"male": -0.10}}))
         cm.write_corpus(corpus, path)
 
     write(1)
     pipe = Pipeline(make_config(str(path), tmp_path / "one"))
     with output_lock(pipe.out):
-        for stage in ("ingest", "label", "featurize"):
+        for stage in STAGES:
             pipe.run_stage(stage)
         before = {n: _without_manifest(pipe.out / n) for n in text_outputs}
         write(2)
-        for stage in ("ingest", "label", "featurize"):
+        for stage in STAGES:
             pipe.run_stage(stage)
-    fresh = _stages(make_config(str(path), tmp_path / "fresh"),
-                    ("ingest", "label", "featurize"))
+    fresh = _stages(make_config(str(path), tmp_path / "fresh"), STAGES)
     for name in text_outputs:
-        after = _without_manifest(pipe.out / name)
-        assert after != before[name], name
-        assert after == _without_manifest(fresh.out / name), name
+        assert _without_manifest(pipe.out / name) != before[name], name
+    for name in outputs:
+        assert _without_manifest(pipe.out / name) == \
+            _without_manifest(fresh.out / name), name
 
 
 def test_ingest_and_featurize_report_counts(tmp_path):
@@ -260,40 +352,49 @@ def test_ingest_and_featurize_report_counts(tmp_path):
     assert stages["featurize"]["metrics"] == want
 
 
-@pytest.mark.parametrize("name, reader, header, good, bad", [
-    ("labels.tsv", "_labels", "user_id\tattribute\tvalue\tprovenance"
-     "\tconfidence", "u1\tgender\tmale\trule\t1.0", "u2\tgender\tfemale"),
-    ("labels.tsv", "_labels", "user_id\tattribute\tvalue\tprovenance"
-     "\tconfidence", "u1\tgender\tmale\trule\t1.0",
+_LABELS = "user_id\tattribute\tvalue\tprovenance\tconfidence"
+_TURNAROUND = "user_id\tp_t0\tp_t1\tdelta"
+
+
+@pytest.mark.parametrize("name, header, good, bad", [
+    ("labels.tsv", _LABELS, "u1\tgender\tmale\trule\t1.0",
+     "u2\tgender\tfemale"),
+    ("labels.tsv", _LABELS, "u1\tgender\tmale\trule\t1.0",
      "u2\tgender\tfemale\trule\tsure"),
-    ("platt.tsv", "_load_platt", "slope\toffset", "1.5\t-0.25", "1.5"),
-    ("turnaround.tsv", "_read_turnaround", "user_id\tp_t0\tp_t1\tdelta",
-     "u1\t0.25\t0.5\t0.25", "u2\t0.25\t0.5"),
-    ("turnaround.tsv", "_read_turnaround", "user_id\tp_t0\tp_t1\tdelta",
-     "u1\t0.25\t0.5\t0.25", "u2\t0.25\thalf\t0.25"),
+    ("labels.tsv", _LABELS, "u1\tgender\tmale\trule\t1.0",
+     "u2\tshoe_size\t38\trule\t1.0"),
+    ("platt.tsv", "slope\toffset", "1.5\t-0.25", "1.5"),
+    ("turnaround.tsv", _TURNAROUND, "u1\t0.25\t0.5\t0.25", "u2\t0.25\t0.5"),
+    ("turnaround.tsv", _TURNAROUND, "u1\t0.25\t0.5\t0.25",
+     "u2\t0.25\thalf\t0.25"),
 ])
-def test_stage_readers_name_file_and_line(tmp_path, name, reader, header,
-                                          good, bad):
-    pipe = Pipeline(PipelineConfig(output_dir=str(tmp_path)))
+def test_stage_readers_name_file_and_line(tmp_path, name, header, good, bad):
+    # a fresh pipeline each time: one loads each file once
+    def load():
+        return Pipeline(PipelineConfig(output_dir=str(tmp_path)))._artifact(
+            name)
+
     path = tmp_path / name
     path.write_text(f"# manifest x\n{header}\n{good}\n", encoding="utf-8")
-    getattr(pipe, reader)()
+    load()
     path.write_text(f"# manifest x\n{header}\n{good}\n{bad}\n",
                     encoding="utf-8")
     with pytest.raises(StageError, match=re.escape(f"{path}:4: ")):
-        getattr(pipe, reader)()
+        load()
 
 
 def test_stage_tables_keep_rows_that_start_like_the_header(tmp_path):
     pipe = Pipeline(PipelineConfig(output_dir=str(tmp_path)))
     (tmp_path / "turnaround.tsv").write_text(
-        "# manifest x\nuser_id\tp_t0\tp_t1\tdelta\n"
-        "user_idol\t0.25\t0.5\t0.25\n", encoding="utf-8")
-    assert pipe._read_turnaround() == [("user_idol", 0.25, 0.5, 0.25)]
+        f"# manifest x\n{_TURNAROUND}\nuser_idol\t0.25\t0.5\t0.25\n",
+        encoding="utf-8")
+    assert pipe._artifact("turnaround.tsv") == [
+        ("user_idol", 0.25, 0.5, 0.25)]
     (tmp_path / "labels.tsv").write_text(
-        "# manifest x\nuser_id\tattribute\tvalue\tprovenance\tconfidence\n"
-        "user_id\tgender\tmale\trule\t1.0\n", encoding="utf-8")
-    assert pipe._labels().get("user_id", "gender").value == "male"
+        f"# manifest x\n{_LABELS}\nuser_id\tgender\tmale\trule\t1.0\n",
+        encoding="utf-8")
+    assert pipe._artifact("labels.tsv").get("user_id", "gender").value == \
+        "male"
 
 
 def _rule_loader(role):
@@ -350,7 +451,7 @@ def test_platt_file_without_values_is_a_named_error(tmp_path):
     (tmp_path / "platt.tsv").write_text("# manifest x\nslope\toffset\n",
                                         encoding="utf-8")
     with pytest.raises(StageError, match="platt.tsv: no slope and offset"):
-        pipe._load_platt()
+        pipe._artifact("platt.tsv")
 
 
 def test_missing_upstream_stage_fatal(demo_corpus, tmp_path):
@@ -400,6 +501,41 @@ def test_cli_prints_rule_file_error_as_one_line(demo_corpus, tmp_path):
     assert isinstance(done.exception, SystemExit)  # not an uncaught error
     assert f"Error: {gazetteer}:2: " in done.output
     assert "Traceback" not in done.output
+
+
+def _cli_error(config_text, tmp_path):
+    """The output of ``stancelab run`` on a config file holding
+    ``config_text``, which must end in one ``Error:`` line."""
+    from click.testing import CliRunner
+    from stancelab import cli
+
+    config = tmp_path / "config.yaml"
+    config.write_text(config_text, encoding="utf-8")
+    done = CliRunner().invoke(cli.main, ["run", "--config", str(config)])
+    assert done.exit_code == 1
+    assert isinstance(done.exception, SystemExit)  # not an uncaught error
+    assert "Traceback" not in done.output
+    errors = [line for line in done.output.splitlines()
+              if line.startswith("Error:")]
+    assert len(errors) == 1, done.output
+    return errors[0]
+
+
+@pytest.mark.parametrize("key", ["gazetteer", "lexicon", "manual_labels"])
+def test_cli_names_a_missing_rule_file(demo_corpus, tmp_path, key):
+    missing = tmp_path / "missing.tsv"
+    error = _cli_error(f"corpus: {demo_corpus}\noutput_dir: "
+                       f"{tmp_path / 'out'}\nrules: {{{key}: {missing}}}\n",
+                       tmp_path)
+    assert error == f"Error: rules.{key}: no such file: {missing}"
+    assert not (tmp_path / "out" / "corpus.jsonl").exists()
+
+
+def test_cli_names_file_and_line_of_bad_yaml(demo_corpus, tmp_path):
+    error = _cli_error(f"output_dir: {tmp_path / 'out'}\n"
+                       "corpus: [unclosed\n", tmp_path)
+    assert error.startswith(f"Error: {tmp_path / 'config.yaml'}:")
+    assert re.match(r"Error: \S+:\d+: ", error)
 
 
 def test_output_lock(demo_corpus, tmp_path):
