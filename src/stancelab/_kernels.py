@@ -1,15 +1,19 @@
 """Hot numeric kernels for the boosted-tree engine: exact split search and
 tree prediction.
 
-Split search is the sparsity-aware exact greedy algorithm of Chen & Guestrin,
-"XGBoost", KDD 2016 (Alg. 3 and the column blocks of §4.1). The nonzero
-entries of the training matrix are sorted once by (column, value, row); a tree
-node keeps only the entries of its own rows, so its cost follows the node's
-nonzero count, not rows × columns. A column's zeros form one block whose
-gradient sums are the node total minus the column's nonzero sums; the block
-sits in sorted order between the negative and the positive values. Nodes of at
-most ``SMALL_NODE_CELLS`` cells are scanned by a scalar loop instead, whose
-cost per call is lower than numpy's fixed overhead.
+Training searches splits with the sparsity-aware exact greedy algorithm of
+Chen & Guestrin, "XGBoost", KDD 2016 (Alg. 3 and the column blocks of §4.1),
+in :class:`ColumnBlocks`. The nonzero entries of the training matrix are
+sorted once by (column, value, row); a tree node keeps only the entries of its
+own rows, so its cost follows the node's nonzero count, not rows × columns. A
+column's zeros form one block whose gradient sums are the node total minus the
+column's nonzero sums; the block sits in sorted order between the negative and
+the positive values.
+
+:func:`best_split` is the sequential scan over the dense rows of one node,
+column by column in sorted order. Training does not use it; the split oracle
+tests call it on many tiny instances, where its cost per call is far below
+numpy's fixed overhead.
 
 Both scans apply the same rule. A split sends ``x < threshold`` left;
 thresholds are midpoints between consecutive distinct values; each side needs
@@ -26,9 +30,6 @@ from scipy import sparse
 # candidate splits must beat the incumbent by this margin; makes the scan
 # order-stable under float noise
 GAIN_EPS = 1e-12
-
-# nodes with at most this many cells (rows × columns) take the scalar scan
-SMALL_NODE_CELLS = 256
 
 
 class ColumnBlocks:
@@ -62,12 +63,6 @@ class ColumnBlocks:
         order = np.lexsort((row, val, col))
         return cls(np.arange(n), row[order], col[order], val[order], n, p)
 
-    def to_dense(self) -> np.ndarray:
-        """The node's rows as a dense matrix, in ascending row-id order."""
-        X = np.zeros((len(self.rows), self.n_cols))
-        X[np.searchsorted(self.rows, self.row), self.col] = self.val
-        return X
-
     def split(self, col: int, threshold: float
               ) -> tuple["ColumnBlocks", "ColumnBlocks"]:
         """Partition the node by ``x[col] < threshold`` into (left, right)."""
@@ -96,9 +91,6 @@ class ColumnBlocks:
         improves the loss.
         """
         m, p = len(self.rows), self.n_cols
-        if m * p <= SMALL_NODE_CELLS:
-            return _scan_small(self.to_dense(), g[self.rows], h[self.rows],
-                               reg_lambda, min_child_weight)
         col, val = self.col, self.val
         if len(col) == 0:
             return -1, 0.0, 0.0
@@ -186,12 +178,14 @@ def _column_prefix(x, start, end):
     return (run[end + 1] - run[start]) + (err[end + 1] - err[start])
 
 
-def _scan_small(Xn, gn, hn, reg_lambda, min_child_weight):
-    """Scalar scan of a tiny dense node, column by column in sorted order.
+def best_split(Xn, gn, hn, reg_lambda, min_child_weight):
+    """Exact greedy split search over the dense rows ``Xn`` of one node.
 
+    Returns (column, threshold, gain) as :meth:`ColumnBlocks.best_split`.
     Works on Python floats: indexing numpy arrays element by element would
     cost more than the arithmetic.
     """
+    Xn = np.asarray(Xn, dtype=np.float64)
     m = Xn.shape[0]
     g = np.asarray(gn, dtype=np.float64).tolist()
     h = np.asarray(hn, dtype=np.float64).tolist()
@@ -231,37 +225,18 @@ def _scan_small(Xn, gn, hn, reg_lambda, min_child_weight):
     return best_col, best_thr, best_gain
 
 
-def best_split(Xn, gn, hn, reg_lambda, min_child_weight):
-    """Exact greedy split search over the dense rows ``Xn`` of one node.
-
-    Returns (column, threshold, gain) as :meth:`ColumnBlocks.best_split`.
-    """
-    Xn = np.asarray(Xn, dtype=np.float64)
-    if Xn.shape[0] * Xn.shape[1] <= SMALL_NODE_CELLS:
-        return _scan_small(Xn, gn, hn, reg_lambda, min_child_weight)
-    return ColumnBlocks.from_dense(Xn).best_split(
-        np.asarray(gn, dtype=np.float64), np.asarray(hn, dtype=np.float64),
-        reg_lambda, min_child_weight)
-
-
-def predict_margin(X, feature, threshold, left, right, value, tree_start, out):
-    """Add the output of every tree to ``out`` (one margin per row of X).
-
-    X is a dense array or a scipy CSR array.
-    """
+def predict_margin(X, feature, threshold, left, right, value):
+    """The output of one tree for each row of X, a dense array or a scipy CSR
+    array; node 0 is the root."""
     n = X.shape[0]
     rows = np.arange(n)
-    for t in range(tree_start.shape[0]):
-        nodes = np.full(n, tree_start[t], dtype=np.int64)
-        while True:
-            feats = feature[nodes]
-            active = feats >= 0
-            if not active.any():
-                break
-            idx = rows[active]
-            f = feats[active]
-            go_left = X[idx, f] < threshold[nodes[active]]
-            nodes[idx] = np.where(go_left, left[nodes[active]],
-                                  right[nodes[active]])
-        out += value[nodes]
-    return out
+    nodes = np.zeros(n, dtype=np.int64)
+    while True:
+        feats = feature[nodes]
+        active = feats >= 0
+        if not active.any():
+            return value[nodes]
+        idx = rows[active]
+        go_left = X[idx, feats[active]] < threshold[nodes[active]]
+        nodes[idx] = np.where(go_left, left[nodes[active]],
+                              right[nodes[active]])

@@ -3,6 +3,7 @@ three-band discretization (opposition / undisclosed / defense)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -15,6 +16,13 @@ BAND_DEFENSE = "defense"
 # band boundaries; 0.4 belongs to undisclosed, 0.6 to defense
 LOWER_BOUND = 0.4
 UPPER_BOUND = 0.6
+
+# the Platt fit stops once both gradient components are below TOL
+TOL = 1e-8
+MAX_ITER = 100
+
+# equal-width probability bins of the calibration report and of the ECE
+N_BINS = 10
 
 
 class CalibrationError(Exception):
@@ -45,8 +53,7 @@ def _sigmoid(z):
 
 def fit_platt(confidences: Sequence[float], labels: Sequence[int],
               user_ids: Optional[Sequence[str]] = None,
-              training_user_ids: Optional[set[str]] = None,
-              tol: float = 1e-8, max_iter: int = 100) -> PlattModel:
+              training_user_ids: Optional[set[str]] = None) -> PlattModel:
     """Fit sigmoid(A*s + B) to labels by Newton iteration on cross-entropy.
 
     Targets are smoothed to (N+ + 1)/(N+ + 2) and 1/(N- + 2), which keeps the
@@ -73,12 +80,16 @@ def fit_platt(confidences: Sequence[float], labels: Sequence[int],
     t_neg = 1.0 / (n_neg + 2.0)
     t = np.where(y == 1.0, t_pos, t_neg)
 
+    def objective(p):
+        return float(-np.sum(t * np.log(np.clip(p, 1e-300, 1))
+                             + (1 - t) * np.log(np.clip(1 - p, 1e-300, 1))))
+
     a, b = 0.0, 0.0
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         p = _sigmoid(a * s + b)
         grad_a = float(np.sum((p - t) * s))
         grad_b = float(np.sum(p - t))
-        if max(abs(grad_a), abs(grad_b)) < tol:
+        if max(abs(grad_a), abs(grad_b)) < TOL:
             return PlattModel(slope=a, offset=b)
         w = p * (1.0 - p)
         haa = float(np.sum(w * s * s)) + 1e-12
@@ -90,16 +101,11 @@ def fit_platt(confidences: Sequence[float], labels: Sequence[int],
         da = -(hbb * grad_a - hab * grad_b) / det
         db = -(-hab * grad_a + haa * grad_b) / det
         # halve the step until the objective stops increasing
-        obj = float(-np.sum(t * np.log(np.clip(p, 1e-300, 1))
-                            + (1 - t) * np.log(np.clip(1 - p, 1e-300, 1))))
+        obj = objective(p)
         step = 1.0
         for _half in range(30):
             a_new, b_new = a + step * da, b + step * db
-            p_new = _sigmoid(a_new * s + b_new)
-            obj_new = float(-np.sum(
-                t * np.log(np.clip(p_new, 1e-300, 1))
-                + (1 - t) * np.log(np.clip(1 - p_new, 1e-300, 1))))
-            if obj_new <= obj + 1e-12:
+            if objective(_sigmoid(a_new * s + b_new)) <= obj + 1e-12:
                 a, b = a_new, b_new
                 break
             step *= 0.5
@@ -111,15 +117,16 @@ def fit_platt(confidences: Sequence[float], labels: Sequence[int],
         # numerically flat region; close enough for downstream use
         return PlattModel(slope=a, offset=b)
     raise CalibrationError(
-        f"Platt fit did not converge in {max_iter} iterations "
+        f"Platt fit did not converge in {MAX_ITER} iterations "
         f"(gradient norm {grad:.3g})")
 
 
 def calibrate(model: PlattModel, confidence: float) -> float:
-    """Calibrated probability sigmoid(A*confidence + B), strictly in (0,1)."""
+    """Calibrated probability sigmoid(A*confidence + B), strictly in (0,1),
+    as a Python float."""
     p = float(_sigmoid(model.slope * np.asarray(confidence, dtype=np.float64)
                        + model.offset))
-    return min(max(p, np.nextafter(0.0, 1.0)), np.nextafter(1.0, 0.0))
+    return min(max(p, math.nextafter(0.0, 1.0)), math.nextafter(1.0, 0.0))
 
 
 def calibrate_many(model: PlattModel, confidences: Sequence[float]) -> np.ndarray:
@@ -149,14 +156,14 @@ def score_users(model: PlattModel, user_ids: Sequence[str],
 
 
 def expected_calibration_error(probabilities: Sequence[float],
-                               labels: Sequence[int], n_bins: int = 10) -> float:
+                               labels: Sequence[int]) -> float:
     """Binned ECE: mean |empirical rate - mean predicted| weighted by bin
-    occupancy."""
+    occupancy, over ``N_BINS`` bins."""
     p = np.asarray(probabilities, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
-    bins = np.clip((p * n_bins).astype(int), 0, n_bins - 1)
+    bins = np.clip((p * N_BINS).astype(int), 0, N_BINS - 1)
     ece = 0.0
-    for b in range(n_bins):
+    for b in range(N_BINS):
         mask = bins == b
         if not mask.any():
             continue
@@ -164,19 +171,19 @@ def expected_calibration_error(probabilities: Sequence[float],
     return float(ece)
 
 
-def calibration_table(probabilities: Sequence[float], labels: Sequence[int],
-                      n_bins: int = 10) -> list[tuple[float, float, int]]:
+def calibration_table(probabilities: Sequence[float], labels: Sequence[int]
+                      ) -> list[tuple[float, float, int]]:
     """Per-bin (mean confidence, empirical rate, count) rows for the
-    calibration report."""
+    calibration report, one for each of ``N_BINS`` bins."""
     p = np.asarray(probabilities, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
-    bins = np.clip((p * n_bins).astype(int), 0, n_bins - 1)
+    bins = np.clip((p * N_BINS).astype(int), 0, N_BINS - 1)
     rows = []
-    for b in range(n_bins):
+    for b in range(N_BINS):
         mask = bins == b
         if mask.any():
             rows.append((float(p[mask].mean()), float(y[mask].mean()),
                          int(mask.sum())))
         else:
-            rows.append(((b + 0.5) / n_bins, float("nan"), 0))
+            rows.append(((b + 0.5) / N_BINS, float("nan"), 0))
     return rows

@@ -103,6 +103,17 @@ class InteractionGraph:
         return adj
 
 
+def _user_id(value) -> str:
+    """``value`` as a user id that every stage file can hold: not empty, no
+    whitespace (the train-user list splits on it, a TSV line on tabs and
+    line ends) and no leading ``#`` (a comment line in TSV files)."""
+    uid = str(value)
+    if uid.split() != [uid] or uid.startswith("#"):
+        raise ValueError(f"user id {uid!r} is empty, holds whitespace or "
+                         "starts with '#'")
+    return uid
+
+
 def _parse_post(obj: dict) -> tuple[MicroPost, Optional[UserProfile]]:
     directed = []
     for item in obj.get("directed_at") or []:
@@ -112,7 +123,7 @@ def _parse_post(obj: dict) -> tuple[MicroPost, Optional[UserProfile]]:
         directed.append((str(item["user"]), kind))
     post = MicroPost(
         post_id=str(obj["post_id"]),
-        author_id=str(obj["author_id"]),
+        author_id=_user_id(obj["author_id"]),
         timestamp=int(obj["timestamp"]),
         text=str(obj["text"]),
         retweet_of=(str(obj["retweet_of"]) if obj.get("retweet_of") else None),
@@ -146,7 +157,10 @@ def load_corpus(path, time_range: Optional[tuple[int, int]] = None,
     """Load a line-delimited corpus file.
 
     Posts outside ``time_range`` (half-open ``[start, end)``) are dropped after
-    parsing. Raises :class:`CorpusError` if the file is unreadable or more than
+    parsing. A line is malformed when it does not parse, repeats a post id,
+    has an ``author_id`` that is empty, holds whitespace or starts with
+    ``#``, or has an author whose profile no earlier line embedded.
+    Raises :class:`CorpusError` if the file is unreadable or more than
     10% of non-empty lines are malformed. A ``counts`` dict receives what was
     read and dropped: ``lines_read`` (non-empty lines), ``malformed_lines``,
     ``posts_outside_time_range`` and ``users_outside_time_range``.

@@ -314,11 +314,8 @@ def _build_tree(root: _kernels.ColumnBlocks, g: np.ndarray, h: np.ndarray,
 
 
 def _tree_margin(tree: Tree, X: sparse.csr_array) -> np.ndarray:
-    out = np.zeros(X.shape[0])
-    _kernels.predict_margin(X, tree.feature, tree.threshold, tree.left,
-                            tree.right, tree.value,
-                            np.zeros(1, dtype=np.int64), out)
-    return out
+    return _kernels.predict_margin(X, tree.feature, tree.threshold, tree.left,
+                                   tree.right, tree.value)
 
 
 def _stratified_split(y: np.ndarray, fraction: float,
@@ -337,11 +334,11 @@ def _stratified_split(y: np.ndarray, fraction: float,
 
 
 def train(matrix: MatrixLike, labels: Sequence[int],
-          params: Optional[BoostParams] = None,
-          base_score: float = 0.0) -> BoostedModel:
+          params: Optional[BoostParams] = None) -> BoostedModel:
     """Fit a boosted-tree classifier with early stopping.
 
-    ``labels`` must contain both classes. Training is deterministic given
+    ``labels`` must contain both classes. Margins start at 0.0, the
+    model's ``base_score``. Training is deterministic given
     ``params.rng_seed``. Halts once the validation log-loss has not improved
     for ``early_stopping_rounds`` iterations; the returned model keeps the
     trees up to the best iteration.
@@ -366,8 +363,8 @@ def train(matrix: MatrixLike, labels: Sequence[int],
     X_val, y_val = X[val_idx], y[val_idx]
 
     blocks = _kernels.ColumnBlocks.from_dense(X_tr)
-    margin_tr = np.full(len(y_tr), base_score)
-    margin_val = np.full(len(y_val), base_score)
+    margin_tr = np.zeros(len(y_tr))
+    margin_val = np.zeros(len(y_val))
 
     trees: list[Tree] = []
     best_loss = math.inf
@@ -393,7 +390,7 @@ def train(matrix: MatrixLike, labels: Sequence[int],
             break
 
     kept = trees[:best_iter + 1]
-    return BoostedModel(trees=kept, base_score=base_score, columns=columns,
+    return BoostedModel(trees=kept, base_score=0.0, columns=columns,
                         params=params, stopped_at=len(kept),
                         best_val_loss=best_loss)
 

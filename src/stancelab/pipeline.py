@@ -94,6 +94,13 @@ def _label_set(lines) -> labeling.LabelSet:
     return labels
 
 
+def _platt_line(slope, offset) -> calib.PlattModel:
+    try:
+        return calib.PlattModel(slope=float(slope), offset=float(offset))
+    except calib.CalibrationError as exc:  # non-finite values
+        raise ValueError(exc) from None
+
+
 def _first_platt(models: list) -> calib.PlattModel:
     if not models:
         raise ValueError("no slope and offset line")
@@ -102,8 +109,7 @@ def _first_platt(models: list) -> calib.PlattModel:
 
 _TABLES = {
     "labels.tsv": (_LABELS_HEADER, _label_line, _label_set),
-    "platt.tsv": (_PLATT_HEADER, lambda slope, offset: calib.PlattModel(
-        slope=float(slope), offset=float(offset)), _first_platt),
+    "platt.tsv": (_PLATT_HEADER, _platt_line, _first_platt),
     "turnaround.tsv": (_TURNAROUND_HEADER, lambda u, p0, p1, d: (
         u, float(p0), float(p1), float(d)), list),
 }
@@ -619,7 +625,8 @@ class Pipeline:
 
 
 def _fmt(v) -> str:
-    return repr(v) if isinstance(v, float) else str(v)
+    # a numpy float is a float whose repr names its type
+    return repr(float(v)) if isinstance(v, float) else str(v)
 
 
 def _tsv_line(row) -> str:

@@ -54,6 +54,14 @@ def test_disjointness_enforced():
 def test_calibrate_open_interval():
     m = cal.PlattModel(slope=50.0, offset=0.0)
     assert 0.0 < cal.calibrate(m, -10.0) < cal.calibrate(m, 10.0) < 1.0
+    # sigmoid(44) rounds to 1.0 and sigmoid(-1000) to 0.0: both are clamped,
+    # and the clamped values are Python floats
+    m = cal.PlattModel(slope=60.0, offset=-10.0)
+    with np.errstate(over="ignore"):
+        low = cal.calibrate(m, -16.5)
+    high = cal.calibrate(m, 0.9)
+    assert type(low) is float and low == np.nextafter(0.0, 1.0)
+    assert type(high) is float and high == np.nextafter(1.0, 0.0)
 
 
 def test_band_boundaries():

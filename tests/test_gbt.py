@@ -53,21 +53,17 @@ def _best_split_loop(Xn, gn, hn, reg_lambda, min_child_weight):
     return best_col, best_thr, best_gain
 
 
-def _predict_margin_loop(X, feature, threshold, left, right, value,
-                         tree_start, out):
-    """Reference prediction: walk every row down every tree one at a time."""
-    n = X.shape[0]
-    n_trees = tree_start.shape[0]
-    for t in range(n_trees):
-        root = tree_start[t]
-        for i in range(n):
-            node = root
-            while feature[node] >= 0:
-                if X[i, feature[node]] < threshold[node]:
-                    node = left[node]
-                else:
-                    node = right[node]
-            out[i] += value[node]
+def _predict_margin_loop(X, feature, threshold, left, right, value):
+    """Reference prediction: walk every row down the tree one at a time."""
+    out = np.zeros(X.shape[0])
+    for i in range(X.shape[0]):
+        node = 0
+        while feature[node] >= 0:
+            if X[i, feature[node]] < threshold[node]:
+                node = left[node]
+            else:
+                node = right[node]
+        out[i] = value[node]
     return out
 
 
@@ -113,36 +109,35 @@ def _oracle_instance(rng, kind):
 
 
 def test_split_matches_exhaustive_oracle():
+    # the dense scan and the column-block scan, each against the oracle
     rng = np.random.default_rng(0)
-    vectorized = 0
     for it in range(600):
         X = _oracle_instance(rng, it % 3)
         m = X.shape[0]
-        vectorized += X.size > _kernels.SMALL_NODE_CELLS
         y = rng.integers(0, 2, size=m).astype(float)
         pr = rng.uniform(0.1, 0.9, size=m)
         g, h = pr - y, pr * (1 - pr)
         # up to 4.0, min_child_weight blocks one side of many candidates
         mcw = float(rng.choice([0.0, 0.5, 1.0, 2.0, 4.0]))
-        col, thr, gain = _kernels.best_split(X, g, h, 1.0, mcw)
         best, argmax = exhaustive_best_gain(X, g, h, min_child_weight=mcw)
-        if best <= GAIN_EPS:
-            assert col == -1
-        else:
-            assert abs(gain - best) < 1e-9
-            assert (col, thr) in argmax
-    assert vectorized >= 100  # both the scalar and the vectorized scan ran
+        dense = _kernels.best_split(X, g, h, 1.0, mcw)
+        blocks = _kernels.ColumnBlocks.from_dense(X).best_split(g, h, 1.0, mcw)
+        for col, thr, gain in (dense, blocks):
+            if best <= GAIN_EPS:
+                assert col == -1
+            else:
+                assert abs(gain - best) < 1e-9
+                assert (col, thr) in argmax
+        assert dense[:2] == blocks[:2]
 
 
 def test_numpy_and_loop_kernels_bitwise_equal():
     # the kernel sums a column's zeros as the node total minus its nonzeros,
     # so its gain may differ from the loop's in the last bits only
     rng = np.random.default_rng(7)
-    vectorized = 0
     for _ in range(500):
         m = int(rng.integers(2, 100))
         p = int(rng.integers(1, 10))
-        vectorized += m * p > _kernels.SMALL_NODE_CELLS
         X = rng.poisson(1.0, size=(m, p)).astype(float)
         if p > 1 and rng.random() < 0.5:
             # an exact tie: the earlier column must win
@@ -150,12 +145,12 @@ def test_numpy_and_loop_kernels_bitwise_equal():
         g = rng.normal(size=m)
         h = np.abs(rng.normal(size=m)) + 1e-3
         a = _best_split_loop(X, g, h, 1.0, 1.0)
-        b = _kernels.best_split(X, g, h, 1.0, 1.0)
+        blocks = _kernels.ColumnBlocks.from_dense(X)
+        b = blocks.best_split(g, h, 1.0, 1.0)
         assert a[0] == b[0]
         assert float(a[1]) == float(b[1])
         assert abs(float(a[2]) - float(b[2])) <= 1e-12 * abs(float(a[2]))
-        assert _kernels.best_split(X, g, h, 1.0, 1.0) == b
-    assert vectorized >= 100
+        assert blocks.best_split(g, h, 1.0, 1.0) == b
 
 
 def test_predict_kernels_agree():
@@ -163,30 +158,21 @@ def test_predict_kernels_agree():
     X = rng.normal(size=(40, 6))
     y = (X[:, 0] > 0).astype(int)
     model = gbt.train(X, y, gbt.BoostParams(n_estimators=10))
-    # flatten all trees into one kernel call
-    feats, thrs, lefts, rights, vals, starts = [], [], [], [], [], []
-    off = 0
-    for t in model.trees:
-        starts.append(off)
-        feats.append(t.feature + np.where(t.feature >= 0, 0, 0))
-        thrs.append(t.threshold)
-        lefts.append(np.where(t.left >= 0, t.left + off, -1))
-        rights.append(np.where(t.right >= 0, t.right + off, -1))
-        vals.append(t.value)
-        off += t.n_nodes
-    args = (np.concatenate(feats), np.concatenate(thrs),
-            np.concatenate(lefts), np.concatenate(rights),
-            np.concatenate(vals), np.asarray(starts, dtype=np.int64))
-    out1 = _predict_margin_loop(X, *args, np.zeros(len(X)))
-    out2 = _kernels.predict_margin(X, *args, np.zeros(len(X)))
+    trees = [(t.feature, t.threshold, t.left, t.right, t.value)
+             for t in model.trees]
+
+    def summed(predict, X):
+        return sum(predict(X, *tree) for tree in trees)
+
+    out1 = summed(_predict_margin_loop, X)
+    out2 = summed(_kernels.predict_margin, X)
     assert np.array_equal(out1, out2)
     assert np.allclose(out1 + model.base_score, gbt.predict_margin(model, X))
     # a CSR array reads the same values, absent cells as zero
     X0 = np.where(np.abs(X) < 0.5, 0.0, X)
-    assert np.array_equal(
-        _predict_margin_loop(X0, *args, np.zeros(len(X))),
-        _kernels.predict_margin(sparse.csr_array(X0), *args,
-                                np.zeros(len(X))))
+    assert np.array_equal(summed(_predict_margin_loop, X0),
+                          summed(_kernels.predict_margin,
+                                 sparse.csr_array(X0)))
 
 
 def separable_data(n=200, seed=0):

@@ -146,9 +146,35 @@ def _same_model(a, b):
             for ta, tb in zip(a.trees, b.trees))
 
 
+# user ids that no stage file can hold: the train-user list splits on
+# whitespace, and a TSV line starting with "#" is a comment
+_BAD_USER_IDS = ("", "u 1", "u\t2", "u\r3", "u\u20284", "#u5")
+
+
 def test_held_outputs_equal_what_reading_the_files_gives(demo_corpus,
                                                          tmp_path):
-    pipe = run_all(make_config(demo_corpus, tmp_path / "run"))
+    # each bad id posts what a user of the demo corpus posts, so it would
+    # reach every stage; its lines are malformed
+    with open(demo_corpus, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    posts = [json.loads(line) for line in lines]
+    planted = []
+    for k, (bad, user) in enumerate(zip(
+            _BAD_USER_IDS, sorted({p["author_id"] for p in posts}))):
+        for obj in posts:
+            if obj["author_id"] == user:
+                obj = dict(obj, post_id=f"x{k}{obj['post_id']}",
+                           author_id=bad)
+                if "author" in obj:
+                    obj["author"] = dict(obj["author"], user_id=bad)
+                planted.append(json.dumps(obj) + "\n")
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(lines + planted), encoding="utf-8")
+    pipe = run_all(make_config(str(path), tmp_path / "run"))
+    ingest = json.loads((pipe.out / "manifest.json").read_text())[
+        "stages"]["ingest"]["metrics"]
+    assert ingest["lines_read"] == len(lines) + len(planted)
+    assert ingest["malformed_lines"] == len(planted)
     for name, load in _LOADERS.items():
         held, loaded = pipe._held[name], load(pipe.out / name)
         assert type(held) is type(loaded), name
@@ -364,6 +390,8 @@ _TURNAROUND = "user_id\tp_t0\tp_t1\tdelta"
     ("labels.tsv", _LABELS, "u1\tgender\tmale\trule\t1.0",
      "u2\tshoe_size\t38\trule\t1.0"),
     ("platt.tsv", "slope\toffset", "1.5\t-0.25", "1.5"),
+    ("platt.tsv", "slope\toffset", "1.5\t-0.25", "nan\t0.5"),
+    ("platt.tsv", "slope\toffset", "1.5\t-0.25", "1.5\t-inf"),
     ("turnaround.tsv", _TURNAROUND, "u1\t0.25\t0.5\t0.25", "u2\t0.25\t0.5"),
     ("turnaround.tsv", _TURNAROUND, "u1\t0.25\t0.5\t0.25",
      "u2\t0.25\thalf\t0.25"),
@@ -381,6 +409,16 @@ def test_stage_readers_name_file_and_line(tmp_path, name, header, good, bad):
                     encoding="utf-8")
     with pytest.raises(StageError, match=re.escape(f"{path}:4: ")):
         load()
+
+
+def test_numpy_floats_are_written_as_python_floats(tmp_path):
+    pipe = Pipeline(PipelineConfig(output_dir=str(tmp_path)))
+    top = np.nextafter(1.0, 0.0)
+    pipe._write_tsv("turnaround.tsv", pipeline._TURNAROUND_HEADER,
+                    [("u1", np.float64(0.5), top, top - 0.5)])
+    assert "np.float64" not in (tmp_path / "turnaround.tsv").read_text()
+    assert Pipeline(PipelineConfig(output_dir=str(tmp_path)))._artifact(
+        "turnaround.tsv") == [("u1", 0.5, float(top), float(top - 0.5))]
 
 
 def test_stage_tables_keep_rows_that_start_like_the_header(tmp_path):
