@@ -1,5 +1,5 @@
-"""Hot numeric kernels for the boosted-tree engine: exact split search and
-tree prediction.
+"""Hot numeric kernels for the boosted-tree engine: exact split search, tree
+prediction and the logistic function, which Platt calibration shares.
 
 Training searches splits with the sparsity-aware exact greedy algorithm of
 Chen & Guestrin, "XGBoost", KDD 2016 (Alg. 3 and the column blocks of §4.1),
@@ -240,3 +240,11 @@ def predict_margin(X, feature, threshold, left, right, value):
         go_left = X[idx, feats[active]] < threshold[nodes[active]]
         nodes[idx] = np.where(go_left, left[nodes[active]],
                               right[nodes[active]])
+
+
+def sigmoid(z):
+    """The logistic function ``1 / (1 + exp(-z))``, elementwise. Below about
+    -709, ``exp(-z)`` overflows to inf and the value is 0.0, without a
+    warning."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))

@@ -9,6 +9,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._kernels import sigmoid
+
 BAND_OPPOSITION = "opposition"
 BAND_UNDISCLOSED = "undisclosed"
 BAND_DEFENSE = "defense"
@@ -47,10 +49,6 @@ class StanceScore:
     band: str
 
 
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
-
-
 def fit_platt(confidences: Sequence[float], labels: Sequence[int],
               user_ids: Optional[Sequence[str]] = None,
               training_user_ids: Optional[set[str]] = None) -> PlattModel:
@@ -86,7 +84,7 @@ def fit_platt(confidences: Sequence[float], labels: Sequence[int],
 
     a, b = 0.0, 0.0
     for _ in range(MAX_ITER):
-        p = _sigmoid(a * s + b)
+        p = sigmoid(a * s + b)
         grad_a = float(np.sum((p - t) * s))
         grad_b = float(np.sum(p - t))
         if max(abs(grad_a), abs(grad_b)) < TOL:
@@ -105,13 +103,13 @@ def fit_platt(confidences: Sequence[float], labels: Sequence[int],
         step = 1.0
         for _half in range(30):
             a_new, b_new = a + step * da, b + step * db
-            if objective(_sigmoid(a_new * s + b_new)) <= obj + 1e-12:
+            if objective(sigmoid(a_new * s + b_new)) <= obj + 1e-12:
                 a, b = a_new, b_new
                 break
             step *= 0.5
         else:
             raise CalibrationError("Platt fit line search failed")
-    p = _sigmoid(a * s + b)
+    p = sigmoid(a * s + b)
     grad = max(abs(float(np.sum((p - t) * s))), abs(float(np.sum(p - t))))
     if grad < 1e-6:
         # numerically flat region; close enough for downstream use
@@ -124,7 +122,7 @@ def fit_platt(confidences: Sequence[float], labels: Sequence[int],
 def calibrate(model: PlattModel, confidence: float) -> float:
     """Calibrated probability sigmoid(A*confidence + B), strictly in (0,1),
     as a Python float."""
-    p = float(_sigmoid(model.slope * np.asarray(confidence, dtype=np.float64)
+    p = float(sigmoid(model.slope * np.asarray(confidence, dtype=np.float64)
                        + model.offset))
     return min(max(p, math.nextafter(0.0, 1.0)), math.nextafter(1.0, 0.0))
 
@@ -158,17 +156,13 @@ def score_users(model: PlattModel, user_ids: Sequence[str],
 def expected_calibration_error(probabilities: Sequence[float],
                                labels: Sequence[int]) -> float:
     """Binned ECE: mean |empirical rate - mean predicted| weighted by bin
-    occupancy, over ``N_BINS`` bins."""
-    p = np.asarray(probabilities, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    bins = np.clip((p * N_BINS).astype(int), 0, N_BINS - 1)
+    occupancy, over the bins of :func:`calibration_table`."""
+    n = len(probabilities)
     ece = 0.0
-    for b in range(N_BINS):
-        mask = bins == b
-        if not mask.any():
-            continue
-        ece += mask.mean() * abs(float(y[mask].mean() - p[mask].mean()))
-    return float(ece)
+    for mean, rate, count in calibration_table(probabilities, labels):
+        if count:
+            ece += count / n * abs(rate - mean)
+    return ece
 
 
 def calibration_table(probabilities: Sequence[float], labels: Sequence[int]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import click
 
@@ -19,11 +20,12 @@ from . import calibration, features, gbt, stats, tsv
 from . import corpus as corpus_mod
 from .config import ConfigError, load_config
 from .pipeline import STAGES, Pipeline, StageError, output_lock
+from .synth import SynthError, SynthSpec, generate
 
 # errors that name their cause; the CLI prints each as one line
 _NAMED_ERRORS = (StageError, ConfigError, corpus_mod.CorpusError,
                  tsv.RuleFileError, features.MatrixError, gbt.TrainingError,
-                 calibration.CalibrationError, stats.StatsError)
+                 calibration.CalibrationError, stats.StatsError, SynthError)
 
 
 def _pipeline(config_path: str, seed) -> Pipeline:
@@ -110,7 +112,6 @@ def inspect(corpus_path, terms):
 @click.option("--seed", type=int, default=0)
 def synth(output, n_users, seed):
     """Generate a synthetic two-period corpus with planted effects."""
-    from .synth import SynthSpec, generate
     spec = SynthSpec(
         n_users=n_users,
         rng_seed=seed,
@@ -118,8 +119,10 @@ def synth(output, n_users, seed):
                             "age_cohort": {"18-29": 0.25},
                             "location": {"Chile": -0.15}},
     )
-    corpus, _truth = generate(spec)
-    from pathlib import Path
+    try:
+        corpus, _truth = generate(spec)
+    except SynthError as exc:
+        raise click.ClickException(str(exc))
     Path(output).parent.mkdir(parents=True, exist_ok=True)
     corpus_mod.write_corpus(corpus, output)
     click.echo(f"wrote {corpus.n_posts} posts / {corpus.n_users} users "

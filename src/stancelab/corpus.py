@@ -11,7 +11,7 @@ import json
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import regex
 
@@ -80,11 +80,6 @@ class Corpus:
         """Per post, whether start <= timestamp < end: the one rule that
         every period view of the corpus applies."""
         return [start <= p.timestamp < end for p in self.posts]
-
-    def restrict_period(self, start: int, end: int) -> "Corpus":
-        """Corpus view containing only the posts :meth:`in_period`."""
-        kept = tuple(itertools.compress(self.posts, self.in_period(start, end)))
-        return Corpus(posts=kept, users=dict(self.users), time_range=(start, end))
 
 
 @dataclass(frozen=True)
@@ -276,14 +271,20 @@ def filter_relevant(corpus: Corpus, include_terms: list[str],
     return Corpus(posts=tuple(kept), users=users, time_range=corpus.time_range)
 
 
-def build_interaction_graph(corpus: Corpus) -> InteractionGraph:
+def build_interaction_graph(corpus: Corpus,
+                            posts: Optional[Sequence[bool]] = None
+                            ) -> InteractionGraph:
     """Aggregate retweet/mention/reply/quote interactions between corpus users.
 
-    Targets that are not corpus users are ignored, so the node set is always
-    the corpus user set.
+    Counts all posts, or those selected by the boolean mask ``posts`` (in
+    corpus order, such as :meth:`Corpus.in_period` gives). Targets that are
+    not corpus users are ignored, so the node set is always the corpus user
+    set.
     """
+    selected = (corpus.posts if posts is None
+                else itertools.compress(corpus.posts, posts))
     weights: Counter = Counter()
-    for p in corpus.posts:
+    for p in selected:
         if p.retweet_of and p.retweet_of in corpus.users:
             weights[(p.author_id, p.retweet_of, "retweet")] += 1
         for target, kind in p.directed_at:

@@ -242,10 +242,6 @@ class BoostedModel:
                    best_val_loss=best_val_loss)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-z))
-
-
 def _log_loss(y: np.ndarray, p: np.ndarray) -> float:
     p = np.clip(p, 1e-15, 1 - 1e-15)
     return float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
@@ -370,7 +366,7 @@ def train(matrix: MatrixLike, labels: Sequence[int],
     best_loss = math.inf
     best_iter = -1
     for it in range(params.n_estimators):
-        p = _sigmoid(margin_tr)
+        p = _kernels.sigmoid(margin_tr)
         g = p - y_tr
         h = np.maximum(p * (1.0 - p), 1e-16)
         update = np.zeros(len(y_tr))
@@ -382,7 +378,7 @@ def train(matrix: MatrixLike, labels: Sequence[int],
             best_iter = it
             continue
         margin_val += _tree_margin(tree, X_val)
-        val_loss = _log_loss(y_val, _sigmoid(margin_val))
+        val_loss = _log_loss(y_val, _kernels.sigmoid(margin_val))
         if val_loss < best_loss:
             best_loss = val_loss
             best_iter = it
@@ -438,7 +434,7 @@ def predict_margin(model: BoostedModel, matrix: MatrixLike) -> np.ndarray:
 
 def predict_confidence(model: BoostedModel, matrix: MatrixLike) -> np.ndarray:
     """Per-row confidence: logistic of the additive ensemble score, in (0,1)."""
-    return _sigmoid(predict_margin(model, matrix))
+    return _kernels.sigmoid(predict_margin(model, matrix))
 
 
 def feature_importance(model: BoostedModel) -> list[tuple[str, float]]:

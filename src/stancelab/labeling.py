@@ -15,7 +15,7 @@ import numpy as np
 import regex
 
 from .corpus import UserProfile
-from .textproc import HASHTAG, MENTION, Encoding, Token, encode
+from .textproc import HASHTAG, MENTION, Encoding, Token
 from .tsv import RuleFileError, read_tsv  # noqa: F401 (re-exported)
 
 STANCES = ("defense", "opposition")
@@ -264,15 +264,12 @@ def leakage_columns(ruleset: RuleSet, columns: Iterable[str]) -> set[str]:
     return out
 
 
-def apply_rules(corpus, rules: RuleSet,
-                encoding: Optional[Encoding] = None) -> LabelSet:
+def apply_rules(corpus, rules: RuleSet, encoding: Encoding) -> LabelSet:
     """Run all rule labelers over every corpus user.
 
     Stance seeds are matched against ``encoding``, the corpus's
-    :func:`~stancelab.textproc.encode` (computed when omitted).
+    :func:`~stancelab.textproc.encode`.
     """
-    if encoding is None:
-        encoding = encode(corpus)
     stances = label_stances(corpus, encoding, rules.stance_seeds)
     out = LabelSet()
     for user_id, stance in zip(encoding.users, stances):

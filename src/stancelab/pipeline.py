@@ -413,17 +413,15 @@ class Pipeline:
                    "vocabulary": len(encoding.terms)}
         for name, period in (("full", None), ("p0", cfg.periods[0]),
                              ("p1", cfg.periods[1])):
-            if period is None:
-                sub, posts = corpus, None
-            else:
-                sub = corpus.restrict_period(*period)
-                posts = np.array(corpus.in_period(*period), dtype=bool)
+            posts = None if period is None else np.array(
+                corpus.in_period(*period), dtype=bool)
             tweet = encoding.term_counts(
                 "tweet", cfg.thresholds.tweet_min_count, stop,
                 include_retweets=cfg.include_retweets, posts=posts)
+            graph = corpus_mod.build_interaction_graph(corpus, posts)
             m = features_mod.build_matrix(
-                corpus, tweet, profile, corpus_mod.build_interaction_graph(sub),
-                period=period, min_in_degree=cfg.min_in_degree)
+                corpus, tweet, profile, graph, period=period,
+                min_in_degree=cfg.min_in_degree)
             self._put(f"matrix_{name}.txt", m.save, m)
             metrics[f"nonzeros_{name}"] = int(m.X.nnz)
         return metrics
@@ -440,15 +438,11 @@ class Pipeline:
         train_users = sorted(users[n_cal:])
         return train_users, calib_users
 
-    def _leakage_dropped(self, matrix: features_mod.FeatureMatrix
-                         ) -> features_mod.FeatureMatrix:
-        leaks = labeling.leakage_columns(self._ruleset,
-                                         matrix.column_identifiers())
-        return features_mod.drop_columns(matrix, leaks)
-
     def _stage_train(self) -> dict:
         labels = self._artifact("labels.tsv")
-        matrix = self._leakage_dropped(self._artifact("matrix_full.txt"))
+        full = self._artifact("matrix_full.txt")
+        matrix = features_mod.drop_columns(full, labeling.leakage_columns(
+            self._ruleset, full.column_identifiers()))
         train_users, _calib_users = self._split_stance_labels(labels)
         if not train_users:
             raise StageError("no stance-labeled users to train on")
@@ -517,10 +511,12 @@ class Pipeline:
                             calib.BAND_DEFENSE)])
 
     def _stage_importance(self) -> None:
-        matrix = self._leakage_dropped(self._artifact("matrix_full.txt"))
+        # the model's columns are the full matrix's without the leakage
+        # columns that train dropped
+        full = self._artifact("matrix_full.txt")
         model = self._artifact("model_stance.txt")
         ranked = gbt.feature_importance(model)
-        col_by_id = {c.identifier: c for c in matrix.columns}
+        col_by_id = {c.identifier: c for c in full.columns}
         pairs = [(col_by_id[ident], gain) for ident, gain in ranked
                  if ident in col_by_id]
         try:
@@ -545,20 +541,21 @@ class Pipeline:
         # demographics come from labels.tsv (rule and manual labels only), so
         # that the selection is reproducible from that file
         labels = self._artifact("labels.tsv")
-        a, b = features_mod.align_rows(p0, p1)
-        users = [u for u in a.rows
+        common = sorted(set(p0.rows) & set(p1.rows))
+        users = [u for u in common
                  if labels.get(u, "gender") and labels.get(u, "age_cohort")]
         if not users:
             raise StageError(
                 f"no users overlap both periods with known gender and age "
-                f"(period intersection: {len(a.rows)} users)")
-        ridx = a.row_index()
-        conf0 = gbt.predict_confidence(model, a)
-        conf1 = gbt.predict_confidence(model, b)
+                f"(period intersection: {len(common)} users)")
+        # a row's prediction does not depend on the other rows
+        conf0 = gbt.predict_confidence(model, p0)
+        conf1 = gbt.predict_confidence(model, p1)
+        ridx0, ridx1 = p0.row_index(), p1.row_index()
         out_rows = []
         for u in users:
-            prob0 = calib.calibrate(platt, float(conf0[ridx[u]]))
-            prob1 = calib.calibrate(platt, float(conf1[ridx[u]]))
+            prob0 = calib.calibrate(platt, float(conf0[ridx0[u]]))
+            prob1 = calib.calibrate(platt, float(conf1[ridx1[u]]))
             out_rows.append((u, prob0, prob1, stats.turnaround(prob0, prob1)))
         self._write_tsv("turnaround.tsv", _TURNAROUND_HEADER, out_rows)
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -55,9 +57,11 @@ def test_calibrate_open_interval():
     m = cal.PlattModel(slope=50.0, offset=0.0)
     assert 0.0 < cal.calibrate(m, -10.0) < cal.calibrate(m, 10.0) < 1.0
     # sigmoid(44) rounds to 1.0 and sigmoid(-1000) to 0.0: both are clamped,
-    # and the clamped values are Python floats
+    # and the clamped values are Python floats; exp(1000) overflows to inf
+    # without a warning
     m = cal.PlattModel(slope=60.0, offset=-10.0)
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         low = cal.calibrate(m, -16.5)
     high = cal.calibrate(m, 0.9)
     assert type(low) is float and low == np.nextafter(0.0, 1.0)

@@ -125,6 +125,29 @@ def test_interaction_graph_ignores_external_targets():
     assert set(g.edges) == {("a", "b", "retweet")}
 
 
+def test_interaction_graph_of_a_post_mask():
+    users = {u: cm.UserProfile(user_id=u) for u in ("a", "b", "c")}
+    posts = (
+        cm.MicroPost("p1", "a", 1, "x", retweet_of="b"),
+        cm.MicroPost("p2", "b", 2, "y", directed_at=(("c", "mention"),)),
+        cm.MicroPost("p3", "c", 3, "z", retweet_of="a",
+                     directed_at=(("b", "reply"), ("ghost", "quote"))),
+        cm.MicroPost("p4", "a", 4, "w", retweet_of="b"),
+    )
+    c = cm.Corpus(posts=posts, users=users, time_range=(1, 5))
+    for mask in ([True] * 4, [False] * 4, [True, False, True, True],
+                 c.in_period(2, 4)):
+        kept = tuple(p for p, keep in zip(posts, mask) if keep)
+        want = cm.build_interaction_graph(
+            cm.Corpus(posts=kept, users=users, time_range=(1, 5)))
+        got = cm.build_interaction_graph(c, posts=mask)
+        assert got.nodes == want.nodes == frozenset(users)
+        assert got.edges == want.edges
+    assert cm.build_interaction_graph(c, posts=c.in_period(2, 4)).edges == {
+        ("b", "c", "mention"): 1, ("c", "a", "retweet"): 1,
+        ("c", "b", "reply"): 1}
+
+
 def test_lcc_simple():
     g = _graph([("a", "b"), ("b", "c"), ("x", "y")])
     assert cm.largest_connected_component(g) == {"a", "b", "c"}

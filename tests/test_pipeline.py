@@ -75,7 +75,7 @@ def test_manifest_contents(demo_corpus, tmp_path, monkeypatch):
     monkeypatch.setattr(labeling, "load_ruleset", counted)
     cfg = make_config(demo_corpus, tmp_path / "run")
     pipe = run_all(cfg)
-    assert len(loads) == 1  # label, train and importance share one parse
+    assert len(loads) == 1  # label and train share one parse
     manifest = json.loads((pipe.out / "manifest.json").read_text())
     assert manifest["digest"] == pipe.digest
     assert set(manifest["stages"]) == set(STAGES)
@@ -132,6 +132,17 @@ def test_run_loads_no_stage_output_and_a_stage_loads_each_input_once(
         ("FeatureMatrix", "matrix_p1.txt"): 1,
         ("BoostedModel", "model_stance.txt"): 1,
         ("read_tsv", "platt.tsv"): 1, ("read_tsv", "labels.tsv"): 1}
+
+    # importance reads the model's columns from the full matrix: no rule file
+    calls.clear()
+    monkeypatch.setattr(labeling, "load_ruleset", lambda *args, **kwargs:
+                        pytest.fail("importance parsed the rule files"))
+    Pipeline(make_config(demo_corpus, tmp_path / "run")).run_stage(
+        "importance")
+    assert calls == {
+        ("table", "matrix_full.txt"): 1, ("table", "model_stance.txt"): 1,
+        ("FeatureMatrix", "matrix_full.txt"): 1,
+        ("BoostedModel", "model_stance.txt"): 1}
 
 
 def _same_model(a, b):
@@ -539,6 +550,18 @@ def test_cli_prints_rule_file_error_as_one_line(demo_corpus, tmp_path):
     assert isinstance(done.exception, SystemExit)  # not an uncaught error
     assert f"Error: {gazetteer}:2: " in done.output
     assert "Traceback" not in done.output
+
+
+def test_cli_prints_synth_error_as_one_line(tmp_path):
+    from click.testing import CliRunner
+    from stancelab import cli
+
+    out = tmp_path / "corpus.jsonl"
+    done = CliRunner().invoke(cli.main, ["synth", str(out), "--n-users", "0"])
+    assert done.exit_code == 1
+    assert isinstance(done.exception, SystemExit)  # not an uncaught error
+    assert done.output == "Error: n_users must be positive\n"
+    assert not out.exists()
 
 
 def _cli_error(config_text, tmp_path):
