@@ -18,11 +18,11 @@ import click
 
 from . import calibration, features, gbt, stats, tsv
 from . import corpus as corpus_mod
-from .config import ConfigError, load_config
+from .config import ConfigError, check_seed, load_config
 from .pipeline import STAGES, Pipeline, StageError, output_lock
 from .synth import SynthError, SynthSpec, generate
 
-# errors that name their cause; the CLI prints each as one line
+# errors that name their cause; _Main prints each as one `Error:` line
 _NAMED_ERRORS = (StageError, ConfigError, corpus_mod.CorpusError,
                  tsv.RuleFileError, features.MatrixError, gbt.TrainingError,
                  calibration.CalibrationError, stats.StatsError, SynthError)
@@ -31,12 +31,20 @@ _NAMED_ERRORS = (StageError, ConfigError, corpus_mod.CorpusError,
 def _pipeline(config_path: str, seed) -> Pipeline:
     cfg = load_config(config_path)
     if seed is not None:
-        cfg.rng_seed = seed
+        cfg.rng_seed = check_seed("--seed", seed)
         cfg.boost = replace(cfg.boost, rng_seed=seed)
     return Pipeline(cfg)
 
 
-@click.group()
+class _Main(click.Group):
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except _NAMED_ERRORS as exc:
+            raise click.ClickException(str(exc)) from None
+
+
+@click.group(cls=_Main)
 @click.version_option(version="0.1.0", prog_name="stancelab")
 def main():
     """Stance measurement and turnaround analysis for micro-blogging data."""
@@ -52,13 +60,10 @@ def main():
               help="Skip the stage if its outputs match the current config.")
 def stage(stage, config_path, seed, skip_fresh):
     """Run one pipeline STAGE."""
-    try:
-        pipe = _pipeline(config_path, seed)
-        with output_lock(pipe.out):
-            pipe.run_stage(stage, skip_fresh=skip_fresh)
-    except _NAMED_ERRORS as exc:
-        raise click.ClickException(str(exc))
-    click.echo(f"{stage}: done ({pipe.out})")
+    pipe = _pipeline(config_path, seed)
+    with output_lock(pipe.out):
+        ran = pipe.run_stage(stage, skip_fresh=skip_fresh)
+    click.echo(f"{stage}: {'done' if ran else 'fresh, skipped'} ({pipe.out})")
 
 
 @main.command()
@@ -70,17 +75,11 @@ def stage(stage, config_path, seed, skip_fresh):
               help="Skip stages whose outputs match the current config.")
 def run(config_path, seed, skip_fresh):
     """Run every pipeline stage in order."""
-    try:
-        pipe = _pipeline(config_path, seed)
-        with output_lock(pipe.out):
-            for s in STAGES:
-                if skip_fresh and pipe._is_fresh(s):
-                    click.echo(f"{s}: fresh, skipped")
-                    continue
-                pipe.run_stage(s)
-                click.echo(f"{s}: done")
-    except _NAMED_ERRORS as exc:
-        raise click.ClickException(str(exc))
+    pipe = _pipeline(config_path, seed)
+    with output_lock(pipe.out):
+        for s in STAGES:
+            ran = pipe.run_stage(s, skip_fresh=skip_fresh)
+            click.echo(f"{s}: {'done' if ran else 'fresh, skipped'}")
     click.echo(f"all stages complete ({pipe.out})")
 
 
@@ -90,10 +89,7 @@ def run(config_path, seed, skip_fresh):
               help="Comma-separated relevance terms.")
 def inspect(corpus_path, terms):
     """Print corpus summary statistics without running the pipeline."""
-    try:
-        corpus = corpus_mod.load_corpus(corpus_path)
-    except corpus_mod.CorpusError as exc:
-        raise click.ClickException(str(exc))
+    corpus = corpus_mod.load_corpus(corpus_path)
     click.echo(f"posts: {corpus.n_posts}")
     click.echo(f"users: {corpus.n_users}")
     term_list = [t.strip() for t in terms.split(",") if t.strip()]
@@ -119,10 +115,7 @@ def synth(output, n_users, seed):
                             "age_cohort": {"18-29": 0.25},
                             "location": {"Chile": -0.15}},
     )
-    try:
-        corpus, _truth = generate(spec)
-    except SynthError as exc:
-        raise click.ClickException(str(exc))
+    corpus, _truth = generate(spec)
     Path(output).parent.mkdir(parents=True, exist_ok=True)
     corpus_mod.write_corpus(corpus, output)
     click.echo(f"wrote {corpus.n_posts} posts / {corpus.n_users} users "

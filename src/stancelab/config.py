@@ -23,6 +23,14 @@ class ConfigError(Exception):
     pass
 
 
+def check_seed(key: str, value) -> int:
+    """``value`` if it is an int >= 0 (not a bool), else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ConfigError(f"{key} must be a non-negative integer, "
+                          f"got {value!r}")
+    return value
+
+
 def default_rule_path(name: str) -> str:
     return str(resources.files("stancelab").joinpath("rules", name))
 
@@ -173,6 +181,8 @@ def config_from_dict(raw: dict, base_dir: Path = Path(".")) -> PipelineConfig:
                 "reference_year", "include_retweets", "rng_seed"):
         if key in raw:
             setattr(cfg, key, raw[key])
+    check_seed("rng_seed", cfg.rng_seed)
+    check_seed("boost.rng_seed", cfg.boost.rng_seed)
     if "periods" in raw:
         periods = raw["periods"]
         if len(periods) != 2:

@@ -5,7 +5,8 @@ appends an entry to ``manifest.json``. Report files start with a ``# manifest
 <digest>`` line tying them to the config and inputs that produced them. A
 stage gets each output of an earlier stage through :meth:`Pipeline._artifact`:
 the object the same pipeline published, which is what reading the file back
-gives, or else the file, loaded once.
+gives, or else the file, loaded once. A missing file is a :class:`StageError`
+naming the stage that writes it.
 """
 
 from __future__ import annotations
@@ -51,20 +52,6 @@ _STAGE_OUTPUTS = {
     "turnaround": ("turnaround.tsv",),
     "regress": ("regression.tsv",),
     "report": ("summary.txt",),
-}
-
-_STAGE_NEEDS = {
-    "ingest": (),
-    "label": ("ingest",),
-    "featurize": ("ingest",),
-    "train": ("label", "featurize"),
-    "calibrate": ("train",),
-    "predict": ("calibrate",),
-    "importance": ("train",),
-    "turnaround": ("predict",),
-    "regress": ("turnaround",),
-    "report": ("ingest", "train", "calibrate", "predict", "importance",
-               "turnaround", "regress"),
 }
 
 
@@ -259,14 +246,6 @@ class Pipeline:
             return False
         return all((self.out / f).exists() for f in _STAGE_OUTPUTS[stage])
 
-    def _require(self, stage: str) -> None:
-        for dep in _STAGE_NEEDS[stage]:
-            missing = [f for f in _STAGE_OUTPUTS[dep]
-                       if not (self.out / f).exists()]
-            if missing:
-                raise StageError(f"missing stage: {dep} "
-                                 f"(expected outputs: {', '.join(missing)})")
-
     def _report_header(self) -> str:
         return f"# manifest {self.digest}\n"
 
@@ -286,15 +265,16 @@ class Pipeline:
 
     # -- stage dispatch ------------------------------------------------------
 
-    def run_stage(self, stage: str, skip_fresh: bool = False) -> None:
+    def run_stage(self, stage: str, skip_fresh: bool = False) -> bool:
+        """Run ``stage`` unless ``skip_fresh`` and it is fresh; True if run."""
         if stage not in STAGES:
             raise StageError(f"unknown stage {stage!r}")
-        self._require(stage)
         if skip_fresh and self._is_fresh(stage):
-            return
+            return False
         started = time.monotonic()
         metrics = getattr(self, f"_stage_{stage}")()
         self._record(stage, time.monotonic() - started, metrics or {})
+        return True
 
     def run_all(self, skip_fresh: bool = False) -> None:
         with output_lock(self.out):
@@ -316,8 +296,19 @@ class Pipeline:
         this pipeline published or loaded before, else the file, loaded once
         (see ``_LOADERS``)."""
         if name not in self._held:
-            self._held[name] = _LOADERS[name](self.out / name)
+            self._held[name] = _LOADERS[name](self._stage_file(name))
         return self._held[name]
+
+    def _stage_file(self, name: str) -> Path:
+        """The path of the stage output ``name``; if there is no such file,
+        :class:`StageError` names the stage that writes it."""
+        path = self.out / name
+        if not path.is_file():
+            stage = next(s for s, names in _STAGE_OUTPUTS.items()
+                         if name in names)
+            raise StageError(f"missing stage: {stage} "
+                             f"(expected outputs: {name})")
+        return path
 
     @functools.cached_property
     def _ruleset(self) -> labeling.RuleSet:
@@ -574,12 +565,17 @@ class Pipeline:
         for u, p0, _p1, delta in turn:
             prof = corpus.users.get(u)
             if prof is None:
-                continue
+                raise StageError(f"turnaround user {u!r} is not in "
+                                 f"{self.out / 'corpus.jsonl'}")
+            gender, age = labels.get(u, "gender"), labels.get(u, "age_cohort")
+            if not (gender and age):
+                raise StageError(f"turnaround user {u!r} has no gender or "
+                                 f"age_cohort in {self.out / 'labels.tsv'}")
             age_days = max((t0_start - prof.account_created) / 86400.0, 0.0)
             location = labels.get(u, "location")
             rec = {
-                "gender": labels.get(u, "gender").value,
-                "age_cohort": labels.get(u, "age_cohort").value,
+                "gender": gender.value,
+                "age_cohort": age.value,
                 "country": location.value if location else "unknown",
                 "followers": prof.n_followers,
                 "friends": prof.n_friends,
@@ -600,7 +596,7 @@ class Pipeline:
             ("uses_defense_emoji", "numeric"),
             ("uses_opposition_emoji", "numeric"))]
         covariates = _drop_constant(records, covariates)
-        covariates, dropped = _drop_collinear(records, covariates)
+        covariates, dropped = stats.drop_collinear(records, covariates)
         result = stats.ols_regress(records, response, covariates)
         before = [f"# n={result.n} adjusted_r2={_fmt(result.adjusted_r2)} "
                   f"mse={_fmt(result.mse)} f={_fmt(result.f_statistic)} "
@@ -614,10 +610,9 @@ class Pipeline:
                          "ci_high"), result.to_rows(), before=before)
 
     def _stage_report(self) -> None:
-        # every report file exists: run_stage required report's needs
         lines = [self._report_header(), f"{VERSION}\n",
                  f"output directory: {self.out}\n", "report files:\n",
-                 *(f"  {f}\n" for f in REPORT_FILES)]
+                 *(f"  {self._stage_file(f).name}\n" for f in REPORT_FILES)]
         _publish(self.out / "summary.txt", _writes("".join(lines)))
 
 
@@ -636,38 +631,6 @@ def _users_with(matrix: features_mod.FeatureMatrix, ident: str) -> set[str]:
     if j is None:
         return set()
     return {matrix.rows[i] for i in matrix.X[:, [j]].nonzero()[0]}
-
-
-def _owns(cov, design_name) -> bool:
-    if cov.kind == "categorical":
-        return design_name.startswith(cov.name + "[")
-    if cov.kind == "count":
-        return design_name == f"log1p_{cov.name}"
-    return design_name == cov.name
-
-
-def _drop_collinear(records, covariates):
-    """Prune covariates until the design matrix has full rank.
-
-    Exact linear dependence does occur in practice (an indicator that
-    coincides with a stance band on the accepted subsample, say); later
-    covariates are sacrificed so the core demographics stay in the model.
-    Returns (kept covariates, dropped design-column names).
-    """
-    covs = list(covariates)
-    dropped: list[str] = []
-    while covs:
-        X, names, _ = stats._design_matrix(records, covs)
-        diag = np.abs(np.diag(np.linalg.qr(X, mode="r")))
-        tol = max(X.shape) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
-        bad = [names[i] for i in range(len(names)) if diag[i] <= tol]
-        if not bad:
-            break
-        name = bad[-1]
-        owner = next(c for c in covs if _owns(c, name))
-        covs.remove(owner)
-        dropped.append(name)
-    return covs, dropped
 
 
 def _drop_constant(records, covariates):

@@ -191,12 +191,17 @@ class RegressionResult:
 
 def _design_matrix(records: Sequence[Mapping[str, object]],
                    covariates: Sequence[Covariate]
-                   ) -> tuple[np.ndarray, list[str], dict[str, str]]:
+                   ) -> tuple[np.ndarray, list[str], list[Optional[Covariate]],
+                              dict[str, str]]:
+    """The design matrix, each column's name and covariate (None for the
+    intercept), and each categorical covariate's reference level."""
     n = len(records)
     cols: list[np.ndarray] = [np.ones(n)]
     names = ["intercept"]
+    owners: list[Optional[Covariate]] = [None]
     dummy_map: dict[str, str] = {}
     for cov in covariates:
+        start = len(names)
         values = [rec[cov.name] for rec in records]
         if cov.kind == "categorical":
             levels = [str(v) for v in values]
@@ -222,7 +227,35 @@ def _design_matrix(records: Sequence[Mapping[str, object]],
         else:
             cols.append(np.asarray(values, dtype=np.float64))
             names.append(cov.name)
-    return np.column_stack(cols), names, dummy_map
+        owners += [cov] * (len(names) - start)
+    return np.column_stack(cols), names, owners, dummy_map
+
+
+def _qr(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The QR factors of ``X`` and its columns that depend linearly on the
+    ones before: ``|R[i, i]|`` at most ``max(n, p) * eps`` times the top."""
+    q_mat, r_mat = np.linalg.qr(X)
+    diag = np.abs(np.diag(r_mat))
+    top = diag.max() if diag.size else 0.0
+    tol = max(X.shape) * np.finfo(float).eps * top
+    return q_mat, r_mat, [i for i in range(diag.size) if diag[i] <= tol]
+
+
+def drop_collinear(records: Sequence[Mapping[str, object]],
+                   covariates: Sequence[Covariate]):
+    """Prune covariates, the last first, until the design matrix has full
+    rank (an indicator may coincide with a stance band, say), so the core
+    demographics stay. Returns (kept covariates, dropped column names)."""
+    covs = list(covariates)
+    dropped: list[str] = []
+    while covs:
+        X, names, owners, _ = _design_matrix(records, covs)
+        bad = _qr(X)[2]
+        if not bad:
+            break
+        covs.remove(owners[bad[-1]])
+        dropped.append(names[bad[-1]])
+    return covs, dropped
 
 
 def ols_regress(records: Sequence[Mapping[str, object]],
@@ -236,18 +269,15 @@ def ols_regress(records: Sequence[Mapping[str, object]],
     """
     from scipy import stats as sps
     y = np.asarray(response, dtype=np.float64)
-    X, names, dummy_map = _design_matrix(records, covariates)
+    X, names, _owners, dummy_map = _design_matrix(records, covariates)
     n, p = X.shape
     if n <= p:
         raise StatsError(f"need more rows ({n}) than coefficients ({p})")
 
-    q_mat, r_mat = np.linalg.qr(X)
-    diag = np.abs(np.diag(r_mat))
-    tol = max(n, p) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
-    bad = [names[i] for i in range(p) if diag[i] <= tol]
+    q_mat, r_mat, bad = _qr(X)
     if bad:
         raise StatsError(f"design matrix is rank deficient; collinear "
-                         f"columns: {', '.join(bad)}")
+                         f"columns: {', '.join(names[i] for i in bad)}")
     beta = np.linalg.solve(r_mat, q_mat.T @ y)
 
     resid = y - X @ beta

@@ -77,6 +77,8 @@ class SynthSpec:
                 raise SynthError("rates must be in [0, 1]")
         if self.p0_mode not in ("stance", "mid"):
             raise SynthError(f"unknown p0_mode {self.p0_mode!r}")
+        if self.rng_seed < 0:
+            raise SynthError("rng_seed must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -535,6 +536,182 @@ def test_editing_manual_labels_makes_label_stale(demo_corpus, tmp_path):
     assert not Pipeline(cfg)._is_fresh("label")
 
 
+def _config_file(corpus_path, out, path):
+    """Write the config of ``make_config`` (seed 11) to ``path``, with
+    ``out`` as its output directory; returns the path as a string."""
+    path.write_text(
+        f"corpus: {corpus_path}\noutput_dir: {out}\n"
+        "thresholds: {tweet_min_count: 5, bio_min_count: 2}\n"
+        "boost: {n_estimators: 40, early_stopping_rounds: 8}\n"
+        "min_in_degree: 2\nrng_seed: 11\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def finished(demo_corpus, tmp_path_factory):
+    """The output directory of a finished run of all ten stages."""
+    out = tmp_path_factory.mktemp("finished") / "out"
+    run_all(make_config(demo_corpus, out))
+    return out
+
+
+def _copy_of(finished, tmp_path, name="out"):
+    """A copy of the finished run's output directory."""
+    shutil.copytree(finished, tmp_path / name)
+    return tmp_path / name
+
+
+def test_each_stage_publishes_its_declared_outputs(demo_corpus, tmp_path,
+                                                   monkeypatch):
+    published = []
+    publish = pipeline._publish
+
+    def recorded(path, write):
+        published.append(path.name)
+        return publish(path, write)
+
+    monkeypatch.setattr(pipeline, "_publish", recorded)
+    pipe = Pipeline(make_config(demo_corpus, tmp_path / "run"))
+    with output_lock(pipe.out):
+        for stage in STAGES:
+            published.clear()
+            pipe.run_stage(stage)
+            assert published[-1] == "manifest.json", stage
+            assert sorted(published[:-1]) == sorted(_STAGE_OUTPUTS[stage]), \
+                stage
+    assert sorted(p.name for p in pipe.out.iterdir()) == sorted(
+        [".lock", "manifest.json",
+         *(name for names in _STAGE_OUTPUTS.values() for name in names)])
+
+
+def test_a_missing_stage_input_is_one_error_naming_its_stage(
+        demo_corpus, finished, tmp_path, monkeypatch):
+    from click.testing import CliRunner
+    from stancelab import cli
+
+    # the stage files each stage reads, found by running it alone
+    calls = _count_loads(monkeypatch)
+    reads = []
+    for stage in STAGES[:-1]:
+        out = _copy_of(finished, tmp_path, stage)
+        calls.clear()
+        Pipeline(make_config(demo_corpus, out)).run_stage(stage)
+        reads += [(stage, name) for key, name in calls if key == "table"]
+    assert len(reads) == 22
+    # report checks the report files that summary.txt lists
+    listed = (finished / "summary.txt").read_text().split(
+        "report files:\n")[1].split()
+    assert len(listed) == 8
+    reads += [("report", name) for name in listed]
+
+    for stage, name in reads:
+        out = _copy_of(finished, tmp_path, f"{stage}-{name}")
+        config = _config_file(demo_corpus, out, tmp_path / f"{out.name}.yaml")
+        (out / name).unlink()
+        outputs = {f: (out / f).read_bytes() for f in _STAGE_OUTPUTS[stage]}
+        entry = json.loads((out / "manifest.json").read_text())[
+            "stages"][stage]
+        done = CliRunner().invoke(cli.main,
+                                  ["stage", stage, "--config", config])
+        producer = next(s for s, names in _STAGE_OUTPUTS.items()
+                        if name in names)
+        assert done.exit_code == 1, (stage, name, done.output)
+        assert isinstance(done.exception, SystemExit), (stage, name)
+        assert done.output == (f"Error: missing stage: {producer} "
+                               f"(expected outputs: {name})\n"), (stage, name)
+        assert outputs == {f: (out / f).read_bytes()
+                           for f in _STAGE_OUTPUTS[stage]}, (stage, name)
+        assert entry == json.loads((out / "manifest.json").read_text())[
+            "stages"][stage], (stage, name)
+
+
+def _turnaround_user(out):
+    return (out / "turnaround.tsv").read_text().splitlines()[2].split("\t")[0]
+
+
+@pytest.mark.parametrize("name, cut, missing", [
+    ("corpus.jsonl", lambda line, u: json.loads(line)["author_id"] == u,
+     "is not in"),
+    ("labels.tsv", lambda line, u: line.startswith(f"{u}\tgender\t"),
+     "has no gender or age_cohort in"),
+], ids=["corpus", "labels"])
+def test_regress_names_a_turnaround_user_it_cannot_describe(
+        demo_corpus, finished, tmp_path, name, cut, missing):
+    out = _copy_of(finished, tmp_path)
+    user = _turnaround_user(out)
+    lines = (out / name).read_text(encoding="utf-8").splitlines(True)
+    kept = [line for line in lines if not cut(line, user)]
+    assert len(kept) < len(lines)
+    (out / name).write_text("".join(kept), encoding="utf-8")
+    with pytest.raises(StageError, match=re.escape(
+            f"turnaround user {user!r} {missing} {out / name}")):
+        Pipeline(make_config(demo_corpus, out)).run_stage("regress")
+
+
+@pytest.mark.parametrize("args, config, error", [
+    (["run", "--seed", "-1"], "", "--seed"),
+    (["stage", "ingest", "--seed", "-1"], "", "--seed"),
+    (["run"], "rng_seed: -1\n", "rng_seed"),
+    (["run"], "boost: {rng_seed: -1}\n", "boost.rng_seed"),
+    (["synth", "--seed", "-1"], None, "rng_seed"),
+], ids=["run --seed", "stage --seed", "rng_seed", "boost.rng_seed",
+        "synth --seed"])
+def test_cli_rejects_a_negative_seed_before_writing(demo_corpus, tmp_path,
+                                                    args, config, error):
+    from click.testing import CliRunner
+    from stancelab import cli
+
+    out = tmp_path / "out"
+    if config is None:  # synth writes a corpus file
+        args = [args[0], str(out / "corpus.jsonl"), *args[1:]]
+        error = "Error: rng_seed must be non-negative\n"
+    else:
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text(f"corpus: {demo_corpus}\noutput_dir: {out}\n"
+                               + config, encoding="utf-8")
+        args = [*args, "--config", str(config_path)]
+        error = f"Error: {error} must be a non-negative integer, got -1\n"
+    done = CliRunner().invoke(cli.main, args)
+    assert done.exit_code == 1
+    assert isinstance(done.exception, SystemExit)  # not an uncaught error
+    assert done.output == error
+    assert not out.exists()
+
+
+def test_cli_inspect_prints_the_corpus_summary(demo_corpus):
+    from click.testing import CliRunner
+    from stancelab import cli
+
+    done = CliRunner().invoke(cli.main, ["inspect", demo_corpus])
+    assert done.exit_code == 0, done.output
+    corpus = cm.load_corpus(demo_corpus)
+    graph = cm.build_interaction_graph(corpus)
+    assert done.output.splitlines() == [
+        f"posts: {corpus.n_posts}",
+        f"users: {corpus.n_users}",
+        f"relevant posts: {cm.filter_relevant(corpus, ['aborto']).n_posts}",
+        f"interaction edges: {len(graph.edges)}",
+        f"largest component: "
+        f"{len(cm.largest_connected_component(graph))} users"]
+
+
+def test_cli_inspect_names_a_corpus_with_too_many_malformed_lines(
+        demo_corpus, tmp_path):
+    from click.testing import CliRunner
+    from stancelab import cli
+
+    lines = open(demo_corpus, encoding="utf-8").readlines()
+    broken = len(lines) // 9 + 1  # more than 10% of all lines
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(lines) + "{broken\n" * broken, encoding="utf-8")
+    done = CliRunner().invoke(cli.main, ["inspect", str(path)])
+    assert done.exit_code == 1
+    assert isinstance(done.exception, SystemExit)  # not an uncaught error
+    assert done.output.startswith(
+        f"Error: {broken}/{len(lines) + broken} malformed lines in {path} ")
+    assert len(done.output.splitlines()) == 1
+
+
 def test_cli_prints_rule_file_error_as_one_line(demo_corpus, tmp_path):
     from click.testing import CliRunner
     from stancelab import cli
@@ -788,22 +965,6 @@ def test_report_files_well_formed(demo_corpus, tmp_path):
     for line in (pipe.out / "turnaround.tsv").read_text().splitlines()[2:]:
         _u, p0, p1, d = line.split("\t")
         assert abs((float(p1) - float(p0)) - float(d)) < 1e-12
-
-
-def test_drop_collinear_prunes_duplicate_indicator():
-    from stancelab.pipeline import _drop_collinear
-    from stancelab.stats import Covariate
-    rng = __import__("numpy").random.default_rng(0)
-    records = []
-    for _ in range(60):
-        g = "male" if rng.random() < 0.5 else "female"
-        records.append({"gender": g, "x": float(rng.normal()),
-                        "dup": 1.0 if g == "male" else 0.0})
-    covs = [Covariate("gender", "categorical"), Covariate("x", "numeric"),
-            Covariate("dup", "numeric")]
-    kept, dropped = _drop_collinear(records, covs)
-    assert dropped == ["dup"]
-    assert [c.name for c in kept] == ["gender", "x"]
 
 
 def test_config_yaml_round_trip(tmp_path):

@@ -277,3 +277,30 @@ def test_ols_count_covariate_rejects_negative():
     with pytest.raises(stats.StatsError):
         stats.ols_regress([{"c": -1}] * 5, [0.0] * 5,
                           [stats.Covariate("c", "count")])
+
+
+def test_drop_collinear_prunes_duplicate_indicator():
+    rng = np.random.default_rng(0)
+    records = []
+    for _ in range(60):
+        g = "male" if rng.random() < 0.5 else "female"
+        records.append({"gender": g, "x": float(rng.normal()),
+                        "dup": 1.0 if g == "male" else 0.0})
+    covs = [stats.Covariate("gender", "categorical"),
+            stats.Covariate("x", "numeric"), stats.Covariate("dup", "numeric")]
+    kept, dropped = stats.drop_collinear(records, covs)
+    assert dropped == ["dup"]
+    assert [c.name for c in kept] == ["gender", "x"]
+
+
+def test_drop_collinear_with_fewer_rows_than_columns():
+    # R has fewer diagonal entries than the design has columns: the rows,
+    # not an index past them, stop the fit
+    records = [{"c": "a", "x": 1.0}, {"c": "b", "x": 2.0},
+               {"c": "c", "x": 0.5}]
+    covs = [stats.Covariate("c", "categorical"),
+            stats.Covariate("x", "numeric")]
+    kept, dropped = stats.drop_collinear(records, covs)
+    assert (kept, dropped) == (covs, [])
+    with pytest.raises(stats.StatsError, match="need more rows"):
+        stats.ols_regress(records, [0.1, 0.2, 0.3], kept)
