@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from importlib import resources
@@ -23,24 +24,72 @@ class ConfigError(Exception):
     pass
 
 
+_COUNT = (int, lambda v: v >= 0, "a non-negative integer")
+_POSITIVE_COUNT = (int, lambda v: v >= 1, "a positive integer")
+_FRACTION = (float, lambda v: 0 < v < 1, "a number in (0, 1)")
+_SIZE = (float, lambda v: v >= 0, "a non-negative number")
+
+# every scalar config value, by key: its type, the test its value must pass
+# and what that asks for. A bool is not an int; an int is a float, and a
+# float must be finite. The seeds' entry also checks the --seed option.
+SCALARS = {
+    "corpus": (str, None, "a path"),
+    "output_dir": (str, None, "a path"),
+    "alpha0": (float, lambda v: v > 0, "a positive number"),
+    "calibration_fraction": _FRACTION,
+    "min_in_degree": _COUNT,
+    "reference_year": (int, None, "an integer"),
+    "include_retweets": (bool, None, "true or false"),
+    "rng_seed": _COUNT,
+    "thresholds.tweet_min_count": _COUNT,
+    "thresholds.bio_min_count": _COUNT,
+    "boost.n_estimators": _POSITIVE_COUNT,
+    "boost.learning_rate": (float, lambda v: v > 0, "a positive number"),
+    "boost.max_delta_step": _SIZE,
+    "boost.max_depth": _POSITIVE_COUNT,
+    "boost.validation_fraction": _FRACTION,
+    "boost.early_stopping_rounds": _POSITIVE_COUNT,
+    "boost.reg_lambda": _SIZE,
+    "boost.min_child_weight": _SIZE,
+    "boost.rng_seed": _COUNT,
+}
+
+
+def check_value(key: str, value, spec=None):
+    """``value`` if it is what ``SCALARS[key]`` (or ``spec``) asks for, else
+    ConfigError naming the key."""
+    kind, test, what = spec or SCALARS[key]
+    if kind is float:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and math.isfinite(value))
+    else:
+        ok = isinstance(value, kind) and (kind is bool
+                                          or not isinstance(value, bool))
+    if not ok or (test is not None and not test(value)):
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    return value
+
+
 def check_seed(key: str, value) -> int:
     """``value`` if it is an int >= 0 (not a bool), else ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ConfigError(f"{key} must be a non-negative integer, "
-                          f"got {value!r}")
-    return value
+    return check_value(key, value, SCALARS["rng_seed"])
 
 
 def default_rule_path(name: str) -> str:
     return str(resources.files("stancelab").joinpath("rules", name))
 
 
-def parse_date(value) -> int:
-    """ISO date (or integer epoch seconds) to UTC epoch seconds."""
-    if isinstance(value, int):
+def parse_date(value, key: str = "date") -> int:
+    """ISO date (or integer epoch seconds) to UTC epoch seconds; anything
+    else is a ConfigError naming ``key``."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
-    dt = datetime.strptime(str(value), "%Y-%m-%d").replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
+    try:
+        dt = datetime.strptime(str(value), "%Y-%m-%d")
+    except ValueError:
+        raise ConfigError(f"{key} must be a YYYY-MM-DD date, "
+                          f"got {value!r}") from None
+    return int(dt.replace(tzinfo=timezone.utc).timestamp())
 
 
 @dataclass
@@ -145,49 +194,66 @@ def _known(section: Optional[str], value, allowed) -> dict:
     return value
 
 
+def _strings(key: str, value) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str)
+                                              for v in value):
+        raise ConfigError(f"{key} must be a list of strings, got {value!r}")
+    return list(value)
+
+
 def config_from_dict(raw: dict, base_dir: Path = Path(".")) -> PipelineConfig:
-    """Build a config from parsed YAML. Unknown keys raise ConfigError."""
+    """Build a config from parsed YAML. Unknown keys and values that
+    ``SCALARS`` refuses raise ConfigError naming the key."""
     raw = _known(None, raw, _TOP_LEVEL_KEYS)
     cfg = PipelineConfig()
-    if "corpus" in raw:
-        cfg.corpus = _resolve(base_dir, raw["corpus"]) or ""
-    if "output_dir" in raw:
-        cfg.output_dir = _resolve(base_dir, raw["output_dir"]) or "out"
+    if raw.get("corpus") is not None:
+        cfg.corpus = _resolve(base_dir, check_value("corpus", raw["corpus"]))
+    if raw.get("output_dir") is not None:
+        cfg.output_dir = _resolve(base_dir, check_value("output_dir",
+                                                        raw["output_dir"]))
     rules = _known("rules", raw.get("rules"),
                    [f.name for f in fields(RulePaths)])
     for key, value in rules.items():
+        if value is not None:
+            check_value(f"rules.{key}", value, SCALARS["corpus"])
         if value:
             setattr(cfg.rules, key, _resolve(base_dir, value))
     flt = _known("filter", raw.get("filter"), _FILTER_KEYS)
     if "include_terms" in flt:
-        cfg.include_terms = list(flt["include_terms"])
+        cfg.include_terms = _strings("filter.include_terms",
+                                     flt["include_terms"])
     if "exclude_patterns" in flt:
-        cfg.exclude_patterns = list(flt["exclude_patterns"])
+        cfg.exclude_patterns = _strings("filter.exclude_patterns",
+                                        flt["exclude_patterns"])
     if flt.get("from"):
-        cfg.time_from = parse_date(flt["from"])
+        cfg.time_from = parse_date(flt["from"], "filter.from")
     if flt.get("to"):
-        cfg.time_to = parse_date(flt["to"])
-    thr = _known("thresholds", raw.get("thresholds"),
-                 [f.name for f in fields(Thresholds)])
-    cfg.thresholds = Thresholds(**{**asdict(cfg.thresholds), **thr})
-    boost = _known("boost", raw.get("boost"),
-                   [f.name for f in fields(BoostParams)])
-    if boost:
+        cfg.time_to = parse_date(flt["to"], "filter.to")
+    sections = {"thresholds": _known("thresholds", raw.get("thresholds"),
+                                     [f.name for f in fields(Thresholds)]),
+                "boost": _known("boost", raw.get("boost"),
+                                [f.name for f in fields(BoostParams)])}
+    for section, values in sections.items():
+        for key, value in values.items():
+            check_value(f"{section}.{key}", value)
+    cfg.thresholds = Thresholds(**{**asdict(cfg.thresholds),
+                                   **sections["thresholds"]})
+    if sections["boost"]:
         try:
-            cfg.boost = BoostParams(**{**asdict(cfg.boost), **boost})
+            cfg.boost = BoostParams(**{**asdict(cfg.boost),
+                                       **sections["boost"]})
         except ValueError as exc:
             raise ConfigError(f"boost: {exc}") from None
     for key in ("alpha0", "calibration_fraction", "min_in_degree",
                 "reference_year", "include_retweets", "rng_seed"):
-        if key in raw:
-            setattr(cfg, key, raw[key])
-    check_seed("rng_seed", cfg.rng_seed)
-    check_seed("boost.rng_seed", cfg.boost.rng_seed)
+        if key in raw and not (key == "alpha0" and raw[key] is None):
+            setattr(cfg, key, check_value(key, raw[key]))
     if "periods" in raw:
         periods = raw["periods"]
-        if len(periods) != 2:
-            raise ConfigError("exactly two turnaround periods are required")
-        cfg.periods = tuple((parse_date(p[0]), parse_date(p[1]))
-                            for p in periods)
+        if not isinstance(periods, list) or len(periods) != 2 or not all(
+                isinstance(p, list) and len(p) == 2 for p in periods):
+            raise ConfigError("periods must be two [from, to] pairs of dates")
+        cfg.periods = tuple((parse_date(p[0], "periods"),
+                             parse_date(p[1], "periods")) for p in periods)
         cfg.__post_init__()
     return cfg

@@ -5,12 +5,20 @@ gains, exact greedy split finding, leaf steps capped by ``max_delta_step``,
 and early stopping on a held-out validation slice. Sparse-zero feature values
 route left by default, which falls out of the `x < threshold` split rule on
 non-negative count data.
+
+A tree grows level by level (`_build_tree`): one `_kernels.level_splits` call
+per depth searches every open node, and each split relabels the node of its
+training and validation rows through one column of each. A validation row's
+margin so takes its leaf's value as the tree is grown, and training never
+predicts the validation slice. The nodes are then numbered in depth-first
+preorder, the order of the model file.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
+import numbers
 import os
 import signal
 import threading
@@ -53,6 +61,12 @@ class BoostParams:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_estimators", "max_depth", "early_stopping_rounds",
+                     "rng_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value,
+                                                         numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_estimators < 1 or self.max_depth < 1:
             raise ValueError("n_estimators and max_depth must be positive")
         if not (0.0 < self.validation_fraction < 1.0):
@@ -257,61 +271,127 @@ def _as_csr(matrix: MatrixLike) -> tuple[sparse.csr_array, list[str]]:
     return X, [f"f{j:05d}" for j in range(X.shape[1])]
 
 
+def _route(blocks: _kernels.ColumnBlocks, at, default, splits):
+    """Each row's node in the next level, from ``at``, its node in this one.
+
+    ``splits`` lists (node, column, threshold, left child, right child) for
+    each node that splits: a row there goes left where ``x[column] <
+    threshold``. ``default[k]`` is where a zero at node k goes, and where
+    every row of a node that does not split goes. Only the entries of the
+    split columns are read from ``blocks``, which holds all the rows.
+    """
+    nxt = default[at]
+    for k, col, thr, left, right in splits:
+        lo, hi = np.searchsorted(blocks.col, (col, col + 1))
+        rows = blocks.row[lo:hi]
+        mine = at[rows] == k
+        nxt[rows[mine]] = np.where(blocks.val[lo:hi][mine] < thr, left, right)
+    return nxt
+
+
 def _build_tree(root: _kernels.ColumnBlocks, g: np.ndarray, h: np.ndarray,
-                params: BoostParams, margin_update: np.ndarray) -> Tree:
-    """Grow one tree depth-first; adds each leaf's step to margin_update."""
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
-    gains: dict[int, float] = {}
+                params: BoostParams, margin_update: np.ndarray,
+                val: Optional[_kernels.ColumnBlocks] = None,
+                val_update: Optional[np.ndarray] = None) -> Tree:
+    """Grow one tree level by level; add each leaf's step to margin_update
+    at its rows, and, given validation rows ``val``, to val_update at theirs.
 
-    def new_node() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        return len(feature) - 1
+    The open nodes of a level are searched in one `_kernels.level_splits`
+    call. The entries stay in ``root``'s order; a split only rewrites the
+    node of each of its rows, training and validation rows alike. Nodes are
+    numbered in depth-first preorder at the end, and gains are added in that
+    order.
+    """
+    # each row's node in the level, numbered in level order; K, the number
+    # of nodes, marks a row whose node closed before
+    at = np.zeros(len(g), dtype=np.int64)
+    val_at = np.zeros(0 if val is None else val.n_rows, dtype=np.int64)
+    g_entry, h_entry = g[root.row], h[root.row]
+    # per node, in the order the nodes open, level by level; node k of the
+    # level is node base + k
+    base, K = 0, 1
+    feature: list[int] = [-1]
+    threshold: list[float] = [0.0]
+    left: list[int] = [-1]
+    right: list[int] = [-1]
+    step: list[float] = [0.0]
+    gain: list[float] = [0.0]
 
-    def grow(blocks: _kernels.ColumnBlocks, depth: int) -> int:
-        node = new_node()
-        node_rows = blocks.rows
-        col, thr, gain = -1, 0.0, 0.0
-        if depth < params.max_depth and len(node_rows) >= 2:
-            col, thr, gain = blocks.best_split(
-                g, h, params.reg_lambda, params.min_child_weight)
-        if col >= 0:
-            gains[col] = gains.get(col, 0.0) + gain
-            feature[node] = col
-            threshold[node] = thr
-            blocks_left, blocks_right = blocks.split(col, thr)
-            left[node] = grow(blocks_left, depth + 1)
-            right[node] = grow(blocks_right, depth + 1)
+    for depth in range(params.max_depth + 1):
+        # the rows of each node, ascending; the closed rows come last
+        rows = np.argsort(at, kind="stable")
+        m = np.bincount(at, minlength=K + 1)[:K]
+        bounds = np.concatenate(([0], np.cumsum(m))).tolist()
+        g_node, h_node = g[rows], h[rows]
+        g_sum = np.array([np.add.reduce(g_node[a:b])
+                          for a, b in zip(bounds, bounds[1:])])
+        h_sum = np.array([np.add.reduce(h_node[a:b])
+                          for a, b in zip(bounds, bounds[1:])])
+        if depth < params.max_depth:
+            cols, thrs, gains = _kernels.level_splits(
+                root, at, g_entry, h_entry, m, g_sum, h_sum,
+                params.reg_lambda, params.min_child_weight)
         else:
-            g_sum = float(g[node_rows].sum())
-            h_sum = float(h[node_rows].sum())
-            w = -g_sum / (h_sum + params.reg_lambda)
+            cols, thrs, gains = np.full(K, -1), np.zeros(K), np.zeros(K)
+
+        # a node that does not split is a leaf; its rows take its step
+        steps = np.zeros(K + 1)
+        for k in np.flatnonzero(cols < 0).tolist():
+            w = -float(g_sum[k]) / (float(h_sum[k]) + params.reg_lambda)
             if params.max_delta_step > 0:
                 w = max(-params.max_delta_step, min(params.max_delta_step, w))
-            step = params.learning_rate * w
-            value[node] = step
-            margin_update[node_rows] += step
-        return node
+            steps[k] = step[base + k] = params.learning_rate * w
+        margin_update += steps[at]
+        if val is not None:
+            val_update += steps[val_at]
 
-    grow(root, 0)
-    return Tree(np.asarray(feature, dtype=np.int64),
-                np.asarray(threshold),
-                np.asarray(left, dtype=np.int64),
-                np.asarray(right, dtype=np.int64),
-                np.asarray(value),
+        splits = np.flatnonzero(cols >= 0).tolist()
+        if not splits:
+            break
+        # the next level: the left children in node order, then the right
+        # ones; 2 * S marks the closed rows
+        S = len(splits)
+        splits = [(k, int(cols[k]), float(thrs[k]), j, S + j)
+                  for j, k in enumerate(splits)]
+        default = np.full(K + 1, 2 * S)
+        for k, _col, thr, lo, hi in splits:
+            default[k] = lo if 0.0 < thr else hi
+        at = _route(root, at, default, splits)
+        if val is not None:
+            val_at = _route(val, val_at, default, splits)
+
+        children = len(feature)
+        for nodes, blank in ((feature, -1), (threshold, 0.0), (left, -1),
+                             (right, -1), (step, 0.0), (gain, 0.0)):
+            nodes.extend([blank] * (2 * S))
+        for k, col, thr, lo, hi in splits:
+            node = base + k
+            feature[node], threshold[node] = col, thr
+            gain[node] = float(gains[k])
+            left[node], right[node] = children + lo, children + hi
+        base, K = children, 2 * S
+
+    # depth-first preorder: a node, its left subtree, then its right one
+    order = []
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if feature[node] >= 0:
+            stack += (right[node], left[node])
+    number = {node: i for i, node in enumerate(order)}
+    gains: dict[int, float] = {}
+    for node in order:
+        if feature[node] >= 0:
+            gains[feature[node]] = gains.get(feature[node], 0.0) + gain[node]
+    return Tree(np.asarray([feature[i] for i in order], dtype=np.int64),
+                np.asarray([threshold[i] for i in order]),
+                np.asarray([number.get(left[i], -1) for i in order],
+                           dtype=np.int64),
+                np.asarray([number.get(right[i], -1) for i in order],
+                           dtype=np.int64),
+                np.asarray([step[i] for i in order]),
                 gains)
-
-
-def _tree_margin(tree: Tree, X: sparse.csr_array) -> np.ndarray:
-    return _kernels.predict_margin(X, tree.feature, tree.threshold, tree.left,
-                                   tree.right, tree.value)
 
 
 def _stratified_split(y: np.ndarray, fraction: float,
@@ -359,6 +439,8 @@ def train(matrix: MatrixLike, labels: Sequence[int],
     X_val, y_val = X[val_idx], y[val_idx]
 
     blocks = _kernels.ColumnBlocks.from_dense(X_tr)
+    # too few rows may leave no validation slice; then no early stopping
+    val = _kernels.ColumnBlocks.from_dense(X_val) if len(y_val) else None
     margin_tr = np.zeros(len(y_tr))
     margin_val = np.zeros(len(y_val))
 
@@ -370,14 +452,14 @@ def train(matrix: MatrixLike, labels: Sequence[int],
         g = p - y_tr
         h = np.maximum(p * (1.0 - p), 1e-16)
         update = np.zeros(len(y_tr))
-        tree = _build_tree(blocks, g, h, params, update)
-        trees.append(tree)
+        val_update = np.zeros(len(y_val))
+        trees.append(_build_tree(blocks, g, h, params, update, val,
+                                 val_update))
         margin_tr += update
-        if len(y_val) == 0:
-            # too few rows to hold out a validation slice; no early stopping
+        if val is None:
             best_iter = it
             continue
-        margin_val += _tree_margin(tree, X_val)
+        margin_val += val_update
         val_loss = _log_loss(y_val, _kernels.sigmoid(margin_val))
         if val_loss < best_loss:
             best_loss = val_loss
@@ -427,8 +509,9 @@ def _reconcile(model: BoostedModel, matrix: MatrixLike) -> sparse.csr_array:
 def predict_margin(model: BoostedModel, matrix: MatrixLike) -> np.ndarray:
     X = _reconcile(model, matrix)
     out = np.full(X.shape[0], model.base_score)
-    for tree in model.trees:
-        out += _tree_margin(tree, X)
+    for t in model.trees:
+        out += _kernels.predict_margin(X, t.feature, t.threshold, t.left,
+                                       t.right, t.value)
     return out
 
 

@@ -290,6 +290,8 @@ class Pipeline:
         self._held[name] = value
         if name == "corpus.jsonl":
             self.__dict__.pop("_encoding", None)
+        if name in ("matrix_full.txt", "model_stance.txt"):
+            self.__dict__.pop("_confidence", None)
 
     def _artifact(self, name: str):
         """The stage output ``name``, as a later stage reads it: the object
@@ -323,6 +325,14 @@ class Pipeline:
         """Every text of the ingested corpus, tokenized once per pipeline;
         dropped when ingest publishes the corpus again."""
         return textproc.encode(self._artifact("corpus.jsonl"))
+
+    @functools.cached_property
+    def _confidence(self) -> np.ndarray:
+        """The stance model's confidence for each row of the full matrix,
+        computed once per pipeline; dropped when featurize or train
+        publishes a new input to it."""
+        return gbt.predict_confidence(self._artifact("model_stance.txt"),
+                                      self._artifact("matrix_full.txt"))
 
     @functools.cached_property
     def _stopwords(self) -> set[str]:
@@ -461,14 +471,13 @@ class Pipeline:
     def _stage_calibrate(self) -> None:
         labels = self._artifact("labels.tsv")
         full = self._artifact("matrix_full.txt")
-        model = self._artifact("model_stance.txt")
         train_users = self._artifact("model_train_users.txt")
         _train, calib_users = self._split_stance_labels(labels)
         ridx = full.row_index()
         calib_users = [u for u in calib_users if u in ridx]
         if len(calib_users) < 10:
             raise StageError("calibration set too small (<10 labeled users)")
-        conf = gbt.predict_confidence(model, full)
+        conf = self._confidence
         c = [float(conf[ridx[u]]) for u in calib_users]
         y = [1 if labels.get(u, "stance").value == "defense" else 0
              for u in calib_users]
@@ -485,9 +494,8 @@ class Pipeline:
 
     def _stage_predict(self) -> None:
         full = self._artifact("matrix_full.txt")
-        model = self._artifact("model_stance.txt")
         platt = self._artifact("platt.tsv")
-        conf = gbt.predict_confidence(model, full)
+        conf = self._confidence
         scores = calib.score_users(platt, list(full.rows), conf)
         self._write_tsv("stance_scores.tsv",
                         ["user_id", "raw_confidence", "probability", "band"],

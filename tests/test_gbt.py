@@ -2,6 +2,7 @@ import multiprocessing
 import os
 import re
 import struct
+from dataclasses import replace
 from multiprocessing import connection
 
 import numpy as np
@@ -65,6 +66,48 @@ def _predict_margin_loop(X, feature, threshold, left, right, value):
                 node = right[node]
         out[i] = value[node]
     return out
+
+
+def _build_tree_depth_first(root, g, h, params, margin_update):
+    """Reference grower: depth-first, one `ColumnBlocks.best_split` and one
+    `ColumnBlocks.split` per node, nodes numbered as they are made."""
+    feature, threshold, left, right, value = [], [], [], [], []
+    gains = {}
+
+    def grow(blocks, depth):
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(0.0)
+        col, thr, gain = -1, 0.0, 0.0
+        if depth < params.max_depth and len(blocks.rows) >= 2:
+            col, thr, gain = blocks.best_split(
+                g, h, params.reg_lambda, params.min_child_weight)
+        if col >= 0:
+            gains[col] = gains.get(col, 0.0) + gain
+            feature[node] = col
+            threshold[node] = thr
+            blocks_left, blocks_right = blocks.split(col, thr)
+            left[node] = grow(blocks_left, depth + 1)
+            right[node] = grow(blocks_right, depth + 1)
+        else:
+            g_sum = float(g[blocks.rows].sum())
+            h_sum = float(h[blocks.rows].sum())
+            w = -g_sum / (h_sum + params.reg_lambda)
+            if params.max_delta_step > 0:
+                w = max(-params.max_delta_step, min(params.max_delta_step, w))
+            value[node] = params.learning_rate * w
+            margin_update[blocks.rows] += value[node]
+        return node
+
+    grow(root, 0)
+    return gbt.Tree(np.asarray(feature, dtype=np.int64),
+                    np.asarray(threshold),
+                    np.asarray(left, dtype=np.int64),
+                    np.asarray(right, dtype=np.int64),
+                    np.asarray(value), gains)
 
 
 def exhaustive_best_gain(X, g, h, reg_lambda=1.0, min_child_weight=1.0):
@@ -151,6 +194,91 @@ def test_numpy_and_loop_kernels_bitwise_equal():
         assert float(a[1]) == float(b[1])
         assert abs(float(a[2]) - float(b[2])) <= 1e-12 * abs(float(a[2]))
         assert blocks.best_split(g, h, 1.0, 1.0) == b
+
+
+def test_level_wise_tree_equals_depth_first_reference():
+    # the level-wise grower against the depth-first one it replaced: same
+    # nodes in the same order, same leaves and margins; its gains are summed
+    # over other running sums, so they may differ in the last bits only
+    rng = np.random.default_rng(12)
+    for it in range(360):
+        X = _oracle_instance(rng, it % 3)
+        m, p = X.shape
+        if p > 1 and rng.random() < 0.4:
+            # an exact tie: the earlier column must win
+            X[:, -1] = X[:, int(rng.integers(p - 1))]
+        y = rng.integers(0, 2, size=m).astype(float)
+        pr = rng.uniform(0.1, 0.9, size=m)
+        g, h = pr - y, pr * (1 - pr)
+        params = gbt.BoostParams(
+            max_depth=int(rng.integers(1, 7)),
+            min_child_weight=float(rng.choice([0.0, 0.5, 1.0, 2.0, 4.0])))
+        # validation rows: the training rows shuffled, some cells zeroed
+        Xv = X[rng.permutation(m)] * (rng.random((m, p)) < 0.8)
+        want_update, got_update, got_val = np.zeros(m), np.zeros(m), \
+            np.zeros(m)
+        want = _build_tree_depth_first(_kernels.ColumnBlocks.from_dense(X),
+                                       g, h, params, want_update)
+        got = gbt._build_tree(_kernels.ColumnBlocks.from_dense(X), g, h,
+                              params, got_update,
+                              _kernels.ColumnBlocks.from_dense(Xv),
+                              got_val)
+        for name in ("feature", "threshold", "left", "right", "value"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), \
+                (it, name)
+        assert got.gain_by_col.keys() == want.gain_by_col.keys()
+        for col, gain in want.gain_by_col.items():
+            assert abs(got.gain_by_col[col] - gain) <= 1e-12 * abs(gain)
+        assert np.array_equal(got_update, want_update)
+        assert np.array_equal(got_val, _kernels.predict_margin(
+            Xv, want.feature, want.threshold, want.left, want.right,
+            want.value))
+
+
+def test_train_scans_once_per_depth_and_routes_validation_rows(monkeypatch):
+    X, y = separable_data(n=300, seed=8)
+    params = gbt.BoostParams(n_estimators=60, max_depth=4,
+                             early_stopping_rounds=3)
+    scans = []
+    level_splits, build_tree = _kernels.level_splits, gbt._build_tree
+
+    def counted(*args):
+        scans[-1] += 1
+        return level_splits(*args)
+
+    def tree(*args):
+        scans.append(0)
+        return build_tree(*args)
+
+    def forbidden(*args):
+        raise AssertionError("called in training")
+
+    monkeypatch.setattr(_kernels, "level_splits", counted)
+    monkeypatch.setattr(gbt, "_build_tree", tree)
+    monkeypatch.setattr(_kernels.ColumnBlocks, "split", forbidden)
+    monkeypatch.setattr(_kernels, "predict_margin", forbidden)
+    model = gbt.train(X, y, params)
+    grown = gbt.train(X, y, replace(params, early_stopping_rounds=60))
+    monkeypatch.undo()
+    assert 0 < max(scans) <= params.max_depth
+    assert len(scans) == 60 + len(model.trees) + params.early_stopping_rounds
+
+    # the validation loss of every prefix of trees, from gbt.predict_margin
+    _rows, val = gbt._stratified_split(
+        y, params.validation_fraction, np.random.default_rng(params.rng_seed))
+    losses = [gbt._log_loss(y[val], gbt.predict_confidence(
+        replace(grown, trees=grown.trees[:i + 1]), X[val]))
+        for i in range(len(grown.trees))]
+    assert grown.best_val_loss == min(losses)
+    assert grown.stopped_at == losses.index(min(losses)) + 1
+    best, best_iter = np.inf, -1
+    for i, loss in enumerate(losses):
+        if loss < best:
+            best, best_iter = loss, i
+        elif i - best_iter >= params.early_stopping_rounds:
+            break
+    assert model.stopped_at == best_iter + 1 < grown.stopped_at
+    assert model.best_val_loss == best
 
 
 def test_predict_kernels_agree():
@@ -452,3 +580,11 @@ def test_one_vs_rest():
     thresholded = gbt.predict_one_vs_rest(models, np.zeros((1, 3)),
                                           threshold=0.99)
     assert thresholded == [None]
+
+
+@pytest.mark.parametrize("field", ["n_estimators", "max_depth",
+                                   "early_stopping_rounds", "rng_seed"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "6"])
+def test_boost_params_take_whole_numbers_only(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        gbt.BoostParams(**{field: value})

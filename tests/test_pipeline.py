@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -9,13 +10,15 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stancelab import corpus as cm
 from stancelab import features, gbt, labeling, pipeline, synth, textproc
-from stancelab.config import (PipelineConfig, RulePaths, Thresholds,
+from stancelab.config import (SCALARS, PipelineConfig, RulePaths, Thresholds,
                               config_from_dict)
 from stancelab.gbt import BoostParams
 from stancelab.pipeline import (_LOADERS, _STAGE_OUTPUTS, REPORT_FILES, STAGES,
@@ -161,6 +164,32 @@ def _same_model(a, b):
 # user ids that no stage file can hold: the train-user list splits on
 # whitespace, and a TSV line starting with "#" is a comment
 _BAD_USER_IDS = ("", "u 1", "u\t2", "u\r3", "u\u20284", "#u5")
+
+
+def test_calibrate_and_predict_share_one_prediction_of_the_full_matrix(
+        demo_corpus, tmp_path, monkeypatch):
+    predicted = []
+    predict = gbt.predict_confidence
+
+    def counted(model, matrix):
+        if isinstance(matrix, features.FeatureMatrix):  # not a CV fold
+            predicted.append((model, matrix))
+        return predict(model, matrix)
+
+    monkeypatch.setattr(gbt, "predict_confidence", counted)
+    pipe = run_all(make_config(demo_corpus, tmp_path / "run"))
+    full = pipe._held["matrix_full.txt"]
+    assert [m for _model, m in predicted].count(full) == 1
+    assert len(predicted) == 3  # and the two period matrices in turnaround
+
+    # a new model is predicted anew, and calibrate reads that prediction
+    predicted.clear()
+    pipe.run_stage("train")
+    pipe.run_stage("calibrate")
+    pipe.run_stage("predict")
+    model = pipe._held["model_stance.txt"]
+    assert predicted == [(model, full)]
+    assert np.array_equal(pipe._confidence, predict(model, full))
 
 
 def test_held_outputs_equal_what_reading_the_files_gives(demo_corpus,
@@ -675,6 +704,72 @@ def test_cli_rejects_a_negative_seed_before_writing(demo_corpus, tmp_path,
     assert done.exit_code == 1
     assert isinstance(done.exception, SystemExit)  # not an uncaught error
     assert done.output == error
+    assert not out.exists()
+
+
+def _raw_config(key, value):
+    """The config mapping that sets ``key`` (``section.name`` or ``name``)."""
+    section, _, name = key.rpartition(".")
+    return {section: {name: value}} if section else {name: value}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("include_retweets", "no"), ("calibration_fraction", "abc"),
+    ("calibration_fraction", 1.5), ("min_in_degree", "2"),
+    ("thresholds.tweet_min_count", "x"), ("alpha0", -1),
+    ("reference_year", 2017.5), ("boost.max_depth", 2.5),
+    ("boost.max_depth", True), ("boost.max_depth", "6"),
+    ("boost.min_child_weight", "1"), ("boost.n_estimators", 10.0),
+    ("boost.learning_rate", float("nan")), ("corpus", 5),
+    ("rules.names", 3), ("filter.include_terms", "aborto"),
+    ("filter.from", "2017-13-01"),
+])
+def test_config_refuses_a_bad_value_naming_its_key(tmp_path, key, value):
+    from stancelab.config import ConfigError
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be "):
+        config_from_dict(_raw_config(key, value), base_dir=tmp_path)
+
+
+_ANY_VALUE = st.one_of(st.none(), st.booleans(), st.integers(-10, 10),
+                       st.floats(-3, 3), st.sampled_from(
+                           [float("nan"), float("inf"), 2017.0]),
+                       st.text(max_size=3), st.lists(st.integers(), max_size=2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(key=st.sampled_from(sorted(SCALARS)), value=_ANY_VALUE)
+def test_config_takes_a_scalar_only_of_its_type_and_range(key, value):
+    from stancelab.config import ConfigError
+    kind, test, _what = SCALARS[key]
+    if kind is float:
+        right_type = (type(value) in (int, float)
+                      and math.isfinite(value))
+    else:
+        right_type = type(value) is kind
+    ok = right_type and (test is None or test(value))
+    if value is None and key in ("alpha0", "corpus", "output_dir"):
+        ok = True  # the default stays
+    try:
+        config_from_dict(_raw_config(key, value), base_dir=Path("/cfg"))
+    except ConfigError as exc:
+        assert not ok, exc
+        assert str(exc).startswith(f"{key} must be ")
+    else:
+        assert ok, (key, value)
+
+
+def test_cli_names_a_bad_config_value_before_writing(demo_corpus, tmp_path):
+    from click.testing import CliRunner
+    from stancelab import cli
+
+    out = tmp_path / "out"
+    config_path = tmp_path / "config.yaml"
+    config_path.write_text(f"corpus: {demo_corpus}\noutput_dir: {out}\n"
+                           "boost: {max_depth: '6'}\n", encoding="utf-8")
+    done = CliRunner().invoke(cli.main, ["run", "--config", str(config_path)])
+    assert done.exit_code == 1
+    assert done.output == \
+        "Error: boost.max_depth must be a positive integer, got '6'\n"
     assert not out.exists()
 
 
