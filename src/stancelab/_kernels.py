@@ -1,5 +1,5 @@
-"""Hot numeric kernels for the boosted-tree engine: exact split search, tree
-prediction and the logistic function, which Platt calibration shares.
+"""Hot numeric kernels for the boosted-tree engine: exact split search and
+the logistic function, which Platt calibration shares.
 
 Training searches splits with the sparsity-aware exact greedy algorithm of
 Chen & Guestrin, "XGBoost", KDD 2016 (Alg. 3 and the column blocks of §4.1).
@@ -311,23 +311,6 @@ def best_split(Xn, gn, hn, reg_lambda, min_child_weight):
                 best_col = j
                 best_thr = 0.5 * (v + v_next)
     return best_col, best_thr, best_gain
-
-
-def predict_margin(X, feature, threshold, left, right, value):
-    """The output of one tree for each row of X, a dense array or a scipy CSR
-    array; node 0 is the root."""
-    n = X.shape[0]
-    rows = np.arange(n)
-    nodes = np.zeros(n, dtype=np.int64)
-    while True:
-        feats = feature[nodes]
-        active = feats >= 0
-        if not active.any():
-            return value[nodes]
-        idx = rows[active]
-        go_left = X[idx, feats[active]] < threshold[nodes[active]]
-        nodes[idx] = np.where(go_left, left[nodes[active]],
-                              right[nodes[active]])
 
 
 def sigmoid(z):

@@ -28,6 +28,7 @@ _COUNT = (int, lambda v: v >= 0, "a non-negative integer")
 _POSITIVE_COUNT = (int, lambda v: v >= 1, "a positive integer")
 _FRACTION = (float, lambda v: 0 < v < 1, "a number in (0, 1)")
 _SIZE = (float, lambda v: v >= 0, "a non-negative number")
+_RULE_PATH = (str, lambda v: v != "", "a non-empty path")
 
 # every scalar config value, by key: its type, the test its value must pass
 # and what that asks for. A bool is not an int; an int is a float, and a
@@ -215,9 +216,8 @@ def config_from_dict(raw: dict, base_dir: Path = Path(".")) -> PipelineConfig:
                    [f.name for f in fields(RulePaths)])
     for key, value in rules.items():
         if value is not None:
-            check_value(f"rules.{key}", value, SCALARS["corpus"])
-        if value:
-            setattr(cfg.rules, key, _resolve(base_dir, value))
+            setattr(cfg.rules, key, _resolve(base_dir, check_value(
+                f"rules.{key}", value, _RULE_PATH)))
     flt = _known("filter", raw.get("filter"), _FILTER_KEYS)
     if "include_terms" in flt:
         cfg.include_terms = _strings("filter.include_terms",

@@ -8,10 +8,9 @@ non-negative count data.
 
 A tree grows level by level (`_build_tree`): one `_kernels.level_splits` call
 per depth searches every open node, and each split relabels the node of its
-training and validation rows through one column of each. A validation row's
-margin so takes its leaf's value as the tree is grown, and training never
-predicts the validation slice. The nodes are then numbered in depth-first
-preorder, the order of the model file.
+rows through one column (`_route`). The nodes are then numbered in depth-first
+preorder, the order of the model file. Prediction, and the validation loss of
+early stopping, walk rows down finished trees the same way (`_leaves`).
 """
 
 from __future__ import annotations
@@ -67,12 +66,17 @@ class BoostParams:
             if isinstance(value, bool) or not isinstance(value,
                                                          numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("learning_rate", "max_delta_step", "reg_lambda",
+                     "min_child_weight"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0: {value!r}")
+        if self.learning_rate == 0:
+            raise ValueError("learning_rate must be positive")
         if self.n_estimators < 1 or self.max_depth < 1:
             raise ValueError("n_estimators and max_depth must be positive")
         if not (0.0 < self.validation_fraction < 1.0):
             raise ValueError("validation_fraction must be in (0, 1)")
-        if self.learning_rate <= 0 or self.max_delta_step < 0:
-            raise ValueError("bad learning_rate / max_delta_step")
         if self.early_stopping_rounds < 1:
             raise ValueError("early_stopping_rounds must be positive")
 
@@ -289,23 +293,38 @@ def _route(blocks: _kernels.ColumnBlocks, at, default, splits):
     return nxt
 
 
+def _leaves(blocks: _kernels.ColumnBlocks, tree: Tree) -> np.ndarray:
+    """The leaf of ``tree`` that each row of ``blocks`` reaches, found one
+    depth at a time by `_route`."""
+    # a leaf keeps its rows; a zero goes where `x < threshold` sends it
+    default = np.where(tree.feature < 0, np.arange(tree.n_nodes), np.where(
+        0.0 < tree.threshold, tree.left, tree.right))
+    # each node as `_route` lists a split
+    nodes = list(zip(range(tree.n_nodes), tree.feature.tolist(),
+                     tree.threshold.tolist(), tree.left.tolist(),
+                     tree.right.tolist()))
+    at = np.zeros(blocks.n_rows, dtype=np.int64)
+    level = [nodes[0]]
+    while level:
+        splits = [node for node in level if node[1] >= 0]
+        at = _route(blocks, at, default, splits)
+        level = [nodes[k] for *_, lo, hi in splits for k in (lo, hi)]
+    return at
+
+
 def _build_tree(root: _kernels.ColumnBlocks, g: np.ndarray, h: np.ndarray,
-                params: BoostParams, margin_update: np.ndarray,
-                val: Optional[_kernels.ColumnBlocks] = None,
-                val_update: Optional[np.ndarray] = None) -> Tree:
+                params: BoostParams, margin_update: np.ndarray) -> Tree:
     """Grow one tree level by level; add each leaf's step to margin_update
-    at its rows, and, given validation rows ``val``, to val_update at theirs.
+    at its rows.
 
     The open nodes of a level are searched in one `_kernels.level_splits`
     call. The entries stay in ``root``'s order; a split only rewrites the
-    node of each of its rows, training and validation rows alike. Nodes are
-    numbered in depth-first preorder at the end, and gains are added in that
-    order.
+    node of each of its rows. Nodes are numbered in depth-first preorder at
+    the end, and gains are added in that order.
     """
     # each row's node in the level, numbered in level order; K, the number
     # of nodes, marks a row whose node closed before
     at = np.zeros(len(g), dtype=np.int64)
-    val_at = np.zeros(0 if val is None else val.n_rows, dtype=np.int64)
     g_entry, h_entry = g[root.row], h[root.row]
     # per node, in the order the nodes open, level by level; node k of the
     # level is node base + k
@@ -342,8 +361,6 @@ def _build_tree(root: _kernels.ColumnBlocks, g: np.ndarray, h: np.ndarray,
                 w = max(-params.max_delta_step, min(params.max_delta_step, w))
             steps[k] = step[base + k] = params.learning_rate * w
         margin_update += steps[at]
-        if val is not None:
-            val_update += steps[val_at]
 
         splits = np.flatnonzero(cols >= 0).tolist()
         if not splits:
@@ -357,8 +374,6 @@ def _build_tree(root: _kernels.ColumnBlocks, g: np.ndarray, h: np.ndarray,
         for k, _col, thr, lo, hi in splits:
             default[k] = lo if 0.0 < thr else hi
         at = _route(root, at, default, splits)
-        if val is not None:
-            val_at = _route(val, val_at, default, splits)
 
         children = len(feature)
         for nodes, blank in ((feature, -1), (threshold, 0.0), (left, -1),
@@ -451,15 +466,11 @@ def train(matrix: MatrixLike, labels: Sequence[int],
         p = _kernels.sigmoid(margin_tr)
         g = p - y_tr
         h = np.maximum(p * (1.0 - p), 1e-16)
-        update = np.zeros(len(y_tr))
-        val_update = np.zeros(len(y_val))
-        trees.append(_build_tree(blocks, g, h, params, update, val,
-                                 val_update))
-        margin_tr += update
+        trees.append(_build_tree(blocks, g, h, params, margin_tr))
         if val is None:
             best_iter = it
             continue
-        margin_val += val_update
+        margin_val += trees[-1].value[_leaves(val, trees[-1])]
         val_loss = _log_loss(y_val, _kernels.sigmoid(margin_val))
         if val_loss < best_loss:
             best_loss = val_loss
@@ -488,8 +499,8 @@ def fit_single_tree_full_batch(X: np.ndarray, y: Sequence[int],
                        update)
 
 
-def _reconcile(model: BoostedModel, matrix: MatrixLike) -> sparse.csr_array:
-    """CSR matrix in the model's column order. A FeatureMatrix is matched by
+def _reconcile(model: BoostedModel, matrix: MatrixLike) -> sparse.sparray:
+    """The cells in the model's column order. A FeatureMatrix is matched by
     column identifier: model columns it lacks are absent (zero), and its
     extra columns are ignored. Arrays are matched by position."""
     X, idents = _as_csr(matrix)
@@ -502,16 +513,15 @@ def _reconcile(model: BoostedModel, matrix: MatrixLike) -> sparse.csr_array:
     cells = X.tocoo()
     col = remap[cells.col]
     keep = col >= 0
-    return sparse.csr_array((cells.data[keep], (cells.row[keep], col[keep])),
+    return sparse.coo_array((cells.data[keep], (cells.row[keep], col[keep])),
                             shape=(X.shape[0], len(model.columns)))
 
 
 def predict_margin(model: BoostedModel, matrix: MatrixLike) -> np.ndarray:
-    X = _reconcile(model, matrix)
-    out = np.full(X.shape[0], model.base_score)
-    for t in model.trees:
-        out += _kernels.predict_margin(X, t.feature, t.threshold, t.left,
-                                       t.right, t.value)
+    blocks = _kernels.ColumnBlocks.from_dense(_reconcile(model, matrix))
+    out = np.full(blocks.n_rows, model.base_score)
+    for tree in model.trees:
+        out += tree.value[_leaves(blocks, tree)]
     return out
 
 

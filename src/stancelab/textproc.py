@@ -102,7 +102,10 @@ def registrable_domain(url: str) -> str:
     """Approximate registrable domain of a URL (netloc minus 'www.')."""
     if "://" not in url:
         url = "http://" + url
-    netloc = urlparse(url).netloc.lower()
+    try:
+        netloc = urlparse(url).netloc.lower()
+    except ValueError:  # a host that does not parse, like "http://[x"
+        netloc = ""
     if netloc.startswith("www."):
         netloc = netloc[4:]
     return netloc or url.lower()

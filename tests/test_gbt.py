@@ -215,14 +215,13 @@ def test_level_wise_tree_equals_depth_first_reference():
             min_child_weight=float(rng.choice([0.0, 0.5, 1.0, 2.0, 4.0])))
         # validation rows: the training rows shuffled, some cells zeroed
         Xv = X[rng.permutation(m)] * (rng.random((m, p)) < 0.8)
-        want_update, got_update, got_val = np.zeros(m), np.zeros(m), \
-            np.zeros(m)
+        want_update, got_update = np.zeros(m), np.zeros(m)
         want = _build_tree_depth_first(_kernels.ColumnBlocks.from_dense(X),
                                        g, h, params, want_update)
         got = gbt._build_tree(_kernels.ColumnBlocks.from_dense(X), g, h,
-                              params, got_update,
-                              _kernels.ColumnBlocks.from_dense(Xv),
-                              got_val)
+                              params, got_update)
+        got_val = got.value[gbt._leaves(_kernels.ColumnBlocks.from_dense(Xv),
+                                        got)]
         for name in ("feature", "threshold", "left", "right", "value"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), \
                 (it, name)
@@ -230,7 +229,7 @@ def test_level_wise_tree_equals_depth_first_reference():
         for col, gain in want.gain_by_col.items():
             assert abs(got.gain_by_col[col] - gain) <= 1e-12 * abs(gain)
         assert np.array_equal(got_update, want_update)
-        assert np.array_equal(got_val, _kernels.predict_margin(
+        assert np.array_equal(got_val, _predict_margin_loop(
             Xv, want.feature, want.threshold, want.left, want.right,
             want.value))
 
@@ -256,7 +255,6 @@ def test_train_scans_once_per_depth_and_routes_validation_rows(monkeypatch):
     monkeypatch.setattr(_kernels, "level_splits", counted)
     monkeypatch.setattr(gbt, "_build_tree", tree)
     monkeypatch.setattr(_kernels.ColumnBlocks, "split", forbidden)
-    monkeypatch.setattr(_kernels, "predict_margin", forbidden)
     model = gbt.train(X, y, params)
     grown = gbt.train(X, y, replace(params, early_stopping_rounds=60))
     monkeypatch.undo()
@@ -282,25 +280,44 @@ def test_train_scans_once_per_depth_and_routes_validation_rows(monkeypatch):
 
 
 def test_predict_kernels_agree():
+    # gbt.predict_margin against the row-by-row reference summed over the
+    # trees in the same order, bit for bit, whatever form the matrix takes
+    from stancelab.features import FeatureColumn, FeatureMatrix
     rng = np.random.default_rng(3)
     X = rng.normal(size=(40, 6))
     y = (X[:, 0] > 0).astype(int)
     model = gbt.train(X, y, gbt.BoostParams(n_estimators=10))
-    trees = [(t.feature, t.threshold, t.left, t.right, t.value)
-             for t in model.trees]
 
-    def summed(predict, X):
-        return sum(predict(X, *tree) for tree in trees)
+    def reference(X):
+        out = np.full(X.shape[0], model.base_score)
+        for t in model.trees:
+            out += _predict_margin_loop(X, t.feature, t.threshold, t.left,
+                                        t.right, t.value)
+        return out
 
-    out1 = summed(_predict_margin_loop, X)
-    out2 = summed(_kernels.predict_margin, X)
-    assert np.array_equal(out1, out2)
-    assert np.allclose(out1 + model.base_score, gbt.predict_margin(model, X))
+    # negative values, and NaN, which goes right as `x < threshold` fails
+    Xn = np.where(rng.random(X.shape) < 0.2, np.nan, X)
     # a CSR array reads the same values, absent cells as zero
     X0 = np.where(np.abs(X) < 0.5, 0.0, X)
-    assert np.array_equal(summed(_predict_margin_loop, X0),
-                          summed(_kernels.predict_margin,
-                                 sparse.csr_array(X0)))
+    for dense, given in ((X, X), (Xn, Xn), (X0, X0),
+                         (X0, sparse.csr_array(X0))):
+        assert np.array_equal(gbt.predict_margin(model, given),
+                              reference(dense))
+
+    # a FeatureMatrix is matched by identifier: its columns permuted, and
+    # one the model never saw, change nothing
+    Xp = np.abs(X0)
+    cols = [FeatureColumn(f"t{j}", "tweet_term", "word")
+            for j in range(X.shape[1])]
+    named = replace(model, columns=[c.identifier for c in cols])
+    perm = [3, 0, 5, 1, 4, 2]
+    m = FeatureMatrix(
+        rows=tuple(f"u{i}" for i in range(X.shape[0])),
+        columns=tuple(cols[j] for j in perm)
+        + (FeatureColumn("new", "tweet_term", "word"),),
+        X=sparse.csr_array(np.column_stack([Xp[:, perm],
+                                            np.ones(X.shape[0])])))
+    assert np.array_equal(gbt.predict_margin(named, m), reference(Xp))
 
 
 def separable_data(n=200, seed=0):
@@ -389,6 +406,8 @@ def test_cut_model_file_is_a_named_error(saved_model, tmp_path_factory, data):
     (b" l ", b" x ", "unknown node kind"),
     (b"\ntree 0 ", b"\ntree 0 99999999999", "ends before the"),
     (b"\nend\n", b"\nend\nend\n", "goes on after"),
+    (b" learning_rate=0.1 ", b" learning_rate=nan ",
+     "learning_rate must be finite"),
 ])
 def test_malformed_model_file_is_a_named_error(saved_model, tmp_path, old,
                                                new, what):
@@ -588,3 +607,22 @@ def test_one_vs_rest():
 def test_boost_params_take_whole_numbers_only(field, value):
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         gbt.BoostParams(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["learning_rate", "max_delta_step",
+                                   "validation_fraction", "reg_lambda",
+                                   "min_child_weight"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf"), -1.0])
+def test_boost_params_take_finite_numbers_in_range_only(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be "):
+        gbt.BoostParams(**{field: value})
+
+
+def test_boost_params_take_zero_weights_but_not_a_zero_learning_rate():
+    params = gbt.BoostParams(max_delta_step=0.0, reg_lambda=0.0,
+                             min_child_weight=0.0)
+    assert (params.max_delta_step, params.reg_lambda,
+            params.min_child_weight) == (0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="learning_rate must be positive"):
+        gbt.BoostParams(learning_rate=0.0)

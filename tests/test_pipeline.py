@@ -419,6 +419,28 @@ def test_ingest_and_featurize_report_counts(tmp_path):
     assert stages["featurize"]["metrics"] == want
 
 
+def test_a_url_that_does_not_parse_is_its_own_domain(tmp_path):
+    # an unclosed IPv6 bracket, in post texts and in a profile URL
+    from dataclasses import replace
+    corpus, _truth = synth.generate(synth.SynthSpec(n_users=60, rng_seed=3))
+    user = corpus.posts[0].author_id
+    corpus = replace(
+        corpus,
+        posts=tuple(replace(p, text=p.text + " http://[x")
+                    for p in corpus.posts),
+        users={**corpus.users,
+               user: replace(corpus.users[user], url="http://[x")})
+    path = tmp_path / "corpus.jsonl"
+    cm.write_corpus(corpus, path)
+    pipe = _stages(make_config(str(path), tmp_path / "run"),
+                   ("ingest", "label", "featurize"))
+    m = features.FeatureMatrix.load(pipe.out / "matrix_full.txt")
+    idents = m.column_identifiers()
+    assert "home_domain:http://[x" in idents
+    assert any(i.endswith("http://[x") and not i.startswith("home_domain:")
+               for i in idents), idents
+
+
 _LABELS = "user_id\tattribute\tvalue\tprovenance\tconfidence"
 _TURNAROUND = "user_id\tp_t0\tp_t1\tdelta"
 
@@ -721,7 +743,8 @@ def _raw_config(key, value):
     ("boost.max_depth", True), ("boost.max_depth", "6"),
     ("boost.min_child_weight", "1"), ("boost.n_estimators", 10.0),
     ("boost.learning_rate", float("nan")), ("corpus", 5),
-    ("rules.names", 3), ("filter.include_terms", "aborto"),
+    ("rules.names", 3), ("rules.gazetteer", ""),
+    ("filter.include_terms", "aborto"),
     ("filter.from", "2017-13-01"),
 ])
 def test_config_refuses_a_bad_value_naming_its_key(tmp_path, key, value):

@@ -51,6 +51,9 @@ def test_registrable_domain():
     assert tp.registrable_domain("https://www.Example.com/p?q=1") == "example.com"
     assert tp.registrable_domain("http://t.co/abc") == "t.co"
     assert tp.registrable_domain("www.foo.org") == "foo.org"
+    # a host that does not parse (an unclosed IPv6 bracket) is the URL itself
+    assert tp.registrable_domain("http://[X") == "http://[x"
+    assert tp.registrable_domain("[x") == "http://[x"
 
 
 @given(st.text(max_size=200))
