@@ -38,11 +38,13 @@ GAIN_EPS = 1e-12
 
 
 class ColumnBlocks:
-    """The nonzero entries of one tree node, sorted by (column, value, row).
+    """The nonzero entries of a set of rows, sorted by (column, value, row).
 
-    ``rows`` lists the node's row ids in ascending order; ``row``, ``col`` and
-    ``val`` are its nonzero entries. Row ids index the matrix the blocks were
-    built from, which has ``n_rows`` rows and ``n_cols`` columns.
+    ``rows`` lists the row ids in ascending order; ``row``, ``col`` and
+    ``val`` are their nonzero entries. Row ids index the matrix the blocks were
+    built from, which has ``n_rows`` rows and ``n_cols`` columns. Training
+    holds the whole training matrix in one instance and the tree node of each
+    row beside it (see :func:`level_splits`).
     """
 
     __slots__ = ("rows", "row", "col", "val", "n_rows", "n_cols", "_groups")

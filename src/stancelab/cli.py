@@ -18,7 +18,7 @@ import click
 
 from . import calibration, features, gbt, stats, tsv
 from . import corpus as corpus_mod
-from .config import ConfigError, check_seed, load_config
+from .config import SCALARS, ConfigError, check_value, load_config
 from .pipeline import STAGES, Pipeline, StageError, output_lock
 from .synth import SynthError, SynthSpec, generate
 
@@ -31,7 +31,7 @@ _NAMED_ERRORS = (StageError, ConfigError, corpus_mod.CorpusError,
 def _pipeline(config_path: str, seed) -> Pipeline:
     cfg = load_config(config_path)
     if seed is not None:
-        cfg.rng_seed = check_seed("--seed", seed)
+        cfg.rng_seed = check_value("--seed", seed, SCALARS["rng_seed"])
         cfg.boost = replace(cfg.boost, rng_seed=seed)
     return Pipeline(cfg)
 

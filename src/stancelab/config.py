@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from importlib import resources
@@ -17,63 +16,37 @@ from typing import Optional
 
 import yaml
 
-from .gbt import BoostParams
+from . import gbt
+from .gbt import BOOST_RANGES, COUNT, FRACTION, POSITIVE, BoostParams
 
 
 class ConfigError(Exception):
     pass
 
 
-_COUNT = (int, lambda v: v >= 0, "a non-negative integer")
-_POSITIVE_COUNT = (int, lambda v: v >= 1, "a positive integer")
-_FRACTION = (float, lambda v: 0 < v < 1, "a number in (0, 1)")
-_SIZE = (float, lambda v: v >= 0, "a non-negative number")
 _RULE_PATH = (str, lambda v: v != "", "a non-empty path")
 
-# every scalar config value, by key: its type, the test its value must pass
-# and what that asks for. A bool is not an int; an int is a float, and a
-# float must be finite. The seeds' entry also checks the --seed option.
+# every scalar config value, by key: its range (see gbt.check_value). The
+# seed's entry also checks the --seed option.
 SCALARS = {
     "corpus": (str, None, "a path"),
     "output_dir": (str, None, "a path"),
-    "alpha0": (float, lambda v: v > 0, "a positive number"),
-    "calibration_fraction": _FRACTION,
-    "min_in_degree": _COUNT,
+    "alpha0": POSITIVE,
+    "calibration_fraction": FRACTION,
+    "min_in_degree": COUNT,
     "reference_year": (int, None, "an integer"),
     "include_retweets": (bool, None, "true or false"),
-    "rng_seed": _COUNT,
-    "thresholds.tweet_min_count": _COUNT,
-    "thresholds.bio_min_count": _COUNT,
-    "boost.n_estimators": _POSITIVE_COUNT,
-    "boost.learning_rate": (float, lambda v: v > 0, "a positive number"),
-    "boost.max_delta_step": _SIZE,
-    "boost.max_depth": _POSITIVE_COUNT,
-    "boost.validation_fraction": _FRACTION,
-    "boost.early_stopping_rounds": _POSITIVE_COUNT,
-    "boost.reg_lambda": _SIZE,
-    "boost.min_child_weight": _SIZE,
-    "boost.rng_seed": _COUNT,
+    "rng_seed": COUNT,
+    "thresholds.tweet_min_count": COUNT,
+    "thresholds.bio_min_count": COUNT,
+    **{f"boost.{name}": spec for name, spec in BOOST_RANGES.items()},
 }
 
 
 def check_value(key: str, value, spec=None):
     """``value`` if it is what ``SCALARS[key]`` (or ``spec``) asks for, else
     ConfigError naming the key."""
-    kind, test, what = spec or SCALARS[key]
-    if kind is float:
-        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-              and math.isfinite(value))
-    else:
-        ok = isinstance(value, kind) and (kind is bool
-                                          or not isinstance(value, bool))
-    if not ok or (test is not None and not test(value)):
-        raise ConfigError(f"{key} must be {what}, got {value!r}")
-    return value
-
-
-def check_seed(key: str, value) -> int:
-    """``value`` if it is an int >= 0 (not a bool), else ConfigError."""
-    return check_value(key, value, SCALARS["rng_seed"])
+    return gbt.check_value(key, value, spec or SCALARS[key], ConfigError)
 
 
 def default_rule_path(name: str) -> str:
@@ -91,6 +64,12 @@ def parse_date(value, key: str = "date") -> int:
         raise ConfigError(f"{key} must be a YYYY-MM-DD date, "
                           f"got {value!r}") from None
     return int(dt.replace(tzinfo=timezone.utc).timestamp())
+
+
+# the two turnaround periods, May to July of 2017 and of 2018; synthetic
+# corpora post in them
+PERIODS = ((parse_date("2017-05-01"), parse_date("2017-08-01")),
+           (parse_date("2018-05-01"), parse_date("2018-08-01")))
 
 
 @dataclass
@@ -126,13 +105,17 @@ class PipelineConfig:
     min_in_degree: int = 5
     reference_year: int = 2017
     include_retweets: bool = True
-    periods: tuple[tuple[int, int], tuple[int, int]] = (
-        (parse_date("2017-05-01"), parse_date("2017-08-01")),
-        (parse_date("2018-05-01"), parse_date("2018-08-01")),
-    )
+    periods: tuple[tuple[int, int], tuple[int, int]] = PERIODS
     rng_seed: int = 0
 
     def __post_init__(self):
+        if (self.time_from is None) != (self.time_to is None):
+            given, other = (("from", "to") if self.time_to is None
+                            else ("to", "from"))
+            raise ConfigError(f"filter.{given} must be set together with "
+                              f"filter.{other}")
+        if self.time_from is not None and self.time_from >= self.time_to:
+            raise ConfigError("filter.to must be later than filter.from")
         (a0, a1), (b0, b1) = self.periods
         if not (a0 < a1 <= b0 < b1):
             raise ConfigError("turnaround periods must be ordered and "
@@ -225,9 +208,9 @@ def config_from_dict(raw: dict, base_dir: Path = Path(".")) -> PipelineConfig:
     if "exclude_patterns" in flt:
         cfg.exclude_patterns = _strings("filter.exclude_patterns",
                                         flt["exclude_patterns"])
-    if flt.get("from"):
+    if flt.get("from") is not None:
         cfg.time_from = parse_date(flt["from"], "filter.from")
-    if flt.get("to"):
+    if flt.get("to") is not None:
         cfg.time_to = parse_date(flt["to"], "filter.to")
     sections = {"thresholds": _known("thresholds", raw.get("thresholds"),
                                      [f.name for f in fields(Thresholds)]),
@@ -238,12 +221,7 @@ def config_from_dict(raw: dict, base_dir: Path = Path(".")) -> PipelineConfig:
             check_value(f"{section}.{key}", value)
     cfg.thresholds = Thresholds(**{**asdict(cfg.thresholds),
                                    **sections["thresholds"]})
-    if sections["boost"]:
-        try:
-            cfg.boost = BoostParams(**{**asdict(cfg.boost),
-                                       **sections["boost"]})
-        except ValueError as exc:
-            raise ConfigError(f"boost: {exc}") from None
+    cfg.boost = BoostParams(**{**asdict(cfg.boost), **sections["boost"]})
     for key in ("alpha0", "calibration_fraction", "min_in_degree",
                 "reference_year", "include_retweets", "rng_seed"):
         if key in raw and not (key == "alpha0" and raw[key] is None):
@@ -255,5 +233,5 @@ def config_from_dict(raw: dict, base_dir: Path = Path(".")) -> PipelineConfig:
             raise ConfigError("periods must be two [from, to] pairs of dates")
         cfg.periods = tuple((parse_date(p[0], "periods"),
                              parse_date(p[1], "periods")) for p in periods)
-        cfg.__post_init__()
+    cfg.__post_init__()
     return cfg

@@ -34,9 +34,6 @@ FEATURE_TYPES = ("emoji", "hashtag", "mention", "url", "word",
 DEFENSE_EMOJI = "\U0001F49A"     # green heart
 OPPOSITION_EMOJI = "\U0001F499"  # blue heart
 
-_KIND_TO_TYPE = {"emoji": "emoji", "hashtag": "hashtag", "mention": "mention",
-                 "url": "url", "word": "word"}
-
 _FORMAT_LINE = "#format stancelab-matrix v1"
 
 
@@ -259,7 +256,7 @@ def _block(block: str, idents: list[str], types: list[str], row, col,
 def _term_cells(counts: TermCounts, prefix: str):
     cells = counts.X.tocoo()
     idents = [prefix + tok.surface for tok in counts.terms]
-    types = [_KIND_TO_TYPE[tok.kind] for tok in counts.terms]
+    types = [tok.kind for tok in counts.terms]
     return idents, types, cells.row, cells.col, cells.data
 
 

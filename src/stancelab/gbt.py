@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-import numbers
 import os
 import signal
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from multiprocessing import connection
 from typing import Optional, Sequence, Union
 
@@ -47,6 +46,45 @@ class WorkerTraceback(Exception):
     worker; attached as the cause of that exception when it is re-raised."""
 
 
+# A range is (kind, test, what): the type a value must have, the test it must
+# pass (None for any) and what that asks for. A bool is not an int; an int is
+# a float, and a float must be finite.
+COUNT = (int, lambda v: v >= 0, "a non-negative integer")
+POSITIVE_COUNT = (int, lambda v: v >= 1, "a positive integer")
+FRACTION = (float, lambda v: 0 < v < 1, "a number in (0, 1)")
+SIZE = (float, lambda v: v >= 0, "a non-negative number")
+POSITIVE = (float, lambda v: v > 0, "a positive number")
+
+
+def check_value(key: str, value, spec, error=ValueError):
+    """``value`` if it has the kind and passes the test of the range
+    ``spec``, else ``error`` naming ``key``."""
+    kind, test, what = spec
+    if kind is float:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and math.isfinite(value))
+    else:
+        ok = isinstance(value, kind) and (kind is bool
+                                          or not isinstance(value, bool))
+    if not ok or (test is not None and not test(value)):
+        raise error(f"{key} must be {what}, got {value!r}")
+    return value
+
+
+# the range of each BoostParams field; the config's boost.* keys read it too
+BOOST_RANGES = {
+    "n_estimators": POSITIVE_COUNT,
+    "learning_rate": POSITIVE,
+    "max_delta_step": SIZE,
+    "max_depth": POSITIVE_COUNT,
+    "validation_fraction": FRACTION,
+    "early_stopping_rounds": POSITIVE_COUNT,
+    "reg_lambda": SIZE,
+    "min_child_weight": SIZE,
+    "rng_seed": COUNT,
+}
+
+
 @dataclass(frozen=True)
 class BoostParams:
     n_estimators: int = 300
@@ -60,25 +98,8 @@ class BoostParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_estimators", "max_depth", "early_stopping_rounds",
-                     "rng_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value,
-                                                         numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("learning_rate", "max_delta_step", "reg_lambda",
-                     "min_child_weight"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0: {value!r}")
-        if self.learning_rate == 0:
-            raise ValueError("learning_rate must be positive")
-        if self.n_estimators < 1 or self.max_depth < 1:
-            raise ValueError("n_estimators and max_depth must be positive")
-        if not (0.0 < self.validation_fraction < 1.0):
-            raise ValueError("validation_fraction must be in (0, 1)")
-        if self.early_stopping_rounds < 1:
-            raise ValueError("early_stopping_rounds must be positive")
+        for name, spec in BOOST_RANGES.items():
+            check_value(name, getattr(self, name), spec)
 
 
 @dataclass
@@ -117,17 +138,8 @@ class BoostedModel:
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("stancelab-model v1\n")
-            p = self.params
-            fh.write("params"
-                     f" n_estimators={p.n_estimators}"
-                     f" learning_rate={p.learning_rate!r}"
-                     f" max_delta_step={p.max_delta_step!r}"
-                     f" max_depth={p.max_depth}"
-                     f" validation_fraction={p.validation_fraction!r}"
-                     f" early_stopping_rounds={p.early_stopping_rounds}"
-                     f" reg_lambda={p.reg_lambda!r}"
-                     f" min_child_weight={p.min_child_weight!r}"
-                     f" rng_seed={p.rng_seed}\n")
+            fh.write("params" + "".join(
+                f" {k}={v!r}" for k, v in asdict(self.params).items()) + "\n")
             fh.write(f"base_score {self.base_score!r}\n")
             fh.write(f"stopped_at {self.stopped_at}\n")
             fh.write(f"best_val_loss {self.best_val_loss!r}\n")
@@ -188,17 +200,8 @@ class BoostedModel:
             if line("stancelab-model") != ["v1"]:
                 raise ValueError("unrecognized model file")
             kv = dict(item.split("=", 1) for item in line("params"))
-            params = BoostParams(
-                n_estimators=int(kv["n_estimators"]),
-                learning_rate=float(kv["learning_rate"]),
-                max_delta_step=float(kv["max_delta_step"]),
-                max_depth=int(kv["max_depth"]),
-                validation_fraction=float(kv["validation_fraction"]),
-                early_stopping_rounds=int(kv["early_stopping_rounds"]),
-                reg_lambda=float(kv["reg_lambda"]),
-                min_child_weight=float(kv["min_child_weight"]),
-                rng_seed=int(kv["rng_seed"]),
-            )
+            params = BoostParams(**{name: kind(kv[name]) for name, (
+                kind, _test, _what) in BOOST_RANGES.items()})
             (base_score,) = map(float, line("base_score"))
             (stopped_at,) = map(int, line("stopped_at"))
             (best_val_loss,) = map(float, line("best_val_loss"))

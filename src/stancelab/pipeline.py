@@ -209,6 +209,11 @@ class Pipeline:
             if not Path(path).is_file():
                 raise ConfigError(f"rules.{key}: no such file: {path}")
         self.out = Path(config.output_dir)
+        written = self.out / "corpus.jsonl"
+        if (config.corpus
+                and Path(config.corpus).resolve() == written.resolve()):
+            raise ConfigError(f"corpus: {config.corpus} is the file ingest "
+                              f"writes ({written}); choose another output_dir")
         self.out.mkdir(parents=True, exist_ok=True)
         self._manifest = self.out / "manifest.json"
         # the corpus and every rule file, the manual labels among them
@@ -345,9 +350,9 @@ class Pipeline:
         cfg = self.config
         if not cfg.corpus:
             raise StageError("config has no corpus path")
-        time_range = None
-        if cfg.time_from is not None and cfg.time_to is not None:
-            time_range = (cfg.time_from, cfg.time_to)
+        # the config sets both ends of the range or neither
+        time_range = (None if cfg.time_from is None
+                      else (cfg.time_from, cfg.time_to))
         metrics: dict = {}
         corpus = corpus_mod.load_corpus(cfg.corpus, time_range, metrics)
 
@@ -540,13 +545,15 @@ class Pipeline:
         # demographics come from labels.tsv (rule and manual labels only), so
         # that the selection is reproducible from that file
         labels = self._artifact("labels.tsv")
-        common = sorted(set(p0.rows) & set(p1.rows))
-        users = [u for u in common
+        # both matrices have a row per corpus user
+        if set(p0.rows) != set(p1.rows):
+            raise StageError(f"{self.out / 'matrix_p0.txt'} and "
+                             f"{self.out / 'matrix_p1.txt'} have different rows")
+        users = [u for u in sorted(p0.rows)
                  if labels.get(u, "gender") and labels.get(u, "age_cohort")]
         if not users:
-            raise StageError(
-                f"no users overlap both periods with known gender and age "
-                f"(period intersection: {len(common)} users)")
+            raise StageError(f"no users with known gender and age among the "
+                             f"{len(p0.rows)} matrix rows")
         # a row's prediction does not depend on the other rows
         conf0 = gbt.predict_confidence(model, p0)
         conf1 = gbt.predict_confidence(model, p1)

@@ -10,24 +10,35 @@ default rule files.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
-from typing import Optional
 
 import numpy as np
 
+from .config import PERIODS
 from .corpus import Corpus, MicroPost, UserProfile
 from .features import DEFENSE_EMOJI, OPPOSITION_EMOJI
+from .gbt import COUNT, POSITIVE_COUNT, check_value
 
-
-def _utc(y, m, d) -> int:
-    return int(datetime(y, m, d, tzinfo=timezone.utc).timestamp())
-
-
-DEFAULT_PERIODS = ((_utc(2017, 5, 1), _utc(2017, 8, 1)),
-                   (_utc(2018, 5, 1), _utc(2018, 8, 1)))
-
+# each user's planted attributes, drawn in this order: every value with its
+# share of the users
+SHARES = {"stance": {"defense": 0.6, "opposition": 0.4},
+          "gender": {"female": 0.5, "male": 0.5},
+          "location": {"Argentina": 0.7, "Chile": 0.3},
+          "age_cohort": {"<18": 0.15, "18-29": 0.4, "30-39": 0.25,
+                         ">=40": 0.2}}
 COHORT_AGES = {"<18": (13, 17), "18-29": (18, 29), "30-39": (30, 39),
                ">=40": (40, 70)}
+# the chance that a profile states each attribute
+SELF_REPORT_RATES = {"gender": 0.5, "age_cohort": 0.5, "stance": 0.4,
+                     "location": 0.5}
+# the standard deviation of the turnaround shift before planted effects
+DELTA_NOISE_SD = 0.05
+
+# a post's bag of words: slots of zipf-ish background words or of the
+# user's half of the signal words, and the other stance's emoji at this rate
+N_BACKGROUND_WORDS = 478
+N_SIGNAL_WORDS = 20
+TOKENS_PER_POST = 8
+SIGNAL_EMOJI_CROSS_RATE = 0.01
 
 _GENDER_BIO = {"female": "madre de dos", "male": "padre de dos"}
 _STANCE_BIO = {"defense": "#abortolegal", "opposition": "#provida"}
@@ -40,45 +51,49 @@ class SynthError(Exception):
     pass
 
 
+_RATE = (float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
+
+# the range of each SynthSpec field (see gbt.check_value)
+_RANGES = {
+    "n_users": POSITIVE_COUNT,
+    "signal_word_rate": _RATE,
+    "signal_emoji_rate": _RATE,
+    "topic_term_rate": _RATE,
+    "posts_per_user_per_period": (float, lambda v: v >= 1,
+                                  "a number of at least 1"),
+    "interaction_density": _RATE,
+    "turnaround_effects": (dict, lambda v: set(v) <= set(SHARES),
+                           "a mapping from " + ", ".join(SHARES)),
+    "p0_mode": (str, lambda v: v in ("stance", "mid"), "'stance' or 'mid'"),
+    "rng_seed": COUNT,
+}
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     n_users: int = 500
-    stance_weights: tuple[float, float] = (0.6, 0.4)   # (defense, opposition)
-    n_background_words: int = 478
-    n_signal_words: int = 20
     signal_word_rate: float = 0.25     # per token slot, for the user's stance
     signal_emoji_rate: float = 0.5     # per post, aligned emoji
-    signal_emoji_cross_rate: float = 0.01
     topic_term_rate: float = 0.95      # per post, the filter keyword "aborto"
-    tokens_per_post: int = 8
-    posts_per_user_per_period: float = 4.0
-    gender_weights: tuple[float, float] = (0.5, 0.5)   # (female, male)
-    country_weights: tuple[float, float] = (0.7, 0.3)  # (Argentina, Chile)
-    cohort_weights: tuple[float, float, float, float] = (0.15, 0.4, 0.25, 0.2)
-    self_report_rates: dict = field(default_factory=lambda: {
-        "gender": 0.5, "location": 0.5, "age_cohort": 0.5, "stance": 0.4})
+    posts_per_user_per_period: float = 4.0  # mean; at least one each
     interaction_density: float = 0.4
-    periods: tuple[tuple[int, int], tuple[int, int]] = DEFAULT_PERIODS
+    # the shift of p1 by attribute level, such as {"gender": {"male": -0.10},
+    # "age_cohort": {"18-29": 0.25}, "location": {"Chile": -0.15}}
     turnaround_effects: dict = field(default_factory=dict)
-    # e.g. {"gender": {"male": -0.10}, "age_cohort": {"18-29": 0.25},
-    #       "location": {"Chile": -0.15}}
-    delta_noise_sd: float = 0.05
     p0_mode: str = "stance"            # "stance" or "mid"
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("stance", "gender", "country", "cohort"):
-            weights = getattr(self, f"{name}_weights")
-            if min(weights) < 0 or abs(sum(weights) - 1.0) > 1e-9:
-                raise SynthError(f"{name} weights must be >= 0 and sum to 1")
-        for r in (self.signal_word_rate, self.signal_emoji_rate,
-                  self.signal_emoji_cross_rate, self.topic_term_rate):
-            if not (0.0 <= r <= 1.0):
-                raise SynthError("rates must be in [0, 1]")
-        if self.p0_mode not in ("stance", "mid"):
-            raise SynthError(f"unknown p0_mode {self.p0_mode!r}")
-        if self.rng_seed < 0:
-            raise SynthError("rng_seed must be non-negative")
+        for name, spec in _RANGES.items():
+            check_value(name, getattr(self, name), spec, SynthError)
+        for attr, shifts in self.turnaround_effects.items():
+            check_value(f"turnaround_effects.{attr}", shifts,
+                        (dict, lambda v: set(v) <= set(SHARES[attr]),
+                         "a mapping from " + ", ".join(SHARES[attr])),
+                        SynthError)
+            for level, shift in shifts.items():
+                check_value(f"turnaround_effects.{attr}.{level}", shift,
+                            (float, None, "a finite number"), SynthError)
 
 
 @dataclass(frozen=True)
@@ -108,8 +123,6 @@ def _choice(rng, options, cdf):
 def generate(spec: SynthSpec) -> tuple[Corpus, GroundTruth]:
     """Build a two-period corpus plus its ground truth, deterministic per
     seed."""
-    if spec.n_users < 1:
-        raise SynthError("n_users must be positive")
     rng = np.random.default_rng(spec.rng_seed)
 
     user_ids = [f"u{i:05d}" for i in range(spec.n_users)]
@@ -119,26 +132,24 @@ def generate(spec: SynthSpec) -> tuple[Corpus, GroundTruth]:
     profiles: dict[str, UserProfile] = {}
 
     # zipf-ish background word distribution
-    ranks = np.arange(1, spec.n_background_words + 1, dtype=np.float64)
+    ranks = np.arange(1, N_BACKGROUND_WORDS + 1, dtype=np.float64)
     bg_cdf = _cdf((1.0 / ranks) / (1.0 / ranks).sum())
-    bg_words = [f"w{k:03d}" for k in range(spec.n_background_words)]
+    bg_words = [f"w{k:03d}" for k in range(N_BACKGROUND_WORDS)]
     sig_words = {
-        "defense": [f"sig{k:02d}" for k in range(spec.n_signal_words // 2)],
+        "defense": [f"sig{k:02d}" for k in range(N_SIGNAL_WORDS // 2)],
         "opposition": [f"sig{k:02d}" for k in
-                       range(spec.n_signal_words // 2, spec.n_signal_words)],
+                       range(N_SIGNAL_WORDS // 2, N_SIGNAL_WORDS)],
     }
     own_emoji = {"defense": DEFENSE_EMOJI, "opposition": OPPOSITION_EMOJI}
     other_emoji = {"defense": OPPOSITION_EMOJI, "opposition": DEFENSE_EMOJI}
 
-    stance_cdf, gender_cdf, country_cdf, cohort_cdf = (
-        _cdf(w) for w in (spec.stance_weights, spec.gender_weights,
-                          spec.country_weights, spec.cohort_weights))
-    earliest = min(p[0] for p in spec.periods)
+    draws = {attr: (tuple(shares), _cdf(list(shares.values())))
+             for attr, shares in SHARES.items()}
+    earliest = min(p[0] for p in PERIODS)
     for uid in user_ids:
-        stance = _choice(rng, ("defense", "opposition"), stance_cdf)
-        gender = _choice(rng, ("female", "male"), gender_cdf)
-        country = _choice(rng, ("Argentina", "Chile"), country_cdf)
-        cohort = _choice(rng, tuple(COHORT_AGES), cohort_cdf)
+        attrs = {attr: _choice(rng, options, cdf)
+                 for attr, (options, cdf) in draws.items()}
+        stance, gender, country, cohort = attrs.values()
         lo, hi = COHORT_AGES[cohort]
         age = int(rng.integers(lo, hi + 1))
         stances[uid], genders[uid] = stance, gender
@@ -146,17 +157,17 @@ def generate(spec: SynthSpec) -> tuple[Corpus, GroundTruth]:
 
         rep = set()
         bio_bits = []
-        if rng.random() < spec.self_report_rates.get("gender", 0.0):
+        if rng.random() < SELF_REPORT_RATES["gender"]:
             bio_bits.append(_GENDER_BIO[gender])
             rep.add("gender")
-        if rng.random() < spec.self_report_rates.get("age_cohort", 0.0):
+        if rng.random() < SELF_REPORT_RATES["age_cohort"]:
             bio_bits.append(f"{age} años")
             rep.add("age_cohort")
-        if rng.random() < spec.self_report_rates.get("stance", 0.0):
+        if rng.random() < SELF_REPORT_RATES["stance"]:
             bio_bits.append(_STANCE_BIO[stance])
             rep.add("stance")
         location = None
-        if rng.random() < spec.self_report_rates.get("location", 0.0):
+        if rng.random() < SELF_REPORT_RATES["location"]:
             location = _COUNTRY_LOCATION[country]
             rep.add("location")
         reported[uid] = rep
@@ -166,9 +177,7 @@ def generate(spec: SynthSpec) -> tuple[Corpus, GroundTruth]:
                   else rng.uniform(0.10, 0.35))
         else:
             p0 = rng.uniform(0.30, 0.60)
-        shift = float(rng.normal(0.0, spec.delta_noise_sd))
-        attrs = {"gender": gender, "age_cohort": cohort, "location": country,
-                 "stance": stance}
+        shift = float(rng.normal(0.0, DELTA_NOISE_SD))
         for attr, levels in spec.turnaround_effects.items():
             shift += levels.get(attrs[attr], 0.0)
         p1 = float(np.clip(p0 + shift, 0.001, 0.999))
@@ -190,30 +199,30 @@ def generate(spec: SynthSpec) -> tuple[Corpus, GroundTruth]:
 
     posts: list[MicroPost] = []
     counter = 0
-    for period_idx, (start, end) in enumerate(spec.periods):
+    for period_idx, (start, end) in enumerate(PERIODS):
         for u_idx, uid in enumerate(user_ids):
             stance = stances[uid]
-            n_posts = 1 + int(rng.poisson(max(spec.posts_per_user_per_period - 1,
-                                              0.0)))
+            n_posts = 1 + int(rng.poisson(
+                spec.posts_per_user_per_period - 1))
             for _ in range(n_posts):
                 tokens = []
                 if rng.random() < spec.topic_term_rate:
                     tokens.append("aborto")
                 # draw the whole bag at once; per-slot rng calls dominate
                 # generation time otherwise
-                is_signal = rng.random(spec.tokens_per_post) < spec.signal_word_rate
+                is_signal = rng.random(TOKENS_PER_POST) < spec.signal_word_rate
                 sig_idx = rng.integers(len(sig_words[stance]),
-                                       size=spec.tokens_per_post)
-                bg_idx = bg_cdf.searchsorted(rng.random(spec.tokens_per_post),
+                                       size=TOKENS_PER_POST)
+                bg_idx = bg_cdf.searchsorted(rng.random(TOKENS_PER_POST),
                                              "right")
-                for slot in range(spec.tokens_per_post):
+                for slot in range(TOKENS_PER_POST):
                     if is_signal[slot]:
                         tokens.append(sig_words[stance][int(sig_idx[slot])])
                     else:
                         tokens.append(bg_words[int(bg_idx[slot])])
                 if rng.random() < spec.signal_emoji_rate:
                     tokens.append(own_emoji[stance])
-                if rng.random() < spec.signal_emoji_cross_rate:
+                if rng.random() < SIGNAL_EMOJI_CROSS_RATE:
                     tokens.append(other_emoji[stance])
 
                 retweet_of = None
@@ -242,7 +251,7 @@ def generate(spec: SynthSpec) -> tuple[Corpus, GroundTruth]:
 
     posts.sort(key=lambda p: (p.timestamp, p.post_id))
     corpus = Corpus(posts=tuple(posts), users=profiles,
-                    time_range=(spec.periods[0][0], spec.periods[1][1]))
+                    time_range=(PERIODS[0][0], PERIODS[1][1]))
     truth = GroundTruth(stance=stances, gender=genders, country=countries,
                         cohort=cohorts, age=ages, p0=p0s, p1=p1s,
                         delta=deltas, self_reported=reported)

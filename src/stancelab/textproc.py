@@ -80,12 +80,11 @@ class TermCounts:
     """Per-user term counts: ``X[i, j]`` is how often user ``users[i]`` used
     term ``terms[j]`` (an int64 CSR array; absent cells are zero). URLs are
     counted by registrable domain, and every term passed the corpus-wide
-    ``min_count`` floor."""
+    count floor of :meth:`Encoding.term_counts`."""
     users: tuple[str, ...]
     terms: tuple[Token, ...]
     X: sparse.csr_array
     scope: str  # "tweet" or "bio"
-    min_count: int
 
     @property
     def counts(self) -> dict[tuple[str, Token], int]:
@@ -239,7 +238,7 @@ class Encoding:
         cols = np.flatnonzero(X.sum(axis=0) >= min_count)
         return TermCounts(users=self.users,
                           terms=tuple(self.terms[t] for t in cols.tolist()),
-                          X=X[:, cols], scope=scope, min_count=min_count)
+                          X=X[:, cols], scope=scope)
 
     def lexicon_counts(self, lexicon: Lexicon
                        ) -> tuple[tuple[str, ...], sparse.csr_array]:

@@ -407,7 +407,7 @@ def test_cut_model_file_is_a_named_error(saved_model, tmp_path_factory, data):
     (b"\ntree 0 ", b"\ntree 0 99999999999", "ends before the"),
     (b"\nend\n", b"\nend\nend\n", "goes on after"),
     (b" learning_rate=0.1 ", b" learning_rate=nan ",
-     "learning_rate must be finite"),
+     "learning_rate must be a positive number"),
 ])
 def test_malformed_model_file_is_a_named_error(saved_model, tmp_path, old,
                                                new, what):
@@ -603,9 +603,11 @@ def test_one_vs_rest():
 
 @pytest.mark.parametrize("field", ["n_estimators", "max_depth",
                                    "early_stopping_rounds", "rng_seed"])
-@pytest.mark.parametrize("value", [2.5, 3.0, True, "6"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "6", -1])
 def test_boost_params_take_whole_numbers_only(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+    _kind, _test, what = gbt.BOOST_RANGES[field]
+    with pytest.raises(ValueError, match=re.escape(
+            f"{field} must be {what}, got {value!r}")):
         gbt.BoostParams(**{field: value})
 
 
@@ -613,7 +615,7 @@ def test_boost_params_take_whole_numbers_only(field, value):
                                    "validation_fraction", "reg_lambda",
                                    "min_child_weight"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"),
-                                   float("-inf"), -1.0])
+                                   float("-inf"), -1.0, True, "1"])
 def test_boost_params_take_finite_numbers_in_range_only(field, value):
     with pytest.raises(ValueError, match=f"{field} must be "):
         gbt.BoostParams(**{field: value})
@@ -624,5 +626,17 @@ def test_boost_params_take_zero_weights_but_not_a_zero_learning_rate():
                              min_child_weight=0.0)
     assert (params.max_delta_step, params.reg_lambda,
             params.min_child_weight) == (0.0, 0.0, 0.0)
-    with pytest.raises(ValueError, match="learning_rate must be positive"):
+    with pytest.raises(ValueError,
+                       match="learning_rate must be a positive number"):
         gbt.BoostParams(learning_rate=0.0)
+
+
+def test_boost_ranges_name_every_boost_param_and_config_key():
+    from dataclasses import fields
+    from stancelab.config import SCALARS
+    names = [f.name for f in fields(gbt.BoostParams)]
+    assert sorted(gbt.BOOST_RANGES) == sorted(names)
+    boost_keys = {key: spec for key, spec in SCALARS.items()
+                  if key.startswith("boost.")}
+    assert boost_keys == {f"boost.{name}": gbt.BOOST_RANGES[name]
+                          for name in names}

@@ -676,6 +676,38 @@ def test_a_missing_stage_input_is_one_error_naming_its_stage(
             "stages"][stage], (stage, name)
 
 
+def test_turnaround_refuses_period_matrices_with_different_rows(
+        demo_corpus, finished, tmp_path):
+    out = _copy_of(finished, tmp_path)
+    path = out / "matrix_p1.txt"
+    lines = path.read_text(encoding="utf-8").splitlines(True)
+    last = max(i for i, line in enumerate(lines) if line.startswith("#row "))
+    _tag, k, user = lines[last].split()
+    lines[last] = f"#row {k} x{user}\n"  # a user that is not in matrix_p0
+    path.write_text("".join(lines), encoding="utf-8")
+    before = (out / "turnaround.tsv").read_bytes()
+    with pytest.raises(StageError, match=re.escape(
+            f"{out / 'matrix_p0.txt'} and {path} have different rows")):
+        Pipeline(make_config(demo_corpus, out)).run_stage("turnaround")
+    assert (out / "turnaround.tsv").read_bytes() == before
+
+
+@pytest.mark.parametrize("output_dir", ["", ".", "sub/.."])
+def test_ingest_never_writes_over_its_input(demo_corpus, tmp_path,
+                                            output_dir):
+    corpus = tmp_path / "corpus.jsonl"
+    shutil.copyfile(demo_corpus, corpus)
+    before = corpus.read_bytes()
+    error = _cli_error(f"corpus: corpus.jsonl\noutput_dir: '{output_dir}'\n",
+                       tmp_path)
+    written = Path(tmp_path, output_dir, "corpus.jsonl")
+    assert error == (f"Error: corpus: {corpus} is the file ingest writes "
+                     f"({written}); choose another output_dir")
+    assert corpus.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml",
+                                                          "corpus.jsonl"]
+
+
 def _turnaround_user(out):
     return (out / "turnaround.tsv").read_text().splitlines()[2].split("\t")[0]
 
@@ -715,17 +747,16 @@ def test_cli_rejects_a_negative_seed_before_writing(demo_corpus, tmp_path,
     out = tmp_path / "out"
     if config is None:  # synth writes a corpus file
         args = [args[0], str(out / "corpus.jsonl"), *args[1:]]
-        error = "Error: rng_seed must be non-negative\n"
     else:
         config_path = tmp_path / "config.yaml"
         config_path.write_text(f"corpus: {demo_corpus}\noutput_dir: {out}\n"
                                + config, encoding="utf-8")
         args = [*args, "--config", str(config_path)]
-        error = f"Error: {error} must be a non-negative integer, got -1\n"
     done = CliRunner().invoke(cli.main, args)
     assert done.exit_code == 1
     assert isinstance(done.exception, SystemExit)  # not an uncaught error
-    assert done.output == error
+    assert done.output == \
+        f"Error: {error} must be a non-negative integer, got -1\n"
     assert not out.exists()
 
 
@@ -746,11 +777,18 @@ def _raw_config(key, value):
     ("rules.names", 3), ("rules.gazetteer", ""),
     ("filter.include_terms", "aborto"),
     ("filter.from", "2017-13-01"),
+    ("filter.from", "2018-01-01"), ("filter.from", 0),
+    ("filter.to", "2018-01-01"),
+    # a mapping for "filter" is the whole section
+    ("filter.to", {"from": "2018-01-01", "to": "2018-01-01"}),
+    ("filter.to", {"from": 0, "to": "1969-12-31"}),
 ])
 def test_config_refuses_a_bad_value_naming_its_key(tmp_path, key, value):
     from stancelab.config import ConfigError
+    raw = ({"filter": value} if isinstance(value, dict)
+           else _raw_config(key, value))
     with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be "):
-        config_from_dict(_raw_config(key, value), base_dir=tmp_path)
+        config_from_dict(raw, base_dir=tmp_path)
 
 
 _ANY_VALUE = st.one_of(st.none(), st.booleans(), st.integers(-10, 10),
@@ -855,7 +893,7 @@ def test_cli_prints_synth_error_as_one_line(tmp_path):
     done = CliRunner().invoke(cli.main, ["synth", str(out), "--n-users", "0"])
     assert done.exit_code == 1
     assert isinstance(done.exception, SystemExit)  # not an uncaught error
-    assert done.output == "Error: n_users must be positive\n"
+    assert done.output == "Error: n_users must be a positive integer, got 0\n"
     assert not out.exists()
 
 
@@ -1089,7 +1127,7 @@ def test_config_yaml_round_trip(tmp_path):
     raw = {
         "corpus": "c.jsonl",
         "output_dir": "out",
-        "filter": {"include_terms": ["aborto"], "from": "2017-01-01",
+        "filter": {"include_terms": ["aborto"], "from": 0,
                    "to": "2019-01-01"},
         "thresholds": {"tweet_min_count": 7},
         "boost": {"n_estimators": 50},
@@ -1104,6 +1142,7 @@ def test_config_yaml_round_trip(tmp_path):
     assert cfg.boost.n_estimators == 50
     assert cfg.boost.learning_rate == 0.1
     assert cfg.rng_seed == 3
+    assert (cfg.time_from, cfg.time_to) == (0, 1546300800)  # epoch 0 counts
 
 
 def test_config_rejects_overlapping_periods(tmp_path):

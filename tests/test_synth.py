@@ -1,4 +1,7 @@
+from dataclasses import fields
+
 import numpy as np
+import pytest
 
 from stancelab import labeling as lb
 from stancelab import synth
@@ -33,7 +36,7 @@ def test_ground_truth_consistency():
 def test_posts_fall_in_periods():
     spec = synth.SynthSpec(n_users=30, rng_seed=2)
     c, _truth = synth.generate(spec)
-    (a0, a1), (b0, b1) = spec.periods
+    (a0, a1), (b0, b1) = synth.PERIODS
     for p in c.posts:
         assert (a0 <= p.timestamp < a1) or (b0 <= p.timestamp < b1)
 
@@ -94,3 +97,44 @@ def test_interactions_reference_corpus_users():
         for target, kind in p.directed_at:
             assert target in c.users and target != p.author_id
             assert kind in ("mention", "reply", "quote")
+
+
+# for each SynthSpec field, values of the wrong type or out of range, and the
+# key the error names
+_BAD_SPEC_VALUES = {
+    "n_users": [0, 2.0, True],
+    "signal_word_rate": [1.5, -0.1, float("nan"), "0.5"],
+    "signal_emoji_rate": [1.01, None],
+    "topic_term_rate": [-1, True],
+    "posts_per_user_per_period": [-3.0, 0.5, float("inf")],
+    "interaction_density": [2.0, "0.4"],
+    "turnaround_effects": [{"country": {"Chile": -0.1}}, [("gender", {})],
+                           {"gender": {"other": 0.1}},
+                           {"gender": ["male"]},
+                           {"gender": {"male": "-0.1"}},
+                           {"stance": {"defense": float("nan")}}],
+    "p0_mode": ["high", 1],
+    "rng_seed": [1.5, -1, "7", False],
+}
+
+
+def test_every_spec_field_has_bad_values():
+    assert sorted(_BAD_SPEC_VALUES) == sorted(
+        f.name for f in fields(synth.SynthSpec))
+
+
+@pytest.mark.parametrize("name, value", [
+    (name, value) for name, values in _BAD_SPEC_VALUES.items()
+    for value in values])
+def test_spec_refuses_a_bad_value_naming_its_field(name, value):
+    with pytest.raises(synth.SynthError, match=rf"^{name}(\.\S+)? must be "):
+        synth.SynthSpec(**{name: value})
+
+
+def test_spec_takes_each_turnaround_level():
+    effects = {"gender": dict.fromkeys(("female", "male"), 0.1),
+               "age_cohort": dict.fromkeys(synth.COHORT_AGES, -0.1),
+               "location": dict.fromkeys(("Argentina", "Chile"), 0),
+               "stance": dict.fromkeys(("defense", "opposition"), 0.2)}
+    assert synth.SynthSpec(turnaround_effects=effects).turnaround_effects \
+        == effects
