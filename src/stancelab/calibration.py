@@ -3,7 +3,6 @@ three-band discretization (opposition / undisclosed / defense)."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -120,15 +119,16 @@ def fit_platt(confidences: Sequence[float], labels: Sequence[int],
 
 
 def calibrate(model: PlattModel, confidence: float) -> float:
-    """Calibrated probability sigmoid(A*confidence + B), strictly in (0,1),
-    as a Python float."""
-    p = float(sigmoid(model.slope * np.asarray(confidence, dtype=np.float64)
-                       + model.offset))
-    return min(max(p, math.nextafter(0.0, 1.0)), math.nextafter(1.0, 0.0))
+    """:func:`calibrate_many` of one confidence, as a Python float."""
+    return float(calibrate_many(model, confidence))
 
 
 def calibrate_many(model: PlattModel, confidences: Sequence[float]) -> np.ndarray:
-    return np.asarray([calibrate(model, c) for c in confidences])
+    """Calibrated probabilities sigmoid(A*confidence + B), each clipped into
+    the open interval (0, 1)."""
+    p = sigmoid(model.slope * np.asarray(confidences, dtype=np.float64)
+                + model.offset)
+    return np.clip(p, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
 
 
 def stance_band(probability: float) -> str:
@@ -145,12 +145,10 @@ def stance_band(probability: float) -> str:
 
 def score_users(model: PlattModel, user_ids: Sequence[str],
                 confidences: Sequence[float]) -> list[StanceScore]:
-    out = []
-    for uid, conf in zip(user_ids, confidences):
-        p = calibrate(model, conf)
-        out.append(StanceScore(user_id=uid, raw_confidence=float(conf),
-                               probability=p, band=stance_band(p)))
-    return out
+    probs = calibrate_many(model, confidences).tolist()
+    return [StanceScore(user_id=uid, raw_confidence=float(conf),
+                        probability=p, band=stance_band(p))
+            for uid, conf, p in zip(user_ids, confidences, probs)]
 
 
 def expected_calibration_error(probabilities: Sequence[float],

@@ -14,6 +14,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
+import regex
 import yaml
 
 from . import gbt
@@ -208,6 +209,12 @@ def config_from_dict(raw: dict, base_dir: Path = Path(".")) -> PipelineConfig:
     if "exclude_patterns" in flt:
         cfg.exclude_patterns = _strings("filter.exclude_patterns",
                                         flt["exclude_patterns"])
+        try:  # compiled as corpus.filter_relevant compiles them
+            for pattern in cfg.exclude_patterns:
+                regex.compile(pattern, regex.IGNORECASE)
+        except regex.error as exc:
+            raise ConfigError("filter.exclude_patterns must be regular "
+                              f"expressions, got {pattern!r}: {exc}") from None
     if flt.get("from") is not None:
         cfg.time_from = parse_date(flt["from"], "filter.from")
     if flt.get("to") is not None:

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections import Counter, defaultdict, deque
-from dataclasses import dataclass, field, replace
+from collections import Counter, deque
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Iterable, Optional, Sequence
 
@@ -180,7 +180,7 @@ def load_corpus(path, time_range: Optional[tuple[int, int]] = None,
             post, profile = _parse_post(obj)
             if post.post_id in seen_ids:
                 raise ValueError(f"duplicate post_id {post.post_id}")
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError):
             bad_lines.append(lineno)
             continue
         if profile is not None and profile.user_id not in users:

@@ -88,15 +88,15 @@ def _platt_line(slope, offset) -> calib.PlattModel:
         raise ValueError(exc) from None
 
 
-def _first_platt(models: list) -> calib.PlattModel:
-    if not models:
-        raise ValueError("no slope and offset line")
+def _one_platt(models: list) -> calib.PlattModel:
+    if len(models) != 1:
+        raise ValueError(f"{len(models) or 'no'} slope and offset lines")
     return models[0]
 
 
 _TABLES = {
     "labels.tsv": (_LABELS_HEADER, _label_line, _label_set),
-    "platt.tsv": (_PLATT_HEADER, _platt_line, _first_platt),
+    "platt.tsv": (_PLATT_HEADER, _platt_line, _one_platt),
     "turnaround.tsv": (_TURNAROUND_HEADER, lambda u, p0, p1, d: (
         u, float(p0), float(p1), float(d)), list),
 }
@@ -368,8 +368,7 @@ class Pipeline:
         corpus = dropped("off_topic", relevant)
         graph = corpus_mod.build_interaction_graph(corpus)
         lcc = corpus_mod.largest_connected_component(graph)
-        connected = corpus_mod.restrict_users(corpus, lcc) if lcc else corpus
-        corpus = dropped("outside_lcc", connected)
+        corpus = dropped("outside_lcc", corpus_mod.restrict_users(corpus, lcc))
         metrics.update(posts=corpus.n_posts, users=corpus.n_users)
         self._put("corpus.jsonl",
                   lambda tmp: corpus_mod.write_corpus(corpus, tmp),
@@ -444,6 +443,15 @@ class Pipeline:
         train_users = sorted(users[n_cal:])
         return train_users, calib_users
 
+    def _stance_rows(self, users: list[str], matrix, labels
+                     ) -> tuple[list[str], list[int], list[int]]:
+        """The ``users`` that ``matrix`` has a row for, their row indices and
+        their stance labels: 1 for defense, else 0."""
+        ridx = matrix.row_index()
+        kept = [u for u in users if u in ridx]
+        y = [int(labels.get(u, "stance").value == "defense") for u in kept]
+        return kept, [ridx[u] for u in kept], y
+
     def _stage_train(self) -> dict:
         labels = self._artifact("labels.tsv")
         full = self._artifact("matrix_full.txt")
@@ -452,13 +460,9 @@ class Pipeline:
         train_users, _calib_users = self._split_stance_labels(labels)
         if not train_users:
             raise StageError("no stance-labeled users to train on")
-        ridx = matrix.row_index()
-        kept_users = [u for u in train_users if u in ridx]
-        X = matrix.X[[ridx[u] for u in kept_users]]
-        y = [1 if labels.get(u, "stance").value == "defense" else 0
-             for u in kept_users]
+        kept_users, rows, y = self._stance_rows(train_users, matrix, labels)
         # the model and the CV folds are fit together, in parallel
-        report = gbt.cross_validate(X, y, self.config.boost, k=5)
+        report = gbt.cross_validate(matrix.X[rows], y, self.config.boost, k=5)
         model = report.model
         model.columns = matrix.column_identifiers()
         self._put("model_stance.txt", model.save, model)
@@ -478,14 +482,10 @@ class Pipeline:
         full = self._artifact("matrix_full.txt")
         train_users = self._artifact("model_train_users.txt")
         _train, calib_users = self._split_stance_labels(labels)
-        ridx = full.row_index()
-        calib_users = [u for u in calib_users if u in ridx]
+        calib_users, rows, y = self._stance_rows(calib_users, full, labels)
         if len(calib_users) < 10:
             raise StageError("calibration set too small (<10 labeled users)")
-        conf = self._confidence
-        c = [float(conf[ridx[u]]) for u in calib_users]
-        y = [1 if labels.get(u, "stance").value == "defense" else 0
-             for u in calib_users]
+        c = self._confidence[rows]
         platt = calib.fit_platt(c, y, user_ids=calib_users,
                                 training_user_ids=train_users)
         self._write_tsv("platt.tsv", _PLATT_HEADER,
@@ -500,8 +500,7 @@ class Pipeline:
     def _stage_predict(self) -> None:
         full = self._artifact("matrix_full.txt")
         platt = self._artifact("platt.tsv")
-        conf = self._confidence
-        scores = calib.score_users(platt, list(full.rows), conf)
+        scores = calib.score_users(platt, full.rows, self._confidence)
         self._write_tsv("stance_scores.tsv",
                         ["user_id", "raw_confidence", "probability", "band"],
                         [(s.user_id, s.raw_confidence, s.probability, s.band)
@@ -519,10 +518,14 @@ class Pipeline:
         # columns that train dropped
         full = self._artifact("matrix_full.txt")
         model = self._artifact("model_stance.txt")
-        ranked = gbt.feature_importance(model)
         col_by_id = {c.identifier: c for c in full.columns}
-        pairs = [(col_by_id[ident], gain) for ident, gain in ranked
-                 if ident in col_by_id]
+        try:
+            pairs = [(col_by_id[ident], gain)
+                     for ident, gain in gbt.feature_importance(model)]
+        except KeyError as exc:
+            raise StageError(f"{self.out / 'matrix_full.txt'} lacks column "
+                             f"{exc.args[0]!r} of "
+                             f"{self.out / 'model_stance.txt'}") from None
         try:
             comparisons = stats.group_importance_test(pairs)
             hsd = [("group_a", "group_b", "mean_diff", "q", "p_adjusted",
@@ -554,16 +557,14 @@ class Pipeline:
         if not users:
             raise StageError(f"no users with known gender and age among the "
                              f"{len(p0.rows)} matrix rows")
-        # a row's prediction does not depend on the other rows
-        conf0 = gbt.predict_confidence(model, p0)
-        conf1 = gbt.predict_confidence(model, p1)
-        ridx0, ridx1 = p0.row_index(), p1.row_index()
-        out_rows = []
-        for u in users:
-            prob0 = calib.calibrate(platt, float(conf0[ridx0[u]]))
-            prob1 = calib.calibrate(platt, float(conf1[ridx1[u]]))
-            out_rows.append((u, prob0, prob1, stats.turnaround(prob0, prob1)))
-        self._write_tsv("turnaround.tsv", _TURNAROUND_HEADER, out_rows)
+
+        def calibrated(m):  # a row's prediction ignores the other rows
+            ridx = m.row_index()
+            return calib.calibrate_many(platt, gbt.predict_confidence(
+                model, m)[[ridx[u] for u in users]]).tolist()
+        self._write_tsv("turnaround.tsv", _TURNAROUND_HEADER, [
+            (u, a, b, stats.turnaround(a, b))
+            for u, a, b in zip(users, calibrated(p0), calibrated(p1))])
 
     def _stage_regress(self) -> None:
         corpus = self._artifact("corpus.jsonl")
@@ -610,7 +611,6 @@ class Pipeline:
             ("account_age_years", "numeric"), ("stance_t0", "categorical"),
             ("uses_defense_emoji", "numeric"),
             ("uses_opposition_emoji", "numeric"))]
-        covariates = _drop_constant(records, covariates)
         covariates, dropped = stats.drop_collinear(records, covariates)
         result = stats.ols_regress(records, response, covariates)
         before = [f"# n={result.n} adjusted_r2={_fmt(result.adjusted_r2)} "
@@ -646,10 +646,3 @@ def _users_with(matrix: features_mod.FeatureMatrix, ident: str) -> set[str]:
     if j is None:
         return set()
     return {matrix.rows[i] for i in matrix.X[:, [j]].nonzero()[0]}
-
-
-def _drop_constant(records, covariates):
-    """Remove covariates with a single observed level/value (they would be
-    collinear with the intercept)."""
-    return [cov for cov in covariates
-            if len({str(r[cov.name]) for r in records}) > 1]

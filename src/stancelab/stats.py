@@ -6,13 +6,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-# scipy.stats is imported by the two functions that use it: importing it
-# takes longer than the rest of stancelab, and most commands never need it
+# tukey_hsd alone imports scipy.stats: importing it takes longer than the
+# rest of stancelab, and most commands never need it
 
 
 class StatsError(Exception):
@@ -243,10 +243,11 @@ def _qr(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
 
 def drop_collinear(records: Sequence[Mapping[str, object]],
                    covariates: Sequence[Covariate]):
-    """Prune covariates, the last first, until the design matrix has full
-    rank (an indicator may coincide with a stance band, say), so the core
-    demographics stay. Returns (kept covariates, dropped column names)."""
-    covs = list(covariates)
+    """Prune covariates until the design matrix has full rank: first, and
+    unreported, those with one observed value; then others, the last first,
+    so the core demographics stay. Returns (kept, dropped column names)."""
+    covs = [cov for cov in covariates
+            if len({str(r[cov.name]) for r in records}) > 1]
     dropped: list[str] = []
     while covs:
         X, names, owners, _ = _design_matrix(records, covs)
@@ -267,7 +268,7 @@ def ols_regress(records: Sequence[Mapping[str, object]],
     default), count covariates enter as log(1+x). Solved by QR; rank
     deficiency is fatal and names the collinear columns.
     """
-    from scipy import stats as sps
+    from scipy.special import fdtrc
     y = np.asarray(response, dtype=np.float64)
     X, names, _owners, dummy_map = _design_matrix(records, covariates)
     n, p = X.shape
@@ -293,7 +294,7 @@ def ols_regress(records: Sequence[Mapping[str, object]],
     mse = rss / n
     if p > 1 and rss > 0:
         f_stat = ((tss - rss) / (p - 1)) / (rss / (n - p))
-        f_p = float(sps.f.sf(f_stat, p - 1, n - p))
+        f_p = float(fdtrc(p - 1, n - p, f_stat))
     else:
         f_stat, f_p = math.inf, 0.0
     if rss > 0:

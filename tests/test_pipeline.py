@@ -553,6 +553,13 @@ def test_platt_file_without_values_is_a_named_error(tmp_path):
                                         encoding="utf-8")
     with pytest.raises(StageError, match="platt.tsv: no slope and offset"):
         pipe._artifact("platt.tsv")
+    # nor may a second line of values follow the first
+    (tmp_path / "platt.tsv").write_text(
+        "# manifest x\nslope\toffset\n1.5\t-0.25\n9.0\t3.0\n",
+        encoding="utf-8")
+    with pytest.raises(StageError, match=re.escape(
+            f"{tmp_path / 'platt.tsv'}: 2 slope and offset lines")):
+        pipe._artifact("platt.tsv")
 
 
 def test_missing_upstream_stage_fatal(demo_corpus, tmp_path):
@@ -692,6 +699,20 @@ def test_turnaround_refuses_period_matrices_with_different_rows(
     assert (out / "turnaround.tsv").read_bytes() == before
 
 
+def test_importance_refuses_a_model_column_the_matrix_lacks(
+        demo_corpus, finished, tmp_path):
+    out = _copy_of(finished, tmp_path)
+    cut = gbt.BoostedModel.load(out / "model_stance.txt").columns[-1]
+    full = features.FeatureMatrix.load(out / "matrix_full.txt")
+    features.drop_columns(full, {cut}).save(out / "matrix_full.txt")
+    before = (out / "importance_hsd.tsv").read_bytes()
+    with pytest.raises(StageError, match=re.escape(
+            f"{out / 'matrix_full.txt'} lacks column {cut!r} of "
+            f"{out / 'model_stance.txt'}")):
+        Pipeline(make_config(demo_corpus, out)).run_stage("importance")
+    assert (out / "importance_hsd.tsv").read_bytes() == before
+
+
 @pytest.mark.parametrize("output_dir", ["", ".", "sub/.."])
 def test_ingest_never_writes_over_its_input(demo_corpus, tmp_path,
                                             output_dir):
@@ -782,6 +803,8 @@ def _raw_config(key, value):
     # a mapping for "filter" is the whole section
     ("filter.to", {"from": "2018-01-01", "to": "2018-01-01"}),
     ("filter.to", {"from": 0, "to": "1969-12-31"}),
+    # not a regular expression
+    ("filter.exclude_patterns", ["("]),
 ])
 def test_config_refuses_a_bad_value_naming_its_key(tmp_path, key, value):
     from stancelab.config import ConfigError

@@ -293,6 +293,18 @@ def test_drop_collinear_prunes_duplicate_indicator():
     assert [c.name for c in kept] == ["gender", "x"]
 
 
+def test_drop_collinear_leaves_out_single_valued_covariates_unreported():
+    # the intercept spans them; they are not collinear drops to report
+    rng = np.random.default_rng(1)
+    records = [{"one": "spain", "x": float(rng.normal()), "zero": 0.0}
+               for _ in range(30)]
+    covs = [stats.Covariate("one", "categorical"),
+            stats.Covariate("x", "numeric"),
+            stats.Covariate("zero", "numeric")]
+    kept, dropped = stats.drop_collinear(records, covs)
+    assert ([c.name for c in kept], dropped) == (["x"], [])
+
+
 def test_drop_collinear_with_fewer_rows_than_columns():
     # R has fewer diagonal entries than the design has columns: the rows,
     # not an index past them, stop the fit
