@@ -31,8 +31,9 @@ _NAMED_ERRORS = (StageError, ConfigError, corpus_mod.CorpusError,
 def _pipeline(config_path: str, seed) -> Pipeline:
     cfg = load_config(config_path)
     if seed is not None:
-        cfg.rng_seed = check_value("--seed", seed, SCALARS["rng_seed"])
-        cfg.boost = replace(cfg.boost, rng_seed=seed)
+        check_value("--seed", seed, SCALARS["rng_seed"])
+        cfg = replace(cfg, rng_seed=seed,
+                      boost=replace(cfg.boost, rng_seed=seed))
     return Pipeline(cfg)
 
 

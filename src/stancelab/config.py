@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
@@ -18,14 +18,13 @@ import regex
 import yaml
 
 from . import gbt
-from .gbt import BOOST_RANGES, COUNT, FRACTION, POSITIVE, BoostParams
+from .gbt import (BOOST_RANGES, COUNT, FRACTION, POSITIVE, POSITIVE_COUNT,
+                  BoostParams)
 
 
 class ConfigError(Exception):
     pass
 
-
-_RULE_PATH = (str, lambda v: v != "", "a non-empty path")
 
 # every scalar config value, by key: its range (see gbt.check_value). The
 # seed's entry also checks the --seed option.
@@ -38,8 +37,8 @@ SCALARS = {
     "reference_year": (int, None, "an integer"),
     "include_retweets": (bool, None, "true or false"),
     "rng_seed": COUNT,
-    "thresholds.tweet_min_count": COUNT,
-    "thresholds.bio_min_count": COUNT,
+    "thresholds.tweet_min_count": POSITIVE_COUNT,
+    "thresholds.bio_min_count": POSITIVE_COUNT,
     **{f"boost.{name}": spec for name, spec in BOOST_RANGES.items()},
 }
 
@@ -54,16 +53,19 @@ def default_rule_path(name: str) -> str:
     return str(resources.files("stancelab").joinpath("rules", name))
 
 
+_RULE_PATH = (str, lambda v: v != "", "a non-empty path")
+_STRINGS = (list, lambda v: all(isinstance(s, str) for s in v),
+            "a list of strings")
+_DATE = (int, None, "a YYYY-MM-DD date")  # held as UTC epoch seconds
+
+
 def parse_date(value, key: str = "date") -> int:
     """ISO date (or integer epoch seconds) to UTC epoch seconds; anything
     else is a ConfigError naming ``key``."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
     try:
         dt = datetime.strptime(str(value), "%Y-%m-%d")
     except ValueError:
-        raise ConfigError(f"{key} must be a YYYY-MM-DD date, "
-                          f"got {value!r}") from None
+        return check_value(key, value, _DATE)
     return int(dt.replace(tzinfo=timezone.utc).timestamp())
 
 
@@ -73,7 +75,7 @@ PERIODS = ((parse_date("2017-05-01"), parse_date("2017-08-01")),
            (parse_date("2018-05-01"), parse_date("2018-08-01")))
 
 
-@dataclass
+@dataclass(frozen=True)
 class RulePaths:
     gazetteer: str = field(default_factory=lambda: default_rule_path("gazetteer.tsv"))
     names: str = field(default_factory=lambda: default_rule_path("names.tsv"))
@@ -83,14 +85,28 @@ class RulePaths:
     lexicon: str = field(default_factory=lambda: default_rule_path("lexicon.tsv"))
     manual_labels: Optional[str] = None
 
+    def __post_init__(self):
+        for name, value in asdict(self).items():
+            if value is not None or name != "manual_labels":
+                check_value(f"rules.{name}", value, _RULE_PATH)
 
-@dataclass
+
+@dataclass(frozen=True)
 class Thresholds:
     tweet_min_count: int = 50
     bio_min_count: int = 10
 
+    def __post_init__(self):
+        for name, value in asdict(self).items():
+            check_value(f"thresholds.{name}", value)
 
-@dataclass
+
+def _two_pairs(value) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) == 2 and all(
+        isinstance(p, (list, tuple)) and len(p) == 2 for p in value)
+
+
+@dataclass(frozen=True)
 class PipelineConfig:
     corpus: str = ""
     output_dir: str = "out"
@@ -110,13 +126,30 @@ class PipelineConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for key in SCALARS:
+            if "." not in key and (key != "alpha0" or self.alpha0 is not None):
+                check_value(key, getattr(self, key))
+        check_value("filter.include_terms", self.include_terms, _STRINGS)
+        check_value("filter.exclude_patterns", self.exclude_patterns, _STRINGS)
+        try:  # compiled as corpus.filter_relevant compiles them
+            for pattern in self.exclude_patterns:
+                regex.compile(pattern, regex.IGNORECASE)
+        except regex.error as exc:
+            raise ConfigError("filter.exclude_patterns must be regular "
+                              f"expressions, got {pattern!r}: {exc}") from None
         if (self.time_from is None) != (self.time_to is None):
             given, other = (("from", "to") if self.time_to is None
                             else ("to", "from"))
             raise ConfigError(f"filter.{given} must be set together with "
                               f"filter.{other}")
-        if self.time_from is not None and self.time_from >= self.time_to:
+        if self.time_from is not None and (
+                check_value("filter.from", self.time_from, _DATE)
+                >= check_value("filter.to", self.time_to, _DATE)):
             raise ConfigError("filter.to must be later than filter.from")
+        if not _two_pairs(self.periods):
+            raise ConfigError("periods must be two [from, to] pairs of dates")
+        for date in (*self.periods[0], *self.periods[1]):
+            check_value("periods", date, _DATE)
         (a0, a1), (b0, b1) = self.periods
         if not (a0 < a1 <= b0 < b1):
             raise ConfigError("turnaround periods must be ordered and "
@@ -138,24 +171,32 @@ class PipelineConfig:
 
 
 def load_config(path) -> PipelineConfig:
-    """The config file ``path``; YAML that does not parse raises
-    :class:`ConfigError` naming the file and line."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = yaml.safe_load(fh) or {}
-        except yaml.YAMLError as exc:
-            mark = getattr(exc, "problem_mark", None)
-            where = f"{path}:{mark.line + 1}" if mark else str(path)
-            what = getattr(exc, "problem", None) or exc
-            raise ConfigError(f"{where}: invalid YAML: {what}") from None
+    """The config file ``path``; a file that cannot be read as UTF-8 text,
+    or YAML that does not parse, raises :class:`ConfigError` naming the
+    file (and the line)."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{line}: not UTF-8 text: {exc.reason}"
+                          ) from None
+    try:
+        raw = yaml.safe_load(text) or {}
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f"{path}:{mark.line + 1}" if mark else str(path)
+        what = getattr(exc, "problem", None) or exc
+        raise ConfigError(f"{where}: invalid YAML: {what}") from None
     return config_from_dict(raw, base_dir=Path(path).parent)
 
 
-def _resolve(base_dir: Path, value: Optional[str]) -> Optional[str]:
-    if value is None:
-        return None
-    p = Path(value)
-    return str(p if p.is_absolute() else base_dir / p)
+def _resolve(base_dir: Path, values: dict) -> dict:
+    """The paths of ``values`` that are set (a null keeps the default),
+    relative ones resolved against ``base_dir``."""
+    return {key: str(base_dir / value) if isinstance(value, str) else value
+            for key, value in values.items() if value is not None}
 
 
 _TOP_LEVEL_KEYS = ("corpus", "output_dir", "rules", "filter", "thresholds",
@@ -179,66 +220,32 @@ def _known(section: Optional[str], value, allowed) -> dict:
     return value
 
 
-def _strings(key: str, value) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(v, str)
-                                              for v in value):
-        raise ConfigError(f"{key} must be a list of strings, got {value!r}")
-    return list(value)
-
-
 def config_from_dict(raw: dict, base_dir: Path = Path(".")) -> PipelineConfig:
-    """Build a config from parsed YAML. Unknown keys and values that
-    ``SCALARS`` refuses raise ConfigError naming the key."""
-    raw = _known(None, raw, _TOP_LEVEL_KEYS)
-    cfg = PipelineConfig()
-    if raw.get("corpus") is not None:
-        cfg.corpus = _resolve(base_dir, check_value("corpus", raw["corpus"]))
-    if raw.get("output_dir") is not None:
-        cfg.output_dir = _resolve(base_dir, check_value("output_dir",
-                                                        raw["output_dir"]))
-    rules = _known("rules", raw.get("rules"),
-                   [f.name for f in fields(RulePaths)])
-    for key, value in rules.items():
-        if value is not None:
-            setattr(cfg.rules, key, _resolve(base_dir, check_value(
-                f"rules.{key}", value, _RULE_PATH)))
-    flt = _known("filter", raw.get("filter"), _FILTER_KEYS)
-    if "include_terms" in flt:
-        cfg.include_terms = _strings("filter.include_terms",
-                                     flt["include_terms"])
-    if "exclude_patterns" in flt:
-        cfg.exclude_patterns = _strings("filter.exclude_patterns",
-                                        flt["exclude_patterns"])
-        try:  # compiled as corpus.filter_relevant compiles them
-            for pattern in cfg.exclude_patterns:
-                regex.compile(pattern, regex.IGNORECASE)
-        except regex.error as exc:
-            raise ConfigError("filter.exclude_patterns must be regular "
-                              f"expressions, got {pattern!r}: {exc}") from None
-    if flt.get("from") is not None:
-        cfg.time_from = parse_date(flt["from"], "filter.from")
-    if flt.get("to") is not None:
-        cfg.time_to = parse_date(flt["to"], "filter.to")
-    sections = {"thresholds": _known("thresholds", raw.get("thresholds"),
-                                     [f.name for f in fields(Thresholds)]),
-                "boost": _known("boost", raw.get("boost"),
-                                [f.name for f in fields(BoostParams)])}
-    for section, values in sections.items():
-        for key, value in values.items():
-            check_value(f"{section}.{key}", value)
-    cfg.thresholds = Thresholds(**{**asdict(cfg.thresholds),
-                                   **sections["thresholds"]})
-    cfg.boost = BoostParams(**{**asdict(cfg.boost), **sections["boost"]})
-    for key in ("alpha0", "calibration_fraction", "min_in_degree",
-                "reference_year", "include_retweets", "rng_seed"):
-        if key in raw and not (key == "alpha0" and raw[key] is None):
-            setattr(cfg, key, check_value(key, raw[key]))
-    if "periods" in raw:
-        periods = raw["periods"]
-        if not isinstance(periods, list) or len(periods) != 2 or not all(
-                isinstance(p, list) and len(p) == 2 for p in periods):
-            raise ConfigError("periods must be two [from, to] pairs of dates")
-        cfg.periods = tuple((parse_date(p[0], "periods"),
-                             parse_date(p[1], "periods")) for p in periods)
-    cfg.__post_init__()
-    return cfg
+    """Build a config from parsed YAML: each key goes to its field, with
+    paths resolved against ``base_dir`` and dates parsed. An unknown key, or
+    a value the config classes refuse, raises ConfigError naming the key."""
+    args = dict(_known(None, raw, _TOP_LEVEL_KEYS))
+    rules, thresholds, boost = (
+        _known(name, args.pop(name, None), [f.name for f in fields(cls)])
+        for name, cls in (("rules", RulePaths), ("thresholds", Thresholds),
+                          ("boost", BoostParams)))
+    flt = _known("filter", args.pop("filter", None), _FILTER_KEYS)
+    args.update(_resolve(base_dir, {key: args.pop(key) for key in
+                                    ("corpus", "output_dir") if key in args}))
+    args.update({key: flt[key] for key in ("include_terms", "exclude_patterns")
+                 if key in flt})
+    for key, name in (("from", "time_from"), ("to", "time_to")):
+        if flt.get(key) is not None:
+            args[name] = parse_date(flt[key], f"filter.{key}")
+    if _two_pairs(args.get("periods")):
+        args["periods"] = tuple(tuple(parse_date(d, "periods") for d in p)
+                                for p in args["periods"])
+    try:
+        boost = BoostParams(**boost)
+    except ValueError as exc:
+        raise ConfigError(f"boost.{exc}") from None
+    # a rule path is checked as written: resolved, "" would name base_dir
+    rules = {k: v for k, v in rules.items() if v is not None}
+    return PipelineConfig(
+        **args, rules=replace(RulePaths(**rules), **_resolve(base_dir, rules)),
+        thresholds=Thresholds(**thresholds), boost=boost)

@@ -208,13 +208,14 @@ class Pipeline:
         for key, path in rules.items():
             if not Path(path).is_file():
                 raise ConfigError(f"rules.{key}: no such file: {path}")
+        corpus = Path(config.corpus)
+        if config.corpus and corpus.exists() and not corpus.is_file():
+            raise ConfigError(f"corpus: not a file: {config.corpus}")
         self.out = Path(config.output_dir)
         written = self.out / "corpus.jsonl"
-        if (config.corpus
-                and Path(config.corpus).resolve() == written.resolve()):
+        if config.corpus and corpus.resolve() == written.resolve():
             raise ConfigError(f"corpus: {config.corpus} is the file ingest "
                               f"writes ({written}); choose another output_dir")
-        self.out.mkdir(parents=True, exist_ok=True)
         self._manifest = self.out / "manifest.json"
         # the corpus and every rule file, the manual labels among them
         inputs = {"corpus": config.corpus, **rules}
@@ -224,6 +225,8 @@ class Pipeline:
         self.digest = config.digest(self._input_digests)
         # the stage outputs held for later stages, by file name
         self._held: dict[str, object] = {}
+        # created only once the config has passed every check above
+        self.out.mkdir(parents=True, exist_ok=True)
 
     # -- manifest ------------------------------------------------------------
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -368,7 +369,7 @@ def test_ingest_and_featurize_report_counts(tmp_path):
         fh.writelines(planted)
 
     cfg = make_config(str(path), tmp_path / "run")
-    cfg.time_from, cfg.time_to = t0, t1
+    cfg = dataclasses.replace(cfg, time_from=t0, time_to=t1)
     pipe = _stages(cfg, ("ingest", "label", "featurize"))
     stages = json.loads((pipe.out / "manifest.json").read_text())["stages"]
 
@@ -587,7 +588,8 @@ def test_editing_manual_labels_makes_label_stale(demo_corpus, tmp_path):
     manual = tmp_path / "manual.tsv"
     manual.write_text("u00001\tgender\tfemale\n", encoding="utf-8")
     cfg = make_config(demo_corpus, tmp_path / "run")
-    cfg.rules.manual_labels = str(manual)
+    cfg = dataclasses.replace(cfg, rules=dataclasses.replace(
+        cfg.rules, manual_labels=str(manual)))
     _stages(cfg, ("ingest", "label"))
     assert Pipeline(cfg)._is_fresh("label")
     manual.write_text("u00001\tgender\tmale\n", encoding="utf-8")
@@ -805,6 +807,8 @@ def _raw_config(key, value):
     ("filter.to", {"from": 0, "to": "1969-12-31"}),
     # not a regular expression
     ("filter.exclude_patterns", ["("]),
+    # Encoding.term_counts takes a floor of 1 or more
+    ("thresholds.tweet_min_count", 0),
 ])
 def test_config_refuses_a_bad_value_naming_its_key(tmp_path, key, value):
     from stancelab.config import ConfigError
@@ -840,6 +844,131 @@ def test_config_takes_a_scalar_only_of_its_type_and_range(key, value):
         assert str(exc).startswith(f"{key} must be ")
     else:
         assert ok, (key, value)
+
+
+@settings(max_examples=400, deadline=None)
+@given(key=st.sampled_from(sorted(SCALARS)), value=_ANY_VALUE)
+def test_config_built_in_python_takes_what_yaml_takes(key, value):
+    from stancelab.config import ConfigError
+
+    def error(build, kind=ConfigError):
+        try:
+            build()
+        except kind as exc:
+            return str(exc)
+        return None
+
+    from_yaml = error(lambda: config_from_dict(_raw_config(key, value),
+                                               base_dir=Path("/cfg")))
+    section, _, name = key.rpartition(".")
+    if section == "boost":
+        direct = error(lambda: BoostParams(**{name: value}), ValueError)
+        direct = direct and f"boost.{direct}"
+    elif section == "thresholds":
+        direct = error(lambda: PipelineConfig(
+            thresholds=Thresholds(**{name: value})))
+    else:
+        direct = error(lambda: PipelineConfig(**{key: value}))
+    if value is None and key in ("corpus", "output_dir"):
+        # a YAML null keeps the default; only an Optional field takes None
+        assert from_yaml is None
+        assert direct == f"{key} must be a path, got None"
+    else:
+        assert (direct is None) == (from_yaml is None), (direct, from_yaml)
+    for message in (direct, from_yaml):
+        assert message is None or message.startswith(f"{key} must be ")
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: PipelineConfig(calibration_fraction=5.0),
+     "calibration_fraction must be a number in (0, 1), got 5.0"),
+    (lambda: PipelineConfig(min_in_degree=-3),
+     "min_in_degree must be a non-negative integer, got -3"),
+    (lambda: PipelineConfig(exclude_patterns=["("]),
+     "filter.exclude_patterns must be regular expressions, got '(': "),
+    (lambda: PipelineConfig(thresholds=Thresholds(tweet_min_count="x")),
+     "thresholds.tweet_min_count must be a positive integer, got 'x'"),
+    (lambda: PipelineConfig(rng_seed=-1),
+     "rng_seed must be a non-negative integer, got -1"),
+    (lambda: PipelineConfig(include_terms="aborto"),
+     "filter.include_terms must be a list of strings, got 'aborto'"),
+    (lambda: PipelineConfig(time_from="2017", time_to="2018"),
+     "filter.from must be a YYYY-MM-DD date, got '2017'"),
+    (lambda: PipelineConfig(time_from=0, time_to="2018"),
+     "filter.to must be a YYYY-MM-DD date, got '2018'"),
+    (lambda: PipelineConfig(rules=RulePaths(gazetteer="")),
+     "rules.gazetteer must be a non-empty path, got ''"),
+    (lambda: PipelineConfig(periods=((1, 2),)),
+     "periods must be two [from, to] pairs of dates"),
+], ids=["calibration_fraction", "min_in_degree", "exclude_patterns",
+        "thresholds", "rng_seed", "include_terms", "time_from", "time_to",
+        "rules", "periods"])
+def test_config_built_in_python_refuses_a_bad_value_naming_its_key(build,
+                                                                  error):
+    from stancelab.config import ConfigError
+    with pytest.raises(ConfigError, match=f"^{re.escape(error)}"):
+        build()
+
+
+def test_config_classes_are_frozen():
+    cfg = PipelineConfig()
+    for obj, name, value in ((cfg, "rng_seed", -1),
+                             (cfg.thresholds, "tweet_min_count", 0),
+                             (cfg.rules, "gazetteer", "")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, value)
+
+
+def test_shipped_demo_config_loads():
+    from stancelab.config import PERIODS, load_config
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    cfg = load_config(configs / "demo.yaml")
+    assert cfg.corpus == str(configs / "../demo/corpus.jsonl")
+    assert cfg.output_dir == str(configs / "../demo/out")
+    assert cfg.include_terms == ["aborto"]
+    assert (cfg.thresholds.tweet_min_count, cfg.thresholds.bio_min_count) \
+        == (5, 3)
+    assert (cfg.boost.n_estimators, cfg.boost.early_stopping_rounds) \
+        == (60, 10)
+    assert (cfg.min_in_degree, cfg.rng_seed) == (2, 7)
+    assert cfg.periods == PERIODS
+    # and every value the file does not set keeps its default
+    assert cfg == PipelineConfig(
+        corpus=cfg.corpus, output_dir=cfg.output_dir,
+        thresholds=Thresholds(5, 3), min_in_degree=2, rng_seed=7,
+        boost=BoostParams(n_estimators=60, early_stopping_rounds=10))
+
+
+@pytest.mark.parametrize("kind", ["directory", "latin-1"])
+def test_cli_names_a_config_file_it_cannot_read(tmp_path, monkeypatch, kind):
+    from click.testing import CliRunner
+    from stancelab import cli
+
+    monkeypatch.chdir(tmp_path)  # where the default output_dir would land
+    config = tmp_path / "config.yaml"
+    if kind == "directory":
+        config.mkdir()
+        error = f"Error: {config}: cannot read: Is a directory\n"
+    else:
+        config.write_bytes("output_dir: año\n".encode("latin-1"))
+        error = (f"Error: {config}:1: not UTF-8 text: "
+                 "invalid continuation byte\n")
+    done = CliRunner().invoke(cli.main, ["run", "--config", str(config)])
+    assert done.exit_code == 1
+    assert isinstance(done.exception, SystemExit)  # not an uncaught error
+    assert done.output == error
+    assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
+    assert kind == "latin-1" or not any(config.iterdir())
+
+
+def test_pipeline_refuses_a_corpus_that_is_not_a_file(tmp_path):
+    from stancelab.config import ConfigError
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    corpus.mkdir()
+    with pytest.raises(ConfigError,
+                       match=f"^corpus: not a file: {re.escape(str(corpus))}$"):
+        Pipeline(PipelineConfig(corpus=str(corpus), output_dir=str(out)))
+    assert not out.exists()
 
 
 def test_cli_names_a_bad_config_value_before_writing(demo_corpus, tmp_path):
