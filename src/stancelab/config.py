@@ -54,7 +54,7 @@ def default_rule_path(name: str) -> str:
 
 
 _RULE_PATH = (str, lambda v: v != "", "a non-empty path")
-_STRINGS = (list, lambda v: all(isinstance(s, str) for s in v),
+_STRINGS = ((list, tuple), lambda v: all(isinstance(s, str) for s in v),
             "a list of strings")
 _DATE = (int, None, "a YYYY-MM-DD date")  # held as UTC epoch seconds
 
@@ -111,8 +111,9 @@ class PipelineConfig:
     corpus: str = ""
     output_dir: str = "out"
     rules: RulePaths = field(default_factory=RulePaths)
-    include_terms: list[str] = field(default_factory=lambda: ["aborto"])
-    exclude_patterns: list[str] = field(default_factory=list)
+    # held as tuples, so a checked config cannot change; YAML gives lists
+    include_terms: tuple[str, ...] = ("aborto",)
+    exclude_patterns: tuple[str, ...] = ()
     time_from: Optional[int] = None
     time_to: Optional[int] = None
     thresholds: Thresholds = field(default_factory=Thresholds)
@@ -129,8 +130,13 @@ class PipelineConfig:
         for key in SCALARS:
             if "." not in key and (key != "alpha0" or self.alpha0 is not None):
                 check_value(key, getattr(self, key))
-        check_value("filter.include_terms", self.include_terms, _STRINGS)
-        check_value("filter.exclude_patterns", self.exclude_patterns, _STRINGS)
+        for key, cls in (("rules", RulePaths), ("thresholds", Thresholds),
+                         ("boost", BoostParams)):
+            check_value(key, getattr(self, key),
+                        (cls, None, f"a {cls.__name__}"))
+        for key in ("include_terms", "exclude_patterns"):
+            object.__setattr__(self, key, tuple(check_value(
+                f"filter.{key}", getattr(self, key), _STRINGS)))
         try:  # compiled as corpus.filter_relevant compiles them
             for pattern in self.exclude_patterns:
                 regex.compile(pattern, regex.IGNORECASE)

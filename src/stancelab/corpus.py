@@ -55,7 +55,6 @@ class UserProfile:
 class Corpus:
     posts: tuple[MicroPost, ...]
     users: dict[str, UserProfile]
-    time_range: tuple[int, int]
 
     def __post_init__(self):
         for p in self.posts:
@@ -203,7 +202,7 @@ def load_corpus(path, time_range: Optional[tuple[int, int]] = None,
     if time_range is not None:
         start, end = time_range
         posts = [p for p in posts if start <= p.timestamp < end]
-    corpus = _assemble(posts, users, time_range)
+    corpus = _assemble(posts, users)
     if counts is not None:
         counts.update(lines_read=n_records, malformed_lines=len(bad_lines),
                       posts_outside_time_range=n_parsed - corpus.n_posts,
@@ -211,30 +210,14 @@ def load_corpus(path, time_range: Optional[tuple[int, int]] = None,
     return corpus
 
 
-def _assemble(posts: list[MicroPost], users: dict[str, UserProfile],
-              time_range: Optional[tuple[int, int]]) -> Corpus:
+def _assemble(posts: Iterable[MicroPost],
+              users: dict[str, UserProfile]) -> Corpus:
+    """The corpus of ``posts``, in ``(timestamp, post_id)`` order, and the
+    profiles of their authors only: the one rule of every post selection."""
     posts = sorted(posts, key=lambda p: (p.timestamp, p.post_id))
-
-    # drop profiles with no remaining posts so counts reflect the window
     authors = {p.author_id for p in posts}
-    users = {u: prof for u, prof in users.items() if u in authors}
-
-    if time_range is None:
-        if posts:
-            time_range = (posts[0].timestamp, posts[-1].timestamp + 1)
-        else:
-            time_range = (0, 0)
-    return Corpus(posts=tuple(posts), users=users, time_range=time_range)
-
-
-def as_reloaded(corpus: Corpus) -> Corpus:
-    """What :func:`load_corpus` reads back from the file that
-    :func:`write_corpus` writes for ``corpus`` (a corpus with unique post
-    ids): users in order of first post, time range spanning the posts."""
-    users: dict[str, UserProfile] = {}
-    for p in corpus.posts:
-        users.setdefault(p.author_id, corpus.users[p.author_id])
-    return _assemble(list(corpus.posts), users, None)
+    return Corpus(posts=tuple(posts),
+                  users={u: prof for u, prof in users.items() if u in authors})
 
 
 def _term_matcher(terms: Iterable[str]) -> "regex.Pattern":
@@ -266,9 +249,7 @@ def filter_relevant(corpus: Corpus, include_terms: list[str],
         if any(e.search(text) for e in exc):
             continue
         kept.append(p)
-    authors = {p.author_id for p in kept}
-    users = {u: prof for u, prof in corpus.users.items() if u in authors}
-    return Corpus(posts=tuple(kept), users=users, time_range=corpus.time_range)
+    return _assemble(kept, corpus.users)
 
 
 def build_interaction_graph(corpus: Corpus,
@@ -322,14 +303,14 @@ def largest_connected_component(graph: InteractionGraph) -> set[str]:
 
 
 def restrict_users(corpus: Corpus, keep: set[str]) -> Corpus:
-    """Drop posts authored by users outside ``keep``.
+    """Drop posts authored by users outside ``keep``; a user left with no
+    posts goes too.
 
     Interaction targets outside ``keep`` stay in the post records; subsequent
     graph builds exclude them because they are no longer corpus users.
     """
-    posts = tuple(p for p in corpus.posts if p.author_id in keep)
-    users = {u: prof for u, prof in corpus.users.items() if u in keep}
-    return Corpus(posts=posts, users=users, time_range=corpus.time_range)
+    return _assemble((p for p in corpus.posts if p.author_id in keep),
+                     corpus.users)
 
 
 def _iso_week(ts: int) -> tuple[int, int]:
@@ -342,14 +323,16 @@ def _week_label(year: int, week: int) -> str:
     return f"{year}-W{week:02d}"
 
 
-def weekly_volume(corpus: Corpus) -> list[tuple[str, int]]:
-    """Per-ISO-week post counts over the corpus time range.
+def weekly_volume(corpus: Corpus,
+                  time_range: tuple[int, int]) -> list[tuple[str, int]]:
+    """Per-ISO-week post counts over the half-open ``time_range``, plus
+    any week outside it that has posts.
 
     Weeks without posts inside the range are emitted as explicit zeros, so
     crawl gaps are visible downstream.
     """
     counts: Counter = Counter(_iso_week(p.timestamp) for p in corpus.posts)
-    start, end = corpus.time_range
+    start, end = time_range
     weeks: list[tuple[int, int]] = []
     if end > start:
         y, w = _iso_week(start)

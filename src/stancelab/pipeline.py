@@ -236,9 +236,13 @@ class Pipeline:
         return {"version": VERSION, "stages": {}}
 
     def _record(self, stage: str, seconds: float, metrics: dict) -> None:
+        """Record ``stage`` as run, and every later stage as not run: their
+        outputs were made from what ``stage`` has just replaced."""
         manifest = self._load_manifest()
         manifest.update(digest=self.digest, config=self.config.snapshot(),
                         inputs=self._input_digests)
+        for later in STAGES[STAGES.index(stage) + 1:]:
+            manifest["stages"].pop(later, None)
         manifest["stages"][stage] = {
             "seconds": round(seconds, 3),
             "digest": self.digest,
@@ -358,6 +362,11 @@ class Pipeline:
                       else (cfg.time_from, cfg.time_to))
         metrics: dict = {}
         corpus = corpus_mod.load_corpus(cfg.corpus, time_range, metrics)
+        # the weeks of volume_weekly.tsv: the window, else the posts read
+        if time_range is None:
+            time_range = ((corpus.posts[0].timestamp,
+                           corpus.posts[-1].timestamp + 1)
+                          if corpus.posts else (0, 0))
 
         def dropped(step: str, kept: corpus_mod.Corpus) -> corpus_mod.Corpus:
             metrics[f"posts_{step}"] = corpus.n_posts - kept.n_posts
@@ -374,11 +383,10 @@ class Pipeline:
         corpus = dropped("outside_lcc", corpus_mod.restrict_users(corpus, lcc))
         metrics.update(posts=corpus.n_posts, users=corpus.n_users)
         self._put("corpus.jsonl",
-                  lambda tmp: corpus_mod.write_corpus(corpus, tmp),
-                  corpus_mod.as_reloaded(corpus))
+                  lambda tmp: corpus_mod.write_corpus(corpus, tmp), corpus)
 
         self._write_tsv("volume_weekly.tsv", ["week", "posts"],
-                        corpus_mod.weekly_volume(corpus))
+                        corpus_mod.weekly_volume(corpus, time_range))
 
         # yearly relevant terms: each year against all the others
         by_year = self._encoding.counts_by_year(self._stopwords)

@@ -250,8 +250,7 @@ def generate(spec: SynthSpec) -> tuple[Corpus, GroundTruth]:
                 ))
 
     posts.sort(key=lambda p: (p.timestamp, p.post_id))
-    corpus = Corpus(posts=tuple(posts), users=profiles,
-                    time_range=(PERIODS[0][0], PERIODS[1][1]))
+    corpus = Corpus(posts=tuple(posts), users=profiles)
     truth = GroundTruth(stance=stances, gender=genders, country=countries,
                         cohort=cohorts, age=ages, p0=p0s, p1=p1s,
                         delta=deltas, self_reported=reported)

@@ -21,7 +21,7 @@ def small_corpus():
         cm.MicroPost("p2", "b", 2, "aborto no", retweet_of="a"),
         cm.MicroPost("p3", "c", 3, "hola", directed_at=(("a", "mention"),)),
     )
-    return cm.Corpus(posts=posts, users=users, time_range=(1, 4))
+    return cm.Corpus(posts=posts, users=users)
 
 
 def build(min_in_degree=1):

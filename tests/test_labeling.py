@@ -77,7 +77,7 @@ def _stance(bio, tweets, rules):
     users = {"u": UserProfile(user_id="u", bio=bio)}
     posts = tuple(MicroPost(f"p{k}", "u", k, text)
                   for k, text in enumerate(tweets))
-    corpus = Corpus(posts=posts, users=users, time_range=(0, len(posts)))
+    corpus = Corpus(posts=posts, users=users)
     [stance] = lb.label_stances(corpus, encode(corpus), rules.stance_seeds)
     return stance
 
@@ -142,7 +142,7 @@ def test_stance_tweet_phrase_spans_tokens_and_posts():
              MicroPost("p3", "b", 3, "legal hoy"),
              MicroPost("p4", "c", 4, "abortolegal"),
              MicroPost("p5", "d", 5, "aborto legal #provida"))
-    corpus = Corpus(posts=posts, users=users, time_range=(1, 6))
+    corpus = Corpus(posts=posts, users=users)
     # a phrase matches the user's post tokens joined by spaces, across posts
     assert lb.label_stances(corpus, encode(corpus), seeds) == [
         "defense", "defense", None, None]

@@ -420,6 +420,57 @@ def test_ingest_and_featurize_report_counts(tmp_path):
     assert stages["featurize"]["metrics"] == want
 
 
+def _iso_weeks(start: int, end: int) -> list[str]:
+    """The ISO week labels of the days in the half-open [start, end)."""
+    from datetime import datetime, timedelta, timezone
+    day = datetime.fromtimestamp(start, timezone.utc).date()
+    day -= timedelta(days=day.weekday())
+    last = datetime.fromtimestamp(end - 1, timezone.utc).date()
+    weeks = []
+    while day <= last:
+        year, week, _ = day.isocalendar()
+        weeks.append(f"{year}-W{week:02d}")
+        day += timedelta(days=7)
+    return weeks
+
+
+@pytest.fixture(scope="module")
+def seed7_corpus(tmp_path_factory):
+    """The corpus of `stancelab synth --n-users 300 --seed 7`."""
+    from click.testing import CliRunner
+    from stancelab import cli
+    path = tmp_path_factory.mktemp("seed7") / "corpus.jsonl"
+    done = CliRunner().invoke(cli.main, ["synth", str(path), "--n-users",
+                                         "300", "--seed", "7"])
+    assert done.exit_code == 0, done.output
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["topic", "window"])
+def test_weekly_volume_spans_the_window_or_else_every_post_read(
+        seed7_corpus, tmp_path, case):
+    from stancelab.config import parse_date
+    read = cm.load_corpus(seed7_corpus)
+    if case == "topic":  # "w400" is in one post only, of 2018
+        cfg = PipelineConfig(corpus=seed7_corpus, output_dir=str(tmp_path),
+                             include_terms=["w400"])
+        span = (read.posts[0].timestamp, read.posts[-1].timestamp + 1)
+    else:
+        span = (parse_date("2017-06-01"), parse_date("2018-07-01"))
+        cfg = PipelineConfig(corpus=seed7_corpus, output_dir=str(tmp_path),
+                             time_from=span[0], time_to=span[1])
+    pipe = Pipeline(cfg)
+    pipe.run_stage("ingest")
+    rows = [line.split("\t") for line in (tmp_path / "volume_weekly.tsv")
+            .read_text(encoding="utf-8").splitlines()[2:]]
+    kept = pipe._artifact("corpus.jsonl")
+    assert [week for week, _n in rows] == _iso_weeks(*span)
+    assert sum(int(n) for _week, n in rows) == kept.n_posts
+    if case == "topic":
+        assert kept.n_posts == 1
+        assert len(rows) == 66 and rows[0] == ["2017-W18", "0"]
+
+
 def test_a_url_that_does_not_parse_is_its_own_domain(tmp_path):
     # an unclosed IPv6 bracket, in post texts and in a profile URL
     from dataclasses import replace
@@ -685,6 +736,26 @@ def test_a_missing_stage_input_is_one_error_naming_its_stage(
             "stages"][stage], (stage, name)
 
 
+def test_a_stage_that_runs_makes_every_later_stage_stale(
+        demo_corpus, finished, tmp_path):
+    out = _copy_of(finished, tmp_path)
+    cfg = make_config(demo_corpus, out)
+    labels_before = (out / "labels.tsv").read_bytes()
+    corpus = out / "corpus.jsonl"
+    lines = corpus.read_text(encoding="utf-8").splitlines(True)
+    corpus.write_text("".join(lines[:len(lines) // 4]), encoding="utf-8")
+
+    # each step a pipeline of its own, as one CLI command each: label reads
+    # the cut corpus, and ingest still reads as fresh over it
+    assert Pipeline(cfg).run_stage("label")
+    assert (out / "labels.tsv").read_bytes() != labels_before
+    pipe = Pipeline(cfg)
+    assert [pipe.run_stage(stage, skip_fresh=True) for stage in STAGES] == [
+        stage not in ("ingest", "label") for stage in STAGES]
+    # train and calibrate were built from the new labels
+    assert Pipeline(cfg).run_stage("calibrate")
+
+
 def test_turnaround_refuses_period_matrices_with_different_rows(
         demo_corpus, finished, tmp_path):
     out = _copy_of(finished, tmp_path)
@@ -900,9 +971,15 @@ def test_config_built_in_python_takes_what_yaml_takes(key, value):
      "rules.gazetteer must be a non-empty path, got ''"),
     (lambda: PipelineConfig(periods=((1, 2),)),
      "periods must be two [from, to] pairs of dates"),
+    (lambda: PipelineConfig(boost={"n_estimators": 5}),
+     "boost must be a BoostParams, got {'n_estimators': 5}"),
+    (lambda: PipelineConfig(thresholds={"tweet_min_count": 5}),
+     "thresholds must be a Thresholds, got {'tweet_min_count': 5}"),
+    (lambda: PipelineConfig(rules="x"), "rules must be a RulePaths, got 'x'"),
 ], ids=["calibration_fraction", "min_in_degree", "exclude_patterns",
         "thresholds", "rng_seed", "include_terms", "time_from", "time_to",
-        "rules", "periods"])
+        "rules", "periods", "boost_section", "thresholds_section",
+        "rules_section"])
 def test_config_built_in_python_refuses_a_bad_value_naming_its_key(build,
                                                                   error):
     from stancelab.config import ConfigError
@@ -917,6 +994,12 @@ def test_config_classes_are_frozen():
                              (cfg.rules, "gazetteer", "")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(obj, name, value)
+    # the filter lists are held as tuples, whatever the caller passed
+    cfg = PipelineConfig(exclude_patterns=["x"])
+    assert cfg.exclude_patterns == ("x",)
+    for terms in (cfg.include_terms, cfg.exclude_patterns):
+        with pytest.raises(AttributeError):
+            terms.append("(")
 
 
 def test_shipped_demo_config_loads():
@@ -925,7 +1008,7 @@ def test_shipped_demo_config_loads():
     cfg = load_config(configs / "demo.yaml")
     assert cfg.corpus == str(configs / "../demo/corpus.jsonl")
     assert cfg.output_dir == str(configs / "../demo/out")
-    assert cfg.include_terms == ["aborto"]
+    assert cfg.include_terms == ("aborto",)
     assert (cfg.thresholds.tweet_min_count, cfg.thresholds.bio_min_count) \
         == (5, 3)
     assert (cfg.boost.n_estimators, cfg.boost.early_stopping_rounds) \

@@ -62,7 +62,7 @@ def test_self_reports_parseable_by_shipped_rules():
                             default_rule_path("patterns.tsv"),
                             default_rule_path("stance_seeds.tsv"))
     # bios alone: the users without their posts
-    bios_only = Corpus(posts=(), users=c.users, time_range=(0, 0))
+    bios_only = Corpus(posts=(), users=c.users)
     stances = dict(zip(sorted(c.users),
                        lb.label_stances(bios_only, encode(bios_only),
                                         rules.stance_seeds)))

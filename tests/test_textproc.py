@@ -75,7 +75,7 @@ def _corpus():
         cm.MicroPost("p2", "a", 2, "aborto libre"),
         cm.MicroPost("p3", "b", 3, "no al aborto", retweet_of="a"),
     )
-    return cm.Corpus(posts=posts, users=users, time_range=(1, 4))
+    return cm.Corpus(posts=posts, users=users)
 
 
 def test_term_counts_hand_tally():
@@ -162,7 +162,7 @@ def _corpora(draw):
                      draw(st.sampled_from(_TIMES)), draw(_text),
                      retweet_of=draw(st.sampled_from((None, "u0"))))
         for k in range(draw(st.integers(0, 8))))
-    return cm.Corpus(posts=posts, users=users, time_range=(0, 2 * 10**9))
+    return cm.Corpus(posts=posts, users=users)
 
 
 def _counted(tok):
