@@ -9,13 +9,14 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from typing import Iterable, Optional, Sequence
 
 import regex
 
-INTERACTION_KINDS = ("retweet", "mention", "reply", "quote")
+# the kinds of a `directed_at` entry; a retweet has its own field
+DIRECTED_KINDS = ("mention", "reply", "quote")
 
 # at most this fraction of lines may be malformed before loading aborts
 MALFORMED_TOLERANCE = 0.10
@@ -97,99 +98,112 @@ class InteractionGraph:
         return adj
 
 
+def _id(value) -> str:
+    """A post or user id: a JSON string, or an integer read as its digits."""
+    if type(value) is str or type(value) is int:  # a bool is no id
+        return str(value)
+    raise ValueError(f"id {value!r} is neither a string nor an integer")
+
+
 def _user_id(value) -> str:
     """``value`` as a user id that every stage file can hold: not empty, no
     whitespace (the train-user list splits on it, a TSV line on tabs and
     line ends) and no leading ``#`` (a comment line in TSV files)."""
-    uid = str(value)
+    uid = _id(value)
     if uid.split() != [uid] or uid.startswith("#"):
         raise ValueError(f"user id {uid!r} is empty, holds whitespace or "
                          "starts with '#'")
     return uid
 
 
+# what JSON may give for a profile field of each annotation
+_OF_TYPE = {"str": lambda v: type(v) is str,
+            "Optional[str]": lambda v: v is None or type(v) is str,
+            "int": lambda v: type(v) is int}
+# the profile fields after user_id: (name, default, check of a value)
+_PROFILE_FIELDS = [(f.name, f.default, _OF_TYPE[f.type])
+                   for f in fields(UserProfile)[1:]]
+
+
 def _parse_post(obj: dict) -> tuple[MicroPost, Optional[UserProfile]]:
+    if type(obj) is not dict:
+        raise ValueError("a line is not a JSON object")
     directed = []
-    for item in obj.get("directed_at") or []:
+    for item in obj.get("directed_at") or ():
         kind = item["kind"]
-        if kind not in INTERACTION_KINDS:
+        if kind not in DIRECTED_KINDS:
             raise ValueError(f"bad interaction kind {kind!r}")
-        directed.append((str(item["user"]), kind))
+        directed.append((_id(item["user"]), kind))
+    timestamp, text = obj["timestamp"], obj["text"]
+    if type(timestamp) is not int or type(text) is not str:
+        raise ValueError("timestamp is not an integer or text not a string")
+    retweet_of = obj.get("retweet_of")
     post = MicroPost(
-        post_id=str(obj["post_id"]),
+        post_id=_id(obj["post_id"]),
         author_id=_user_id(obj["author_id"]),
-        timestamp=int(obj["timestamp"]),
-        text=str(obj["text"]),
-        retweet_of=(str(obj["retweet_of"]) if obj.get("retweet_of") else None),
+        timestamp=timestamp,
+        text=text,
+        retweet_of=None if retweet_of in (None, "") else _id(retweet_of),
         directed_at=tuple(directed),
     )
-    profile = None
-    if "author" in obj and obj["author"] is not None:
-        a = obj["author"]
-        profile = UserProfile(
-            user_id=str(a["user_id"]),
-            screen_name=str(a.get("screen_name", "")),
-            full_name=str(a.get("full_name", "")),
-            location_text=a.get("location_text"),
-            bio=a.get("bio"),
-            url=a.get("url"),
-            n_posts=int(a.get("n_posts", 0)),
-            n_followers=int(a.get("n_followers", 0)),
-            n_friends=int(a.get("n_friends", 0)),
-            account_created=int(a.get("account_created", 0)),
-            timezone=a.get("timezone"),
-        )
-        if profile.user_id != post.author_id:
-            raise ValueError("embedded author does not match author_id")
-        if min(profile.n_posts, profile.n_followers, profile.n_friends) < 0:
-            raise ValueError("negative profile counts")
-    return post, profile
+    author = obj.get("author")
+    if author is None:
+        return post, None
+    # each field by name, its dataclass default if absent
+    values = {"user_id": _id(author["user_id"])}
+    for name, default, of_type in _PROFILE_FIELDS:
+        value = values[name] = author.get(name, default)
+        if not of_type(value):
+            raise ValueError(f"author {name} {value!r} is not of its type")
+    if values["user_id"] != post.author_id:
+        raise ValueError("embedded author does not match author_id")
+    if min(values[n] for n in ("n_posts", "n_followers", "n_friends")) < 0:
+        raise ValueError("negative profile counts")
+    return post, UserProfile(**values)
 
 
 def load_corpus(path, time_range: Optional[tuple[int, int]] = None,
                 counts: Optional[dict] = None) -> Corpus:
-    """Load a line-delimited corpus file.
+    """Load a line-delimited corpus file, reading it once, line by line.
 
     Posts outside ``time_range`` (half-open ``[start, end)``) are dropped after
-    parsing. A line is malformed when it does not parse, repeats a post id,
-    has an ``author_id`` that is empty, holds whitespace or starts with
-    ``#``, or has an author whose profile no earlier line embedded.
+    parsing. A line is malformed when it is not UTF-8, does not parse (a
+    value not of its field's type included), repeats a post id, has an
+    ``author_id`` that is empty, holds whitespace or starts with ``#``, or
+    has an author whose profile no earlier line embedded.
     Raises :class:`CorpusError` if the file is unreadable or more than
     10% of non-empty lines are malformed. A ``counts`` dict receives what was
     read and dropped: ``lines_read`` (non-empty lines), ``malformed_lines``,
     ``posts_outside_time_range`` and ``users_outside_time_range``.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
-
     posts: list[MicroPost] = []
     users: dict[str, UserProfile] = {}
     seen_ids: set[str] = set()
     bad_lines: list[int] = []
     n_records = 0
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        n_records += 1
-        try:
-            obj = json.loads(line)
-            post, profile = _parse_post(obj)
-            if post.post_id in seen_ids:
-                raise ValueError(f"duplicate post_id {post.post_id}")
-        except (ValueError, KeyError, TypeError):
-            bad_lines.append(lineno)
-            continue
-        if profile is not None and profile.user_id not in users:
-            users[profile.user_id] = profile
-        if post.author_id not in users:
-            # profile must be embedded on first occurrence
-            bad_lines.append(lineno)
-            continue
-        seen_ids.add(post.post_id)
-        posts.append(post)
+    try:
+        with open(path, "rb") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                n_records += 1
+                try:
+                    post, profile = _parse_post(json.loads(line.decode()))
+                    if post.post_id in seen_ids:
+                        raise ValueError(f"duplicate post_id {post.post_id}")
+                except (ValueError, KeyError, TypeError):
+                    bad_lines.append(lineno)
+                    continue
+                if profile is not None and profile.user_id not in users:
+                    users[profile.user_id] = profile
+                if post.author_id not in users:
+                    # profile must be embedded on first occurrence
+                    bad_lines.append(lineno)
+                    continue
+                seen_ids.add(post.post_id)
+                posts.append(post)
+    except OSError as exc:
+        raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
 
     if n_records and len(bad_lines) / n_records > MALFORMED_TOLERANCE:
         head = ", ".join(str(n) for n in bad_lines[:10])
@@ -350,10 +364,11 @@ def weekly_volume(corpus: Corpus,
 
 def write_corpus(corpus: Corpus, path) -> None:
     """Write a corpus back to the line-delimited format (profiles embedded on
-    first occurrence)."""
+    first occurrence, each with every field of its dataclass)."""
     written: set[str] = set()
     with open(path, "w", encoding="utf-8") as fh:
         for p in corpus.posts:
+            # not vars(p), which makes each post keep a dict of its own
             obj = {
                 "post_id": p.post_id,
                 "author_id": p.author_id,
@@ -363,19 +378,6 @@ def write_corpus(corpus: Corpus, path) -> None:
                 "directed_at": [{"user": u, "kind": k} for u, k in p.directed_at],
             }
             if p.author_id not in written:
-                prof = corpus.users[p.author_id]
-                obj["author"] = {
-                    "user_id": prof.user_id,
-                    "screen_name": prof.screen_name,
-                    "full_name": prof.full_name,
-                    "location_text": prof.location_text,
-                    "bio": prof.bio,
-                    "url": prof.url,
-                    "n_posts": prof.n_posts,
-                    "n_followers": prof.n_followers,
-                    "n_friends": prof.n_friends,
-                    "account_created": prof.account_created,
-                    "timezone": prof.timezone,
-                }
+                obj["author"] = vars(corpus.users[p.author_id])
                 written.add(p.author_id)
             fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")

@@ -278,15 +278,18 @@ def _as_csr(matrix: MatrixLike) -> tuple[sparse.csr_array, list[str]]:
     return X, [f"f{j:05d}" for j in range(X.shape[1])]
 
 
-def _route(blocks: _kernels.ColumnBlocks, at, default, splits):
+def _route(blocks: _kernels.ColumnBlocks, at, stay, splits):
     """Each row's node in the next level, from ``at``, its node in this one.
 
     ``splits`` lists (node, column, threshold, left child, right child) for
     each node that splits: a row there goes left where ``x[column] <
-    threshold``. ``default[k]`` is where a zero at node k goes, and where
-    every row of a node that does not split goes. Only the entries of the
-    split columns are read from ``blocks``, which holds all the rows.
+    threshold``, a zero as well. ``stay[k]`` is where every row of a node k
+    that does not split goes. Only the entries of the split columns are read
+    from ``blocks``, which holds all the rows.
     """
+    default = stay.copy()
+    for k, _col, thr, left, right in splits:
+        default[k] = left if 0.0 < thr else right
     nxt = default[at]
     for k, col, thr, left, right in splits:
         lo, hi = np.searchsorted(blocks.col, (col, col + 1))
@@ -299,18 +302,16 @@ def _route(blocks: _kernels.ColumnBlocks, at, default, splits):
 def _leaves(blocks: _kernels.ColumnBlocks, tree: Tree) -> np.ndarray:
     """The leaf of ``tree`` that each row of ``blocks`` reaches, found one
     depth at a time by `_route`."""
-    # a leaf keeps its rows; a zero goes where `x < threshold` sends it
-    default = np.where(tree.feature < 0, np.arange(tree.n_nodes), np.where(
-        0.0 < tree.threshold, tree.left, tree.right))
     # each node as `_route` lists a split
     nodes = list(zip(range(tree.n_nodes), tree.feature.tolist(),
                      tree.threshold.tolist(), tree.left.tolist(),
                      tree.right.tolist()))
+    stay = np.arange(tree.n_nodes)  # a leaf keeps its rows
     at = np.zeros(blocks.n_rows, dtype=np.int64)
     level = [nodes[0]]
     while level:
         splits = [node for node in level if node[1] >= 0]
-        at = _route(blocks, at, default, splits)
+        at = _route(blocks, at, stay, splits)
         level = [nodes[k] for *_, lo, hi in splits for k in (lo, hi)]
     return at
 
@@ -373,10 +374,7 @@ def _build_tree(root: _kernels.ColumnBlocks, g: np.ndarray, h: np.ndarray,
         S = len(splits)
         splits = [(k, int(cols[k]), float(thrs[k]), j, S + j)
                   for j, k in enumerate(splits)]
-        default = np.full(K + 1, 2 * S)
-        for k, _col, thr, lo, hi in splits:
-            default[k] = lo if 0.0 < thr else hi
-        at = _route(root, at, default, splits)
+        at = _route(root, at, np.full(K + 1, 2 * S), splits)
 
         children = len(feature)
         for nodes, blank in ((feature, -1), (threshold, 0.0), (left, -1),

@@ -20,6 +20,7 @@ from .tsv import RuleFileError, read_tsv  # noqa: F401 (re-exported)
 
 STANCES = ("defense", "opposition")
 COHORTS = ("<18", "18-29", "30-39", ">=40")
+PROVENANCES = ("rule", "manual", "predicted")
 
 # birth years outside this window are treated as non-birth-year numbers
 BIRTH_YEAR_RANGE = (1920, 2010)
@@ -42,10 +43,15 @@ class RuleSet:
 @dataclass(frozen=True)
 class Label:
     value: str
-    provenance: str       # "rule" | "manual" | "predicted"
+    provenance: str       # one of PROVENANCES
     confidence: float
 
     def __post_init__(self):
+        if self.provenance not in PROVENANCES:
+            raise ValueError(f"unknown provenance {self.provenance!r}")
+        if not 0.0 <= self.confidence <= 1.0:  # NaN fails this too
+            raise ValueError(f"confidence {self.confidence!r} is not in "
+                             "[0, 1]")
         if self.provenance in ("rule", "manual") and self.confidence != 1.0:
             raise ValueError("rule/manual labels must have confidence 1.0")
 
@@ -56,10 +62,21 @@ class LabelSet:
     labels: dict[str, dict[str, Label]] = field(default_factory=dict)
 
     ATTRIBUTES = ("location", "gender", "age_cohort", "stance")
+    # the values of the attributes whose values are a closed set
+    VALUES = {"age_cohort": COHORTS, "stance": STANCES}
+
+    @classmethod
+    def check(cls, attribute: str, label: Label) -> None:
+        """Raise ValueError unless ``label`` may be a label of
+        ``attribute``."""
+        if attribute not in cls.ATTRIBUTES:
+            raise ValueError(f"unknown attribute {attribute!r}")
+        values = cls.VALUES.get(attribute)
+        if values is not None and label.value not in values:
+            raise ValueError(f"unknown {attribute} {label.value!r}")
 
     def set(self, user_id: str, attribute: str, label: Label) -> None:
-        if attribute not in self.ATTRIBUTES:
-            raise ValueError(f"unknown attribute {attribute!r}")
+        self.check(attribute, label)
         self.labels.setdefault(user_id, {})[attribute] = label
 
     def get(self, user_id: str, attribute: str) -> Optional[Label]:

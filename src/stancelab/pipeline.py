@@ -68,10 +68,9 @@ _TURNAROUND_HEADER = ("user_id", "p_t0", "p_t1", "delta")
 
 
 def _label_line(user_id, attribute, value, provenance, confidence):
-    if attribute not in labeling.LabelSet.ATTRIBUTES:
-        raise ValueError(f"unknown attribute {attribute!r}")
-    return user_id, attribute, labeling.Label(value, provenance,
-                                              float(confidence))
+    label = labeling.Label(value, provenance, float(confidence))
+    labeling.LabelSet.check(attribute, label)
+    return user_id, attribute, label
 
 
 def _label_set(lines) -> labeling.LabelSet:
@@ -278,9 +277,16 @@ class Pipeline:
     # -- stage dispatch ------------------------------------------------------
 
     def run_stage(self, stage: str, skip_fresh: bool = False) -> bool:
-        """Run ``stage`` unless ``skip_fresh`` and it is fresh; True if run."""
+        """Run ``stage`` unless ``skip_fresh`` and it is fresh; True if run.
+        Every earlier stage must be recorded as run, so that the recorded
+        stages are always the first ones of ``STAGES``."""
         if stage not in STAGES:
             raise StageError(f"unknown stage {stage!r}")
+        recorded = self._load_manifest()["stages"]
+        for earlier in STAGES[:STAGES.index(stage)]:
+            if earlier not in recorded:
+                raise StageError(f"missing stage: {earlier} "
+                                 "(not recorded in manifest.json)")
         if skip_fresh and self._is_fresh(stage):
             return False
         started = time.monotonic()

@@ -252,3 +252,65 @@ def test_a_selected_corpus_equals_the_written_file_read_back(tmp_path):
     f = tmp_path / "c.jsonl"
     cm.write_corpus(corpus, f)
     assert cm.load_corpus(f) == corpus
+
+
+def _ten_posts_by_a():
+    return [_post(f"p{i}", "a", i, "t", author={} if i == 0 else None)
+            for i in range(10)]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("text", None), ("author.full_name", None), ("author.bio", 5),
+    ("timestamp", True), ("timestamp", 1.5), ("author.n_friends", 2.9),
+    ("author.n_posts", "12"), ("post_id", [1]),
+    ("directed_at", [{"user": "a", "kind": "retweet"}]),
+])
+def test_a_value_not_of_its_fields_type_makes_its_line_malformed(
+        tmp_path, field, value):
+    f = tmp_path / "c.jsonl"
+    line = {"post_id": "q1", "author_id": "b", "timestamp": 50, "text": "t",
+            "author": {"user_id": "b", "full_name": "B", "bio": "hola",
+                       "n_posts": 3, "n_friends": 2},
+            "directed_at": [{"user": "a", "kind": "reply"}]}
+    # the line as it is loads
+    write_lines(f, _ten_posts_by_a() + [json.dumps(line)])
+    assert cm.load_corpus(f).n_posts == 11
+    where, _dot, key = field.rpartition(".")
+    (line[where] if where else line)[key] = value
+    write_lines(f, _ten_posts_by_a() + [json.dumps(line)])
+    counts = {}
+    c = cm.load_corpus(f, counts=counts)
+    assert counts["lines_read"] == 11 and counts["malformed_lines"] == 1
+    assert [p.post_id for p in c.posts] == [f"p{i}" for i in range(10)]
+    assert set(c.users) == {"a"}
+
+
+def test_integer_ids_are_read_as_their_digits(tmp_path):
+    f = tmp_path / "c.jsonl"
+    write_lines(f, [json.dumps({
+        "post_id": 12, "author_id": 7, "timestamp": 1, "text": "x",
+        "retweet_of": 8, "directed_at": [{"user": 9, "kind": "mention"}],
+        "author": {"user_id": 7}})])
+    c = cm.load_corpus(f)
+    assert c.posts == (cm.MicroPost("12", "7", 1, "x", retweet_of="8",
+                                    directed_at=(("9", "mention"),)),)
+    assert c.users == {"7": cm.UserProfile(user_id="7")}
+
+
+@pytest.mark.parametrize("bad", [
+    b'{"post_id": "q1", "author_id": "a", "timestamp": 1, "text": "\xff"}',
+    b"[]", b"5",
+], ids=["not utf-8", "a list", "a number"])
+def test_a_line_that_is_not_a_utf8_json_object_is_malformed(tmp_path, bad):
+    f = tmp_path / "c.jsonl"
+    good = [line.encode() + b"\n" for line in _ten_posts_by_a()]
+    f.write_bytes(b"".join(good[:5]) + bad + b"\n" + b"".join(good[5:]))
+    counts = {}
+    c = cm.load_corpus(f, counts=counts)
+    assert counts["lines_read"] == 11 and counts["malformed_lines"] == 1
+    assert c.n_posts == 10
+
+
+def test_an_unreadable_corpus_is_a_named_error(tmp_path):
+    with pytest.raises(cm.CorpusError, match="cannot read corpus file"):
+        cm.load_corpus(tmp_path)

@@ -120,6 +120,22 @@ def test_label_confidence_contract():
         lb.Label("x", "rule", 0.9)
     lab = lb.Label("x", "predicted", 0.7)
     assert lab.confidence == 0.7
+    for provenance, confidence in (("guess", 1.0), ("predicted", 7.5),
+                                   ("predicted", -0.1),
+                                   ("predicted", float("nan")),
+                                   ("predicted", float("inf"))):
+        with pytest.raises(ValueError):
+            lb.Label("x", provenance, confidence)
+    # stance and age cohort take only their own values
+    labels = lb.LabelSet()
+    for attribute, value in (("stance", "defence"), ("age_cohort", "17")):
+        with pytest.raises(ValueError, match=f"unknown {attribute}"):
+            labels.set("u1", attribute, lb.Label(value, "manual", 1.0))
+    assert labels.labels == {}
+    for attribute, values in (("stance", lb.STANCES),
+                              ("age_cohort", lb.COHORTS)):
+        for value in values:
+            labels.set("u1", attribute, lb.Label(value, "manual", 1.0))
 
 
 def test_manual_labels_override(tmp_path, rules):

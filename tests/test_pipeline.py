@@ -504,6 +504,16 @@ _TURNAROUND = "user_id\tp_t0\tp_t1\tdelta"
      "u2\tgender\tfemale\trule\tsure"),
     ("labels.tsv", _LABELS, "u1\tgender\tmale\trule\t1.0",
      "u2\tshoe_size\t38\trule\t1.0"),
+    ("labels.tsv", _LABELS, "u1\tgender\tmale\trule\t1.0",
+     "u2\tgender\tfemale\tguess\t7.5"),
+    ("labels.tsv", _LABELS, "u1\tgender\tmale\trule\t1.0",
+     "u2\tstance\tdefense\tpredicted\t7.5"),
+    ("labels.tsv", _LABELS, "u1\tgender\tmale\trule\t1.0",
+     "u2\tstance\tdefense\tpredicted\tnan"),
+    ("labels.tsv", _LABELS, "u1\tgender\tmale\trule\t1.0",
+     "u2\tstance\tdefence\trule\t1.0"),
+    ("labels.tsv", _LABELS, "u1\tgender\tmale\trule\t1.0",
+     "u2\tage_cohort\t17\trule\t1.0"),
     ("platt.tsv", "slope\toffset", "1.5\t-0.25", "1.5"),
     ("platt.tsv", "slope\toffset", "1.5\t-0.25", "nan\t0.5"),
     ("platt.tsv", "slope\toffset", "1.5\t-0.25", "1.5\t-inf"),
@@ -584,6 +594,8 @@ def _rule_loader(role):
     ("manual_labels", "u1\tgender\tfemale", "u1\tgender"),
     ("manual_labels", "u1\tgender\tfemale", "u1\tgender\tfemale\textra"),
     ("manual_labels", "u1\tgender\tfemale", "u1\tshoe_size\t38"),
+    ("manual_labels", "u1\tgender\tfemale", "u3\tstance\tdefence"),
+    ("manual_labels", "u1\tgender\tfemale", "u3\tage_cohort\t17"),
 ])
 def test_rule_readers_name_file_and_line(tmp_path, role, good, bad):
     # a comment may be indented; blank lines are skipped
@@ -754,6 +766,43 @@ def test_a_stage_that_runs_makes_every_later_stage_stale(
         stage not in ("ingest", "label") for stage in STAGES]
     # train and calibrate were built from the new labels
     assert Pipeline(cfg).run_stage("calibrate")
+
+
+def test_a_stage_runs_only_after_every_earlier_stage(
+        demo_corpus, finished, tmp_path):
+    from click.testing import CliRunner
+    from stancelab import cli
+
+    out = _copy_of(finished, tmp_path)
+    cfg = make_config(demo_corpus, out)
+    corpus = out / "corpus.jsonl"
+    lines = corpus.read_text(encoding="utf-8").splitlines(True)
+    corpus.write_text("".join(lines[:len(lines) // 4]), encoding="utf-8")
+    # label drops the records of every later stage
+    assert Pipeline(cfg).run_stage("label")
+    manifest = (out / "manifest.json").read_bytes()
+    assert set(json.loads(manifest)["stages"]) == {"ingest", "label"}
+    before = {name: (out / name).read_bytes()
+              for names in _STAGE_OUTPUTS.values() for name in names}
+
+    config = _config_file(demo_corpus, out, tmp_path / "config.yaml")
+    done = CliRunner().invoke(cli.main,
+                              ["stage", "predict", "--config", config])
+    assert done.exit_code == 1
+    assert done.output == ("Error: missing stage: featurize "
+                           "(not recorded in manifest.json)\n")
+    for stage in STAGES[3:]:
+        for skip_fresh in (False, True):
+            with pytest.raises(StageError, match=re.escape(
+                    "missing stage: featurize (not recorded in "
+                    "manifest.json)")):
+                Pipeline(cfg).run_stage(stage, skip_fresh=skip_fresh)
+    assert (out / "manifest.json").read_bytes() == manifest
+    assert before == {name: (out / name).read_bytes() for name in before}
+
+    # each stage in turn may run
+    for stage in STAGES[2:]:
+        assert Pipeline(cfg).run_stage(stage)
 
 
 def test_turnaround_refuses_period_matrices_with_different_rows(
