@@ -6,14 +6,19 @@ author profile embedded on its first occurrence (see FORMATS.md).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import sys
 from collections import Counter, deque
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
+import numpy as np
 import regex
+
+from . import textproc
 
 # the kinds of a `directed_at` entry; a retweet has its own field
 DIRECTED_KINDS = ("mention", "reply", "quote")
@@ -26,8 +31,7 @@ class CorpusError(Exception):
     """Fatal problem with a corpus file or its contents."""
 
 
-@dataclass(frozen=True)
-class MicroPost:
+class MicroPost(NamedTuple):
     post_id: str
     author_id: str
     timestamp: int
@@ -70,16 +74,15 @@ class Corpus:
     def n_users(self) -> int:
         return len(self.users)
 
-    def posts_by_user(self) -> dict[str, list[MicroPost]]:
-        out: dict[str, list[MicroPost]] = {u: [] for u in self.users}
-        for p in self.posts:
-            out[p.author_id].append(p)
-        return out
+    @functools.cached_property
+    def encoding(self) -> textproc.Encoding:
+        """Every text of the corpus, tokenized once per corpus."""
+        return textproc.encode(self)
 
-    def in_period(self, start: int, end: int) -> list[bool]:
-        """Per post, whether start <= timestamp < end: the one rule that
-        every period view of the corpus applies."""
-        return [start <= p.timestamp < end for p in self.posts]
+    def in_period(self, start: int, end: int) -> np.ndarray:
+        """Per post, whether start <= timestamp < end, as a boolean mask: the
+        one rule that every period view of the corpus applies."""
+        return np.array([start <= p.timestamp < end for p in self.posts], bool)
 
 
 @dataclass(frozen=True)
@@ -108,12 +111,13 @@ def _id(value) -> str:
 def _user_id(value) -> str:
     """``value`` as a user id that every stage file can hold: not empty, no
     whitespace (the train-user list splits on it, a TSV line on tabs and
-    line ends) and no leading ``#`` (a comment line in TSV files)."""
+    line ends) and no leading ``#`` (a comment line in TSV files). Interned,
+    so that all the posts of an author hold one string."""
     uid = _id(value)
     if uid.split() != [uid] or uid.startswith("#"):
         raise ValueError(f"user id {uid!r} is empty, holds whitespace or "
                          "starts with '#'")
-    return uid
+    return sys.intern(uid)
 
 
 # what JSON may give for a profile field of each annotation
@@ -149,14 +153,14 @@ def _parse_post(obj: dict) -> tuple[MicroPost, Optional[UserProfile]]:
     author = obj.get("author")
     if author is None:
         return post, None
+    if _id(author["user_id"]) != post.author_id:
+        raise ValueError("embedded author does not match author_id")
     # each field by name, its dataclass default if absent
-    values = {"user_id": _id(author["user_id"])}
+    values = {"user_id": post.author_id}
     for name, default, of_type in _PROFILE_FIELDS:
         value = values[name] = author.get(name, default)
         if not of_type(value):
             raise ValueError(f"author {name} {value!r} is not of its type")
-    if values["user_id"] != post.author_id:
-        raise ValueError("embedded author does not match author_id")
     if min(values[n] for n in ("n_posts", "n_followers", "n_friends")) < 0:
         raise ValueError("negative profile counts")
     return post, UserProfile(**values)
@@ -168,7 +172,8 @@ def load_corpus(path, time_range: Optional[tuple[int, int]] = None,
 
     Posts outside ``time_range`` (half-open ``[start, end)``) are dropped after
     parsing. A line is malformed when it is not UTF-8, does not parse (a
-    value not of its field's type included), repeats a post id, has an
+    value not of its field's type included), holds a string with a lone
+    surrogate (which UTF-8 cannot write back), repeats a post id, has an
     ``author_id`` that is empty, holds whitespace or starts with ``#``, or
     has an author whose profile no earlier line embedded.
     Raises :class:`CorpusError` if the file is unreadable or more than
@@ -189,6 +194,11 @@ def load_corpus(path, time_range: Optional[tuple[int, int]] = None,
                 n_records += 1
                 try:
                     post, profile = _parse_post(json.loads(line.decode()))
+                    # only a \u escape can give a lone surrogate, which
+                    # UTF-8 cannot encode (UnicodeEncodeError, a ValueError)
+                    if b"\\u" in line:
+                        json.dumps([post, profile and vars(profile)],
+                                   ensure_ascii=False).encode()
                     if post.post_id in seen_ids:
                         raise ValueError(f"duplicate post_id {post.post_id}")
                 except (ValueError, KeyError, TypeError):
@@ -267,7 +277,7 @@ def filter_relevant(corpus: Corpus, include_terms: list[str],
 
 
 def build_interaction_graph(corpus: Corpus,
-                            posts: Optional[Sequence[bool]] = None
+                            posts: Optional[np.ndarray] = None
                             ) -> InteractionGraph:
     """Aggregate retweet/mention/reply/quote interactions between corpus users.
 
@@ -333,10 +343,6 @@ def _iso_week(ts: int) -> tuple[int, int]:
     return (iso.year, iso.week)
 
 
-def _week_label(year: int, week: int) -> str:
-    return f"{year}-W{week:02d}"
-
-
 def weekly_volume(corpus: Corpus,
                   time_range: tuple[int, int]) -> list[tuple[str, int]]:
     """Per-ISO-week post counts over the half-open ``time_range``, plus
@@ -359,24 +365,19 @@ def weekly_volume(corpus: Corpus,
             iso = datetime.fromordinal(monday.toordinal() + 7).isocalendar()
             y, w = iso.year, iso.week
     all_weeks = sorted(set(weeks) | set(counts))
-    return [(_week_label(y, w), counts.get((y, w), 0)) for (y, w) in all_weeks]
+    return [(f"{y}-W{w:02d}", counts.get((y, w), 0)) for (y, w) in all_weeks]
 
 
 def write_corpus(corpus: Corpus, path) -> None:
-    """Write a corpus back to the line-delimited format (profiles embedded on
-    first occurrence, each with every field of its dataclass)."""
+    """Write a corpus back to the line-delimited format: each post by its
+    field names, with its author's profile, every field of it, embedded on
+    first occurrence."""
     written: set[str] = set()
     with open(path, "w", encoding="utf-8") as fh:
         for p in corpus.posts:
-            # not vars(p), which makes each post keep a dict of its own
-            obj = {
-                "post_id": p.post_id,
-                "author_id": p.author_id,
-                "timestamp": p.timestamp,
-                "text": p.text,
-                "retweet_of": p.retweet_of,
-                "directed_at": [{"user": u, "kind": k} for u, k in p.directed_at],
-            }
+            obj = p._asdict()
+            obj["directed_at"] = [{"user": u, "kind": k}
+                                  for u, k in p.directed_at]
             if p.author_id not in written:
                 obj["author"] = vars(corpus.users[p.author_id])
                 written.add(p.author_id)

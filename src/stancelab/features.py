@@ -22,7 +22,7 @@ import numpy as np
 from scipy import sparse
 
 from .corpus import Corpus, InteractionGraph
-from .textproc import (EMOJI, Encoding, Lexicon, TermCounts, registrable_domain,
+from .textproc import (EMOJI, Lexicon, TermCounts, registrable_domain,
                        tokenize)  # noqa: F401  (perfbench's tracing tests
                                   # look up `features.tokenize`)
 
@@ -266,7 +266,7 @@ def _check_rows(rows: tuple[str, ...], counts: TermCounts) -> None:
                           "users in sorted order")
 
 
-def profile_blocks(corpus: Corpus, encoding: Encoding, bio_counts: TermCounts,
+def profile_blocks(corpus: Corpus, bio_counts: TermCounts,
                    lexicon: Lexicon) -> tuple[Block, Block]:
     """The ``bio_term`` and ``profile_meta`` blocks of every corpus user.
 
@@ -277,8 +277,7 @@ def profile_blocks(corpus: Corpus, encoding: Encoding, bio_counts: TermCounts,
     """
     rows = tuple(sorted(corpus.users))
     _check_rows(rows, bio_counts)
-    if encoding.users != rows:
-        raise MatrixError("encoding is not over the corpus users")
+    encoding = corpus.encoding
 
     idents, types, row, col, val = _term_cells(bio_counts, "profile:")
     if rows:

@@ -232,16 +232,15 @@ def _tweet_seed_hits(encoding: Encoding, seeds: tuple[str, ...]
     return hit
 
 
-def label_stances(corpus, encoding: Encoding,
-                  seeds: dict[str, dict[str, tuple[str, ...]]]
+def label_stances(corpus, seeds: dict[str, dict[str, tuple[str, ...]]]
                   ) -> list[Optional[str]]:
-    """Per user of ``encoding.users``, the stance whose seeds alone match,
+    """Per corpus user, in sorted order, the stance whose seeds alone match,
     across bio and tweets, or None when seeds of both stances or of neither
     match. Bio seeds match as substrings of the case-folded bio."""
-    tweet_hit = {s: _tweet_seed_hits(encoding, seeds[s]["tweet"])
+    tweet_hit = {s: _tweet_seed_hits(corpus.encoding, seeds[s]["tweet"])
                  for s in STANCES}
     out = []
-    for i, u in enumerate(encoding.users):
+    for i, u in enumerate(corpus.encoding.users):
         bio = (corpus.users[u].bio or "").casefold()
         matched = [s for s in STANCES if tweet_hit[s][i]
                    or any(seed in bio for seed in seeds[s]["bio"])]
@@ -281,15 +280,14 @@ def leakage_columns(ruleset: RuleSet, columns: Iterable[str]) -> set[str]:
     return out
 
 
-def apply_rules(corpus, rules: RuleSet, encoding: Encoding) -> LabelSet:
+def apply_rules(corpus, rules: RuleSet) -> LabelSet:
     """Run all rule labelers over every corpus user.
 
-    Stance seeds are matched against ``encoding``, the corpus's
-    :func:`~stancelab.textproc.encode`.
+    Stance seeds are matched against the corpus's encoding.
     """
-    stances = label_stances(corpus, encoding, rules.stance_seeds)
+    stances = label_stances(corpus, rules.stance_seeds)
     out = LabelSet()
-    for user_id, stance in zip(encoding.users, stances):
+    for user_id, stance in zip(corpus.encoding.users, stances):
         prof = corpus.users[user_id]
         loc = label_location(prof, rules.gazetteer)
         if loc is not None:

@@ -230,9 +230,17 @@ class Pipeline:
     # -- manifest ------------------------------------------------------------
 
     def _load_manifest(self) -> dict:
-        if self._manifest.exists():
-            return json.loads(self._manifest.read_text(encoding="utf-8"))
-        return {"version": VERSION, "stages": {}}
+        path = self._manifest
+        if not path.exists():
+            return {"version": VERSION, "stages": {}}
+        try:  # a JSON error names the line and column
+            manifest = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise StageError(f"{path}: not JSON: {exc}") from None
+        stages = manifest.get("stages") if type(manifest) is dict else None
+        if type(stages) is not dict:
+            raise StageError(f"{path}: not a JSON object with a stages object")
+        return manifest
 
     def _record(self, stage: str, seconds: float, metrics: dict) -> None:
         """Record ``stage`` as run, and every later stage as not run: their
@@ -306,8 +314,6 @@ class Pipeline:
         ``value``, what reading the file back gives, for later stages."""
         _publish(self.out / name, write)
         self._held[name] = value
-        if name == "corpus.jsonl":
-            self.__dict__.pop("_encoding", None)
         if name in ("matrix_full.txt", "model_stance.txt"):
             self.__dict__.pop("_confidence", None)
 
@@ -337,12 +343,6 @@ class Pipeline:
         return labeling.load_ruleset(r.gazetteer, r.names, r.patterns,
                                      r.stance_seeds,
                                      reference_year=self.config.reference_year)
-
-    @functools.cached_property
-    def _encoding(self) -> textproc.Encoding:
-        """Every text of the ingested corpus, tokenized once per pipeline;
-        dropped when ingest publishes the corpus again."""
-        return textproc.encode(self._artifact("corpus.jsonl"))
 
     @functools.cached_property
     def _confidence(self) -> np.ndarray:
@@ -395,7 +395,7 @@ class Pipeline:
                         corpus_mod.weekly_volume(corpus, time_range))
 
         # yearly relevant terms: each year against all the others
-        by_year = self._encoding.counts_by_year(self._stopwords)
+        by_year = corpus.encoding.counts_by_year(self._stopwords)
         rows = []
         for year in sorted(by_year):
             rest: Counter[str] = Counter()
@@ -414,7 +414,7 @@ class Pipeline:
 
     def _stage_label(self) -> None:
         labels = labeling.apply_rules(self._artifact("corpus.jsonl"),
-                                      self._ruleset, self._encoding)
+                                      self._ruleset)
         if self.config.rules.manual_labels:
             labeling.import_manual_labels(labels,
                                           self.config.rules.manual_labels)
@@ -426,17 +426,16 @@ class Pipeline:
 
     def _stage_featurize(self) -> dict:
         cfg = self.config
-        corpus, encoding = self._artifact("corpus.jsonl"), self._encoding
-        stop = self._stopwords
+        corpus = self._artifact("corpus.jsonl")
+        encoding, stop = corpus.encoding, self._stopwords
         bio = encoding.term_counts("bio", cfg.thresholds.bio_min_count, stop)
         profile = features_mod.profile_blocks(
-            corpus, encoding, bio, textproc.Lexicon.from_file(cfg.rules.lexicon))
+            corpus, bio, textproc.Lexicon.from_file(cfg.rules.lexicon))
         metrics = {"texts_encoded": encoding.n_texts,
                    "vocabulary": len(encoding.terms)}
         for name, period in (("full", None), ("p0", cfg.periods[0]),
                              ("p1", cfg.periods[1])):
-            posts = None if period is None else np.array(
-                corpus.in_period(*period), dtype=bool)
+            posts = None if period is None else corpus.in_period(*period)
             tweet = encoding.term_counts(
                 "tweet", cfg.thresholds.tweet_min_count, stop,
                 include_retweets=cfg.include_retweets, posts=posts)

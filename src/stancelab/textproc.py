@@ -17,15 +17,17 @@ import functools
 import unicodedata
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 from urllib.parse import urlparse
 
 import numpy as np
 import regex
 from scipy import sparse
 
-from .corpus import Corpus
 from .tsv import read_tsv
+
+if TYPE_CHECKING:  # corpus imports this module for Corpus.encoding
+    from .corpus import Corpus
 
 WORD, HASHTAG, MENTION, URL, EMOJI = "word", "hashtag", "mention", "url", "emoji"
 
@@ -353,5 +355,5 @@ def term_counts(corpus: Corpus, scope: str, min_count: int,
                 stopwords: Optional[set[str]] = None,
                 include_retweets: bool = True) -> TermCounts:
     """Per-user token counts of a corpus; see :meth:`Encoding.term_counts`."""
-    return encode(corpus).term_counts(scope, min_count, stopwords,
-                                      include_retweets=include_retweets)
+    return corpus.encoding.term_counts(scope, min_count, stopwords,
+                                       include_retweets=include_retweets)

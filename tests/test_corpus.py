@@ -300,7 +300,12 @@ def test_integer_ids_are_read_as_their_digits(tmp_path):
 @pytest.mark.parametrize("bad", [
     b'{"post_id": "q1", "author_id": "a", "timestamp": 1, "text": "\xff"}',
     b"[]", b"5",
-], ids=["not utf-8", "a list", "a number"])
+    b'{"post_id": "q1", "author_id": "a", "timestamp": 1, '
+    b'"text": "aborto \\ud800"}',
+    b'{"post_id": "q1", "author_id": "b", "timestamp": 1, "text": "t", '
+    b'"author": {"user_id": "b", "bio": "\\uDFFF"}}',
+], ids=["not utf-8", "a list", "a number", "a lone surrogate in a text",
+        "a lone surrogate in a profile"])
 def test_a_line_that_is_not_a_utf8_json_object_is_malformed(tmp_path, bad):
     f = tmp_path / "c.jsonl"
     good = [line.encode() + b"\n" for line in _ten_posts_by_a()]
@@ -309,6 +314,27 @@ def test_a_line_that_is_not_a_utf8_json_object_is_malformed(tmp_path, bad):
     c = cm.load_corpus(f, counts=counts)
     assert counts["lines_read"] == 11 and counts["malformed_lines"] == 1
     assert c.n_posts == 10
+    cm.write_corpus(c, tmp_path / "back.jsonl")
+    assert cm.load_corpus(tmp_path / "back.jsonl") == c
+
+
+def test_an_escaped_surrogate_pair_is_one_character(tmp_path):
+    f = tmp_path / "c.jsonl"
+    f.write_bytes(b'{"post_id": "q1", "author_id": "a", "timestamp": 1, '
+                  b'"text": "\\ud83d\\udc9a", "author": {"user_id": "a"}}\n')
+    [post] = cm.load_corpus(f).posts
+    assert post.text == "\U0001F49A"
+
+
+def test_the_posts_of_an_author_hold_one_id_string(tmp_path):
+    f = tmp_path / "c.jsonl"
+    uid = "user_0042"
+    write_lines(f, [_post(f"p{i}", uid, i, "t", author={} if i == 0 else None)
+                    for i in range(3)])
+    c = cm.load_corpus(f)
+    assert len(c.posts) == 3
+    for p in c.posts:
+        assert p.author_id is c.users[uid].user_id
 
 
 def test_an_unreadable_corpus_is_a_named_error(tmp_path):

@@ -28,7 +28,7 @@ def build(min_in_degree=1):
     c = small_corpus()
     enc = tp.encode(c)
     profile = ft.profile_blocks(
-        c, enc, enc.term_counts("bio", 1),
+        c, enc.term_counts("bio", 1),
         tp.Lexicon(categories={"family": frozenset({"madre"})}))
     g = cm.build_interaction_graph(c)
     return ft.build_matrix(c, enc.term_counts("tweet", 1), profile, g,
@@ -75,7 +75,7 @@ def test_min_in_degree_prunes_edges():
 def test_graph_user_outside_corpus_fatal():
     c = small_corpus()
     enc = tp.encode(c)
-    profile = ft.profile_blocks(c, enc, enc.term_counts("bio", 1),
+    profile = ft.profile_blocks(c, enc.term_counts("bio", 1),
                                 tp.Lexicon(categories={}))
     g = cm.InteractionGraph(nodes=frozenset({"ghost"}), edges={})
     with pytest.raises(ft.MatrixError):

@@ -5,7 +5,6 @@ from stancelab import labeling as lb
 from stancelab import textproc as tp
 from stancelab.config import default_rule_path
 from stancelab.corpus import Corpus, MicroPost, UserProfile
-from stancelab.textproc import encode
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +77,7 @@ def _stance(bio, tweets, rules):
     posts = tuple(MicroPost(f"p{k}", "u", k, text)
                   for k, text in enumerate(tweets))
     corpus = Corpus(posts=posts, users=users)
-    [stance] = lb.label_stances(corpus, encode(corpus), rules.stance_seeds)
+    [stance] = lb.label_stances(corpus, rules.stance_seeds)
     return stance
 
 
@@ -160,7 +159,7 @@ def test_stance_tweet_phrase_spans_tokens_and_posts():
              MicroPost("p5", "d", 5, "aborto legal #provida"))
     corpus = Corpus(posts=posts, users=users)
     # a phrase matches the user's post tokens joined by spaces, across posts
-    assert lb.label_stances(corpus, encode(corpus), seeds) == [
+    assert lb.label_stances(corpus, seeds) == [
         "defense", "defense", None, None]
 
 

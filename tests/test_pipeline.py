@@ -336,6 +336,48 @@ def test_ingest_replaces_the_cached_corpus(tmp_path):
             _without_manifest(fresh.out / name), name
 
 
+def test_a_run_tokenizes_the_corpus_once(demo_corpus, tmp_path, monkeypatch):
+    encoded = []
+    encode = textproc.encode
+
+    def counted(corpus):
+        encoded.append(corpus.n_posts)
+        return encode(corpus)
+
+    monkeypatch.setattr(textproc, "encode", counted)
+    run_all(make_config(demo_corpus, tmp_path / "run"))
+    assert len(encoded) == 1
+
+
+def test_label_reads_the_tokens_of_the_corpus_ingest_wrote_last(
+        demo_corpus, tmp_path, monkeypatch):
+    seen = []
+    hits = labeling._tweet_seed_hits
+
+    def spy(encoding, seeds):
+        seen.append(encoding)
+        return hits(encoding, seeds)
+
+    monkeypatch.setattr(labeling, "_tweet_seed_hits", spy)
+    path = tmp_path / "corpus.jsonl"
+    shutil.copyfile(demo_corpus, path)
+    pipe = Pipeline(make_config(str(path), tmp_path / "out"))
+    for stage in ("ingest", "label"):
+        pipe.run_stage(stage)
+    lines = path.read_text(encoding="utf-8").splitlines(True)
+    path.write_text("".join(lines[:len(lines) // 2]), encoding="utf-8")
+    first = seen[-1]
+    seen.clear()
+    for stage in ("ingest", "label"):
+        pipe.run_stage(stage)
+    want = textproc.encode(cm.load_corpus(pipe.out / "corpus.jsonl"))
+    assert seen and len(want.post_user) < len(first.post_user)
+    for got in seen:
+        assert got.users == want.users and got.terms == want.terms
+        assert np.array_equal(got.post_terms, want.post_terms)
+        assert np.array_equal(got.post_user, want.post_user)
+
+
 def test_ingest_and_featurize_report_counts(tmp_path):
     from datetime import datetime, timezone
     from stancelab import features
@@ -478,7 +520,7 @@ def test_a_url_that_does_not_parse_is_its_own_domain(tmp_path):
     user = corpus.posts[0].author_id
     corpus = replace(
         corpus,
-        posts=tuple(replace(p, text=p.text + " http://[x")
+        posts=tuple(p._replace(text=p.text + " http://[x")
                     for p in corpus.posts),
         users={**corpus.users,
                user: replace(corpus.users[user], url="http://[x")})
@@ -803,6 +845,25 @@ def test_a_stage_runs_only_after_every_earlier_stage(
     # each stage in turn may run
     for stage in STAGES[2:]:
         assert Pipeline(cfg).run_stage(stage)
+
+
+@pytest.mark.parametrize("text, fault", [
+    ("{not json", ": not JSON: Expecting property name enclosed in double "
+     "quotes: line 1 column 2 (char 1)"),
+    ("[]", ": not a JSON object with a stages object"),
+    ("{}", ": not a JSON object with a stages object"),
+    ('{"stages": []}', ": not a JSON object with a stages object"),
+])
+def test_a_manifest_that_is_not_an_object_of_stages_is_a_named_error(
+        demo_corpus, tmp_path, text, fault):
+    out = tmp_path / "out"
+    out.mkdir()
+    manifest = out / "manifest.json"
+    manifest.write_text(text, encoding="utf-8")
+    with pytest.raises(StageError, match=re.escape(f"{manifest}{fault}")):
+        Pipeline(make_config(demo_corpus, out)).run_stage("ingest")
+    assert os.listdir(out) == ["manifest.json"]
+    assert manifest.read_text(encoding="utf-8") == text
 
 
 def test_turnaround_refuses_period_matrices_with_different_rows(

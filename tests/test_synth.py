@@ -7,7 +7,6 @@ from stancelab import labeling as lb
 from stancelab import synth
 from stancelab.config import default_rule_path
 from stancelab.corpus import Corpus
-from stancelab.textproc import encode
 
 
 def test_deterministic_per_seed():
@@ -44,9 +43,11 @@ def test_posts_fall_in_periods():
 def test_signal_emojis_track_stance():
     spec = synth.SynthSpec(n_users=60, rng_seed=3)
     c, truth = synth.generate(spec)
-    by_user = c.posts_by_user()
-    for uid, posts in by_user.items():
-        text = " ".join(p.text for p in posts)
+    by_user = {uid: [] for uid in c.users}
+    for p in c.posts:
+        by_user[p.author_id].append(p.text)
+    for uid, texts in by_user.items():
+        text = " ".join(texts)
         own = (synth.DEFENSE_EMOJI if truth.stance[uid] == "defense"
                else synth.OPPOSITION_EMOJI)
         other = (synth.OPPOSITION_EMOJI if truth.stance[uid] == "defense"
@@ -64,8 +65,7 @@ def test_self_reports_parseable_by_shipped_rules():
     # bios alone: the users without their posts
     bios_only = Corpus(posts=(), users=c.users)
     stances = dict(zip(sorted(c.users),
-                       lb.label_stances(bios_only, encode(bios_only),
-                                        rules.stance_seeds)))
+                       lb.label_stances(bios_only, rules.stance_seeds)))
     for uid, prof in c.users.items():
         rep = truth.self_reported[uid]
         if "gender" in rep:

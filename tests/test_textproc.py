@@ -230,7 +230,7 @@ def test_profile_columns_equal_a_direct_tally(corpus):
     tweet = enc.term_counts("tweet", 1, _STOP)
     m = ft.build_matrix(
         corpus, tweet,
-        ft.profile_blocks(corpus, enc, enc.term_counts("bio", 1, _STOP), lex),
+        ft.profile_blocks(corpus, enc.term_counts("bio", 1, _STOP), lex),
         cm.build_interaction_graph(corpus), min_in_degree=1)
     got = {(m.rows[i], m.columns[j].identifier): v
            for i, j, v in zip(*m.X.nonzero(), m.X.data)}
