@@ -20,6 +20,9 @@ import regex
 
 from . import textproc
 
+# a JSON escape of a UTF-16 surrogate, \uD800 to \uDFFF, in a line's bytes
+_SURROGATE_ESCAPE = regex.compile(rb"\\u[dD][89a-fA-F]")
+
 # the kinds of a `directed_at` entry; a retweet has its own field
 DIRECTED_KINDS = ("mention", "reply", "quote")
 
@@ -194,9 +197,9 @@ def load_corpus(path, time_range: Optional[tuple[int, int]] = None,
                 n_records += 1
                 try:
                     post, profile = _parse_post(json.loads(line.decode()))
-                    # only a \u escape can give a lone surrogate, which
+                    # only an escaped surrogate can give a lone one, which
                     # UTF-8 cannot encode (UnicodeEncodeError, a ValueError)
-                    if b"\\u" in line:
+                    if _SURROGATE_ESCAPE.search(line):
                         json.dumps([post, profile and vars(profile)],
                                    ensure_ascii=False).encode()
                     if post.post_id in seen_ids:
@@ -343,6 +346,10 @@ def _iso_week(ts: int) -> tuple[int, int]:
     return (iso.year, iso.week)
 
 
+def _week_label(year: int, week: int) -> str:
+    return f"{year}-W{week:02d}"
+
+
 def weekly_volume(corpus: Corpus,
                   time_range: tuple[int, int]) -> list[tuple[str, int]]:
     """Per-ISO-week post counts over the half-open ``time_range``, plus
@@ -365,7 +372,7 @@ def weekly_volume(corpus: Corpus,
             iso = datetime.fromordinal(monday.toordinal() + 7).isocalendar()
             y, w = iso.year, iso.week
     all_weeks = sorted(set(weeks) | set(counts))
-    return [(f"{y}-W{w:02d}", counts.get((y, w), 0)) for (y, w) in all_weeks]
+    return [(_week_label(y, w), counts.get((y, w), 0)) for (y, w) in all_weeks]
 
 
 def write_corpus(corpus: Corpus, path) -> None:

@@ -349,35 +349,6 @@ def test_a_run_tokenizes_the_corpus_once(demo_corpus, tmp_path, monkeypatch):
     assert len(encoded) == 1
 
 
-def test_label_reads_the_tokens_of_the_corpus_ingest_wrote_last(
-        demo_corpus, tmp_path, monkeypatch):
-    seen = []
-    hits = labeling._tweet_seed_hits
-
-    def spy(encoding, seeds):
-        seen.append(encoding)
-        return hits(encoding, seeds)
-
-    monkeypatch.setattr(labeling, "_tweet_seed_hits", spy)
-    path = tmp_path / "corpus.jsonl"
-    shutil.copyfile(demo_corpus, path)
-    pipe = Pipeline(make_config(str(path), tmp_path / "out"))
-    for stage in ("ingest", "label"):
-        pipe.run_stage(stage)
-    lines = path.read_text(encoding="utf-8").splitlines(True)
-    path.write_text("".join(lines[:len(lines) // 2]), encoding="utf-8")
-    first = seen[-1]
-    seen.clear()
-    for stage in ("ingest", "label"):
-        pipe.run_stage(stage)
-    want = textproc.encode(cm.load_corpus(pipe.out / "corpus.jsonl"))
-    assert seen and len(want.post_user) < len(first.post_user)
-    for got in seen:
-        assert got.users == want.users and got.terms == want.terms
-        assert np.array_equal(got.post_terms, want.post_terms)
-        assert np.array_equal(got.post_user, want.post_user)
-
-
 def test_ingest_and_featurize_report_counts(tmp_path):
     from datetime import datetime, timezone
     from stancelab import features
