@@ -30,7 +30,8 @@ only when its gain exceeds it by more than ``GAIN_EPS``.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
+
+from .csr import as_csr
 
 # candidate splits must beat the incumbent by this margin; makes the scan
 # order-stable under float noise
@@ -60,14 +61,13 @@ class ColumnBlocks:
 
     @classmethod
     def from_dense(cls, X) -> "ColumnBlocks":
-        """Blocks of all rows of X, a dense or scipy sparse matrix. Explicitly
-        stored zeros are dropped."""
-        X = sparse.coo_array(X, dtype=np.float64)
+        """Blocks of all rows of X, a dense or sparse matrix (see
+        :func:`~stancelab.csr.as_csr`). Explicitly stored zeros are dropped."""
+        X = as_csr(X)
         n, p = X.shape
-        nz = X.data != 0
-        row = X.row[nz].astype(np.int64)
-        col = X.col[nz].astype(np.int64)
-        val = X.data[nz]
+        row, col, val = X.tocoo()
+        nz = val != 0
+        row, col, val = row[nz], col[nz], val[nz]
         order = np.lexsort((row, val, col))
         return cls(np.arange(n), row[order], col[order], val[order], n, p)
 

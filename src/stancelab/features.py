@@ -5,7 +5,7 @@ tweet terms, bio terms (including lexicon categories), profile meta features,
 retweet edges, and directed (mention/reply/quote) edges. Rows and columns are
 sorted by identifier so construction is deterministic.
 
-In memory the values are one ``scipy.sparse.csr_array`` of float64, rows ×
+In memory the values are one :class:`~stancelab.csr.CSR` of float64, rows ×
 columns, in canonical form: within each row the column indices are sorted and
 unique, and every stored value is positive and finite. ``X.indptr[i]`` to
 ``X.indptr[i + 1]`` delimits row i's entries in ``X.indices`` (columns) and
@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import Corpus, InteractionGraph
+from .csr import CSR, as_csr
 from .textproc import (EMOJI, Lexicon, TermCounts, registrable_domain,
                        tokenize)  # noqa: F401  (perfbench's tracing tests
                                   # look up `features.tokenize`)
@@ -60,22 +60,29 @@ class FeatureColumn:
 class FeatureMatrix:
     rows: tuple[str, ...]
     columns: tuple[FeatureColumn, ...]
-    X: sparse.csr_array   # canonical CSR, positive finite values only
+    # canonical CSR, positive finite values only; a scipy sparse array (any
+    # object with ``tocsr()``) is read into one by its stored cells
+    X: CSR
     period: Optional[tuple[int, int]] = None
 
     def __post_init__(self):
         ids = [c.identifier for c in self.columns]
         if len(set(ids)) != len(ids):
             raise MatrixError("duplicate column identifiers")
+        if hasattr(self.X, "tocsr"):
+            object.__setattr__(self, "X", as_csr(self.X))
         X = self.X
-        if not isinstance(X, sparse.csr_array) or X.dtype != np.float64:
-            raise MatrixError("values must be a float64 scipy.sparse.csr_array")
+        if not isinstance(X, CSR) or X.data.dtype != np.float64:
+            raise MatrixError("values must be a float64 CSR, or a sparse "
+                              "array with tocsr()")
         if X.shape != self.shape:
             raise MatrixError(f"values have shape {X.shape}, "
                               f"rows × columns is {self.shape}")
-        if not X.has_canonical_format:
-            raise MatrixError("column indices must be sorted and unique "
-                              "within each row")
+        cells = X.tocoo()
+        if not (np.all(np.diff(cells.row * X.shape[1] + cells.col) > 0)
+                and np.all((cells.col >= 0) & (cells.col < X.shape[1]))):
+            raise MatrixError("column indices must be sorted, unique and in "
+                              "range within each row")
         if not np.all((X.data > 0) & (X.data < np.inf)):
             raise MatrixError("stored cells must be positive and finite")
 
@@ -187,7 +194,7 @@ class FeatureMatrix:
         _check(path, first + 1, data[1:], step < 0,
                "(row, col) out of order; data lines are sorted by row, "
                "then column")
-        X = sparse.csr_array((v, (i, j)), shape=(n_rows, n_cols))
+        X = CSR.from_triplets(i, j, v, (n_rows, n_cols))
         try:
             return cls(tuple(rows), tuple(cols), X, period)
         except MatrixError as exc:
@@ -348,10 +355,10 @@ def _edge_blocks(graph: InteractionGraph, ridx: dict[str, int],
                                ("directed_edge", "at:", ~retweet)):
         # summed per (source, target); a target's in-degree is its column's
         # count of sources
-        A = sparse.csc_array((w[sel], (src[sel], dst[sel])), shape=(n, n))
-        A.sum_duplicates()
-        targets = np.flatnonzero(np.diff(A.indptr) >= min_in_degree)
-        cells = A[:, targets].tocoo()
+        A = CSR.from_triplets(src[sel], dst[sel], w[sel], (n, n))
+        in_degree = np.bincount(A.indices, minlength=n)
+        targets = np.flatnonzero(in_degree >= min_in_degree)
+        cells = A.take_columns(targets).tocoo()
         out.append(_block(block, [prefix + users[t] for t in targets],
                           ["network"] * len(targets), cells.row, cells.col,
                           cells.data))
@@ -388,9 +395,8 @@ def build_matrix(corpus: Corpus,
         col.append(len(columns) + b.col)
         val.append(b.val)
         columns.extend(b.columns)
-    X = sparse.csr_array(
-        (np.concatenate(val), (np.concatenate(row), np.concatenate(col))),
-        shape=(len(rows), len(columns)))
+    X = CSR.from_triplets(np.concatenate(row), np.concatenate(col),
+                          np.concatenate(val), (len(rows), len(columns)))
     return FeatureMatrix(rows=rows, columns=tuple(columns), X=X,
                          period=period)
 
@@ -401,7 +407,7 @@ def drop_columns(matrix: FeatureMatrix, drop: set[str]) -> FeatureMatrix:
                      if c.identifier not in drop], dtype=np.int64)
     return FeatureMatrix(rows=matrix.rows,
                          columns=tuple(matrix.columns[j] for j in keep),
-                         X=matrix.X[:, keep], period=matrix.period)
+                         X=matrix.X.take_columns(keep), period=matrix.period)
 
 
 def align_rows(a: FeatureMatrix, b: FeatureMatrix) -> tuple[FeatureMatrix, FeatureMatrix]:
@@ -411,7 +417,7 @@ def align_rows(a: FeatureMatrix, b: FeatureMatrix) -> tuple[FeatureMatrix, Featu
     def restrict(m: FeatureMatrix) -> FeatureMatrix:
         ridx = m.row_index()
         take = np.array([ridx[u] for u in common], dtype=np.int64)
-        return FeatureMatrix(rows=common, columns=m.columns, X=m.X[take],
-                             period=m.period)
+        return FeatureMatrix(rows=common, columns=m.columns,
+                             X=m.X.take_rows(take), period=m.period)
 
     return restrict(a), restrict(b)

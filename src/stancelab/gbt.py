@@ -27,14 +27,14 @@ from multiprocessing import connection
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy import sparse
 
 from . import _kernels
+from .csr import CSR, as_csr
 from .features import FeatureMatrix
 
-# a FeatureMatrix, or a rows × columns array (dense or scipy sparse) whose
-# columns are identified by position
-MatrixLike = Union[FeatureMatrix, np.ndarray, sparse.sparray]
+# a FeatureMatrix, or a rows × columns matrix whose columns are identified by
+# position: dense, a CSR or any sparse array with ``tocsr()`` (scipy's)
+MatrixLike = Union[FeatureMatrix, np.ndarray, CSR]
 
 
 class TrainingError(Exception):
@@ -268,13 +268,12 @@ def _log_loss(y: np.ndarray, p: np.ndarray) -> float:
     return float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
 
 
-def _as_csr(matrix: MatrixLike) -> tuple[sparse.csr_array, list[str]]:
+def _as_csr(matrix: MatrixLike) -> tuple[CSR, list[str]]:
     """The input as CSR, with its column identifiers (``f00000``, ... for
     arrays)."""
     if isinstance(matrix, FeatureMatrix):
         return matrix.X, matrix.column_identifiers()
-    X = sparse.csr_array(matrix, dtype=np.float64, copy=True)
-    X.sum_duplicates()  # one entry per cell, as ColumnBlocks needs
+    X = as_csr(matrix)
     return X, [f"f{j:05d}" for j in range(X.shape[1])]
 
 
@@ -451,8 +450,8 @@ def train(matrix: MatrixLike, labels: Sequence[int],
                                            params.validation_fraction, rng)
     if len(set(y[train_idx])) < 2:
         raise TrainingError("training split lost one of the classes")
-    X_tr, y_tr = X[train_idx], y[train_idx]
-    X_val, y_val = X[val_idx], y[val_idx]
+    X_tr, y_tr = X.take_rows(train_idx), y[train_idx]
+    X_val, y_val = X.take_rows(val_idx), y[val_idx]
 
     blocks = _kernels.ColumnBlocks.from_dense(X_tr)
     # too few rows may leave no validation slice; then no early stopping
@@ -500,7 +499,7 @@ def fit_single_tree_full_batch(X: np.ndarray, y: Sequence[int],
                        update)
 
 
-def _reconcile(model: BoostedModel, matrix: MatrixLike) -> sparse.sparray:
+def _reconcile(model: BoostedModel, matrix: MatrixLike) -> CSR:
     """The cells in the model's column order. A FeatureMatrix is matched by
     column identifier: model columns it lacks are absent (zero), and its
     extra columns are ignored. Arrays are matched by position."""
@@ -514,8 +513,8 @@ def _reconcile(model: BoostedModel, matrix: MatrixLike) -> sparse.sparray:
     cells = X.tocoo()
     col = remap[cells.col]
     keep = col >= 0
-    return sparse.coo_array((cells.data[keep], (cells.row[keep], col[keep])),
-                            shape=(X.shape[0], len(model.columns)))
+    return CSR.from_triplets(cells.row[keep], col[keep], cells.data[keep],
+                             (X.shape[0], len(model.columns)))
 
 
 def predict_margin(model: BoostedModel, matrix: MatrixLike) -> np.ndarray:
@@ -712,12 +711,12 @@ def cross_validate(matrix: MatrixLike, labels: Sequence[int],
     for f in range(k):
         train_idx = np.sort(np.concatenate([folds[i] for i in range(k) if i != f]))
         fold_params = replace(params, rng_seed=params.rng_seed + f + 1)
-        jobs.append((X[train_idx], y[train_idx], fold_params))
+        jobs.append((X.take_rows(train_idx), y[train_idx], fold_params))
     model, *fold_models = fit_many(jobs)
 
     precisions, recalls = [], []
     for f in range(k):
-        conf = predict_confidence(fold_models[f], X[folds[f]])
+        conf = predict_confidence(fold_models[f], X.take_rows(folds[f]))
         pred = (conf >= 0.5).astype(np.int64)
         prec, rec = _macro_precision_recall(y[folds[f]], pred)
         precisions.append(prec)

@@ -16,6 +16,7 @@ import fcntl
 import functools
 import hashlib
 import json
+import math
 import os
 import time
 from collections import Counter
@@ -93,11 +94,19 @@ def _one_platt(models: list) -> calib.PlattModel:
     return models[0]
 
 
+def _turnaround_line(user_id, p_t0, p_t1, delta):
+    p0, p1, d = float(p_t0), float(p_t1), float(delta)
+    if not (0.0 <= p0 <= 1.0 and 0.0 <= p1 <= 1.0):
+        raise ValueError("p_t0 and p_t1 must be probabilities in [0, 1]")
+    if not math.isfinite(d):
+        raise ValueError("delta must be finite")
+    return user_id, p0, p1, d
+
+
 _TABLES = {
     "labels.tsv": (_LABELS_HEADER, _label_line, _label_set),
     "platt.tsv": (_PLATT_HEADER, _platt_line, _one_platt),
-    "turnaround.tsv": (_TURNAROUND_HEADER, lambda u, p0, p1, d: (
-        u, float(p0), float(p1), float(d)), list),
+    "turnaround.tsv": (_TURNAROUND_HEADER, _turnaround_line, list),
 }
 
 
@@ -179,9 +188,14 @@ def output_lock(out_dir: Path):
 
 def _publish(path: Path, write) -> None:
     """``write(tmp)`` a sibling of ``path``, then rename it onto ``path``, so
-    that a reader sees either the old file or the whole new one."""
+    that a reader sees either the old file or the whole new one. If
+    ``write`` raises, the sibling is removed."""
     tmp = path.with_suffix(path.suffix + ".tmp")
-    write(tmp)
+    try:
+        write(tmp)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 
@@ -240,6 +254,10 @@ class Pipeline:
         stages = manifest.get("stages") if type(manifest) is dict else None
         if type(stages) is not dict:
             raise StageError(f"{path}: not a JSON object with a stages object")
+        for stage, entry in stages.items():
+            if type(entry) is not dict:
+                raise StageError(f"{path}: stage {stage!r} is not a JSON "
+                                 "object")
         return manifest
 
     def _record(self, stage: str, seconds: float, metrics: dict) -> None:
@@ -478,7 +496,8 @@ class Pipeline:
             raise StageError("no stance-labeled users to train on")
         kept_users, rows, y = self._stance_rows(train_users, matrix, labels)
         # the model and the CV folds are fit together, in parallel
-        report = gbt.cross_validate(matrix.X[rows], y, self.config.boost, k=5)
+        report = gbt.cross_validate(matrix.X.take_rows(rows), y,
+                                    self.config.boost, k=5)
         model = report.model
         model.columns = matrix.column_identifiers()
         self._put("model_stance.txt", model.save, model)
@@ -661,4 +680,5 @@ def _users_with(matrix: features_mod.FeatureMatrix, ident: str) -> set[str]:
     j = matrix.column_index().get(ident)
     if j is None:
         return set()
-    return {matrix.rows[i] for i in matrix.X[:, [j]].nonzero()[0]}
+    return {matrix.rows[i]
+            for i in matrix.X.take_columns([j]).tocoo().row.tolist()}

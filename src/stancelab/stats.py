@@ -4,6 +4,7 @@ OLS regression with dummy coding and fit diagnostics."""
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -11,8 +12,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-# tukey_hsd alone imports scipy.stats: importing it takes longer than the
-# rest of stancelab, and most commands never need it
+# the tails of the studentized range and F distributions are computed here,
+# from math and numpy alone
 
 
 class StatsError(Exception):
@@ -81,6 +82,63 @@ class HSDComparison:
         return self.p_adjusted < 0.05
 
 
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    return np.array([0.5 * math.erfc(-v / math.sqrt(2.0))
+                     for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+@functools.cache
+def _quadrature():
+    """Gauss-Legendre nodes and weights: 64 over the normal range
+    integral's z in [-8, 8] (with Phi at each node), and 16 over [-1, 1]
+    for each panel of the integral over log s."""
+    z, z_weight = (8.0 * a for a in np.polynomial.legendre.leggauss(64))
+    return z, z_weight, _normal_cdf(z), *np.polynomial.legendre.leggauss(16)
+
+
+def studentized_range_sf(q: float, k: int, df: int) -> float:
+    """P(Q > q) for the studentized range Q of ``k`` means with ``df``
+    degrees of freedom (Lund & Lund, "Algorithm AS 190", Applied Statistics
+    32(2), 1983).
+
+    The range of k standard normals exceeds w with probability
+    k∫φ(z)Φ(z)^(k−1)(1 − (1 − Φ(z − w)/Φ(z))^(k−1))dz, computed as an upper
+    tail (with ``expm1`` and ``log1p``) so that small values keep their
+    digits; for a wide range the integrand's mass moves to z ≈ w/2, and the
+    window of z with it. Q exceeds q where that range exceeds q·s, and s,
+    the standard error over sigma, has the density of sqrt(χ²_df / df),
+    integrated over log s in panels 3 standard deviations wide: over ±12 of
+    them, and on the left as far as the density's exp(df·log s) tail needs
+    (45/df).
+    """
+    if q <= 0.0:
+        return 1.0
+    z0, z_weight, cdf0, panel, panel_weight = _quadrature()
+    sd = 1.0 / math.sqrt(2.0 * df)
+    lo, hi = -max(12.0 * sd, 45.0 / df), 12.0 * sd
+    n = math.ceil((hi - lo) / (3.0 * sd))
+    half = 0.5 * (hi - lo) / n
+    t = ((lo + half * (2.0 * np.arange(n) + 1.0))[:, None]
+         + half * panel).ravel()
+    log_density = (0.5 * df * math.log(df) - (0.5 * df - 1.0) * math.log(2.0)
+                   - math.lgamma(0.5 * df) + df * t - 0.5 * df * np.exp(2 * t))
+    w = q * np.exp(t)
+    shift = np.maximum(0.0, 0.5 * w - 2.0)
+    z = z0 + shift[:, None]
+    cdf = np.tile(cdf0, (len(t), 1))
+    moved = shift > 0.0
+    cdf[moved] = _normal_cdf(z[moved])
+    ratio = _normal_cdf(z - w[:, None]) / cdf
+    # a ratio of 1, where w is too small to move Phi, gives log1p(-1) = -inf
+    # and a tail of 1, its limit
+    with np.errstate(divide="ignore"):
+        tail = -np.expm1((k - 1) * np.log1p(-ratio))
+    dens_z = (k * z_weight * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+              * cdf ** (k - 1))
+    return float(np.tile(half * panel_weight, n)
+                 @ (np.exp(log_density) * (tail * dens_z).sum(axis=1)))
+
+
 def tukey_hsd(groups: Mapping[str, Sequence[float]]) -> list[HSDComparison]:
     """All pairwise mean comparisons corrected by the studentized range
     distribution.
@@ -88,7 +146,6 @@ def tukey_hsd(groups: Mapping[str, Sequence[float]]) -> list[HSDComparison]:
     With zero within-group variance everywhere, p is set by limit: 0 for
     different means, 1 for equal means.
     """
-    from scipy import stats as sps
     names = sorted(groups)
     if len(names) < 2:
         raise StatsError("need at least two groups")
@@ -116,7 +173,7 @@ def tukey_hsd(groups: Mapping[str, Sequence[float]]) -> list[HSDComparison]:
             else:
                 se = math.sqrt(msw / 2.0 * (1.0 / len(a) + 1.0 / len(b)))
                 q = abs(diff) / se
-                p = float(sps.studentized_range.sf(q, k, df))
+                p = studentized_range_sf(q, k, df)
                 p = min(max(p, 0.0), 1.0)
             out.append(HSDComparison(group_a=ga, group_b=gb, mean_diff=diff,
                                      q_statistic=q, p_adjusted=p))
@@ -259,6 +316,46 @@ def drop_collinear(records: Sequence[Mapping[str, object]],
     return covs, dropped
 
 
+def f_sf(f: float, d1: float, d2: float) -> float:
+    """P(F > f) for the F distribution with (d1, d2) degrees of freedom: the
+    regularized incomplete beta I_x(d2/2, d1/2) at x = d2 / (d2 + d1·f)."""
+    if f <= 0.0:
+        return 1.0
+    if f == math.inf:
+        return 0.0
+    s = d2 + d1 * f
+    return _beta_regularized(0.5 * d2, 0.5 * d1, d2 / s, d1 * f / s)
+
+
+def _beta_regularized(a: float, b: float, x: float, y: float) -> float:
+    """I_x(a, b) for y = 1 - x (given apart, with its own digits), from the
+    continued fraction of whichever of I_x(a, b) and 1 - I_y(b, a)
+    converges fast (DiDonato & Morris, "Algorithm 708", ACM TOMS 18(3),
+    1992), evaluated by the modified Lentz method."""
+    if x == 0.0 or y == 0.0:
+        return 0.0 if x == 0.0 else 1.0
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _beta_regularized(b, a, y, x)
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * math.log(x) + b * math.log(y))
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 10_000):
+        even = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        odd = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
+        for num in (even, odd):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            return front * h / a
+    raise StatsError(f"incomplete beta({a}, {b}) at {x} did not converge")
+
+
 def ols_regress(records: Sequence[Mapping[str, object]],
                 response: Sequence[float],
                 covariates: Sequence[Covariate]) -> RegressionResult:
@@ -268,7 +365,6 @@ def ols_regress(records: Sequence[Mapping[str, object]],
     default), count covariates enter as log(1+x). Solved by QR; rank
     deficiency is fatal and names the collinear columns.
     """
-    from scipy.special import fdtrc
     y = np.asarray(response, dtype=np.float64)
     X, names, _owners, dummy_map = _design_matrix(records, covariates)
     n, p = X.shape
@@ -294,7 +390,7 @@ def ols_regress(records: Sequence[Mapping[str, object]],
     mse = rss / n
     if p > 1 and rss > 0:
         f_stat = ((tss - rss) / (p - 1)) / (rss / (n - p))
-        f_p = float(fdtrc(p - 1, n - p, f_stat))
+        f_p = f_sf(f_stat, p - 1, n - p)
     else:
         f_stat, f_p = math.inf, 0.0
     if rss > 0:

@@ -22,8 +22,8 @@ from urllib.parse import urlparse
 
 import numpy as np
 import regex
-from scipy import sparse
 
+from .csr import CSR
 from .tsv import read_tsv
 
 if TYPE_CHECKING:  # corpus imports this module for Corpus.encoding
@@ -85,7 +85,7 @@ class TermCounts:
     count floor of :meth:`Encoding.term_counts`."""
     users: tuple[str, ...]
     terms: tuple[Token, ...]
-    X: sparse.csr_array
+    X: CSR
     scope: str  # "tweet" or "bio"
 
     @property
@@ -195,11 +195,11 @@ class Encoding:
         return rows[keep], self.post_terms[keep]
 
     def _tally(self, rows: np.ndarray, terms: np.ndarray,
-              n_rows: int) -> sparse.csr_array:
+              n_rows: int) -> CSR:
         """``X[r, t]``: how many of the (row, term) pairs are ``(r, t)``."""
-        return sparse.csr_array(
-            (np.ones(len(rows), dtype=np.int64), (rows, terms)),
-            shape=(n_rows, len(self.terms)))
+        return CSR.from_triplets(rows, terms,
+                                 np.ones(len(rows), dtype=np.int64),
+                                 (n_rows, len(self.terms)))
 
     def _is_stopword(self, stopwords: Optional[set[str]]) -> np.ndarray:
         """Per term, whether it is a word listed in ``stopwords``."""
@@ -235,15 +235,16 @@ class Encoding:
         else:
             rows, terms = self.token_users(self.bio_indptr), self.bio_terms
         keep = ~self._is_stopword(stopwords)[terms]
-        X = self._tally(rows[keep], self.count_term[terms[keep]],
-                       len(self.users))
-        cols = np.flatnonzero(X.sum(axis=0) >= min_count)
+        counted = self.count_term[terms[keep]]
+        X = self._tally(rows[keep], counted, len(self.users))
+        cols = np.flatnonzero(np.bincount(counted, minlength=len(self.terms))
+                              >= min_count)
         return TermCounts(users=self.users,
                           terms=tuple(self.terms[t] for t in cols.tolist()),
-                          X=X[:, cols], scope=scope)
+                          X=X.take_columns(cols), scope=scope)
 
     def lexicon_counts(self, lexicon: Lexicon
-                       ) -> tuple[tuple[str, ...], sparse.csr_array]:
+                       ) -> tuple[tuple[str, ...], CSR]:
         """Trigger-term hits in every bio token, per user (rows) and lexicon
         category (columns, in lexicon order).
 
@@ -257,12 +258,13 @@ class Encoding:
                 if low in lexicon.categories[name]:
                     term.append(t)
                     cat.append(k)
-        hits = sparse.csr_array(
-            (np.ones(len(term), dtype=np.int64), (term, cat)),
-            shape=(len(self.terms), len(cats)))
-        bio = self._tally(self.token_users(self.bio_indptr), self.bio_terms,
-                         len(self.users))
-        return cats, bio @ hits
+        hits = CSR.from_triplets(term, cat, np.ones(len(term), dtype=np.int64),
+                                 (len(self.terms), len(cats)))
+        # one row per bio token: the categories of its term
+        per_token = hits.take_rows(self.bio_terms).tocoo()
+        users = self.token_users(self.bio_indptr)[per_token.row]
+        return cats, CSR.from_triplets(users, per_token.col, per_token.data,
+                                       (len(self.users), len(cats)))
 
     def counts_by_year(self, stopwords: Optional[set[str]] = None
                        ) -> dict[int, dict[str, int]]:

@@ -277,6 +277,38 @@ def test_text_stage_outputs_match_golden_digests(demo_corpus, tmp_path):
         assert got == digest, name
 
 
+# runs one stancelab command, then prints the scipy modules it loaded
+_SCIPY_AFTER = """\
+import sys
+from stancelab import cli
+try:
+    cli.main(sys.argv[1:])
+except SystemExit as exc:
+    if exc.code:
+        raise
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_commands_load_no_scipy(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pipeline.__file__)))
+    corpus = tmp_path / "corpus.jsonl"
+    config = tmp_path / "config.yaml"
+    config.write_text(
+        f"corpus: {corpus}\noutput_dir: {tmp_path / 'out'}\n"
+        "thresholds: {tweet_min_count: 5, bio_min_count: 2}\n"
+        "boost: {n_estimators: 20, early_stopping_rounds: 5}\n"
+        "min_in_degree: 2\n", encoding="utf-8")
+    for args in (["synth", str(corpus), "--n-users", "150", "--seed", "3"],
+                 ["run", "--config", str(config)],
+                 ["inspect", str(corpus)]):
+        done = subprocess.run([sys.executable, "-c", _SCIPY_AFTER, *args],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]", args
+
+
 def test_run_writes_what_separate_stage_commands_write(demo_corpus, tmp_path):
     from click.testing import CliRunner
     from stancelab import cli
@@ -533,6 +565,19 @@ _TURNAROUND = "user_id\tp_t0\tp_t1\tdelta"
     ("turnaround.tsv", _TURNAROUND, "u1\t0.25\t0.5\t0.25", "u2\t0.25\t0.5"),
     ("turnaround.tsv", _TURNAROUND, "u1\t0.25\t0.5\t0.25",
      "u2\t0.25\thalf\t0.25"),
+    # probabilities in [0, 1] and a finite delta
+    ("turnaround.tsv", _TURNAROUND, "u1\t0.25\t0.5\t0.25",
+     "u2\tnan\t0.5\t0.25"),
+    ("turnaround.tsv", _TURNAROUND, "u1\t0.25\t0.5\t0.25",
+     "u2\t0.25\t1.5\t1.25"),
+    ("turnaround.tsv", _TURNAROUND, "u1\t0.25\t0.5\t0.25",
+     "u2\t-0.25\t0.5\t0.75"),
+    ("turnaround.tsv", _TURNAROUND, "u1\t0.25\t0.5\t0.25",
+     "u2\t0.25\tinf\tinf"),
+    ("turnaround.tsv", _TURNAROUND, "u1\t0.25\t0.5\t0.25",
+     "u2\t0.25\t0.5\tnan"),
+    ("turnaround.tsv", _TURNAROUND, "u1\t0.25\t0.5\t0.25",
+     "u2\t0.25\t0.5\t-inf"),
 ])
 def test_stage_readers_name_file_and_line(tmp_path, name, header, good, bad):
     # a fresh pipeline each time: one loads each file once
@@ -697,6 +742,20 @@ def _copy_of(finished, tmp_path, name="out"):
     return tmp_path / name
 
 
+def test_a_writer_that_raises_leaves_no_tmp_file(tmp_path):
+    path = tmp_path / "table.tsv"
+    path.write_text("old\n", encoding="utf-8")
+
+    def write(tmp):
+        tmp.write_text("half a fi", encoding="utf-8")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        pipeline._publish(path, write)
+    assert os.listdir(tmp_path) == ["table.tsv"]
+    assert path.read_text(encoding="utf-8") == "old\n"
+
+
 def test_each_stage_publishes_its_declared_outputs(demo_corpus, tmp_path,
                                                    monkeypatch):
     published = []
@@ -824,6 +883,9 @@ def test_a_stage_runs_only_after_every_earlier_stage(
     ("[]", ": not a JSON object with a stages object"),
     ("{}", ": not a JSON object with a stages object"),
     ('{"stages": []}', ": not a JSON object with a stages object"),
+    ('{"stages": {"ingest": [1]}}', ": stage 'ingest' is not a JSON object"),
+    ('{"stages": {"ingest": {}, "label": null}}',
+     ": stage 'label' is not a JSON object"),
 ])
 def test_a_manifest_that_is_not_an_object_of_stages_is_a_named_error(
         demo_corpus, tmp_path, text, fault):
@@ -835,6 +897,18 @@ def test_a_manifest_that_is_not_an_object_of_stages_is_a_named_error(
         Pipeline(make_config(demo_corpus, out)).run_stage("ingest")
     assert os.listdir(out) == ["manifest.json"]
     assert manifest.read_text(encoding="utf-8") == text
+
+
+def test_skip_fresh_over_a_stage_entry_that_is_not_an_object(demo_corpus,
+                                                           tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    manifest = out / "manifest.json"
+    manifest.write_text('{"stages": {"ingest": [1]}}', encoding="utf-8")
+    with pytest.raises(StageError, match=re.escape(
+            f"{manifest}: stage 'ingest' is not a JSON object")):
+        Pipeline(make_config(demo_corpus, out)).run_all(skip_fresh=True)
+    assert sorted(os.listdir(out)) == [".lock", "manifest.json"]
 
 
 def test_turnaround_refuses_period_matrices_with_different_rows(

@@ -13,8 +13,8 @@ from stancelab import stats
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs more to import than the rest of stancelab; only
-    # tukey_hsd and ols_regress load it
+    # scipy.stats costs more to import than the rest of stancelab, which
+    # loads no scipy at all (test_pipeline.py: test_commands_load_no_scipy)
     src = os.path.dirname(os.path.dirname(os.path.abspath(stats.__file__)))
     code = "import sys, stancelab.cli; print('scipy.stats' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -129,6 +129,83 @@ def test_tukey_p_matches_numerical_integration():
     for comp in stats.tukey_hsd(groups):
         oracle = studentized_range_sf(comp.q_statistic, k, n - k)
         assert comp.p_adjusted == pytest.approx(oracle, abs=1e-4)
+
+
+def studentized_range_upper_tail(q, k, df):
+    """P(Q > q) computed as the upper tail itself, by adaptive quadrature
+    (independent of the library's fixed Gauss-Legendre panels and of its
+    normal CDF): the range of k standard normals exceeds w with probability
+    k∫φ(z)Φ(z)^(k−1)(1 − (1 − Φ(z − w)/Φ(z))^(k−1))dz, whose mass sits near
+    z = 0 for a small w and near w/2 for a large one, and the scale s has
+    the density of sqrt(χ²_df / df)."""
+    from scipy.special import gammaln, log_ndtr
+
+    def range_tail(w):
+        def f(z):
+            log_cdf = float(log_ndtr(z))
+            r = math.exp(float(log_ndtr(z - w)) - log_cdf)
+            tail = 1.0 if r >= 1.0 else -math.expm1((k - 1) * math.log1p(-r))
+            return k * math.exp(-0.5 * z * z + (k - 1) * log_cdf) * tail
+
+        val, _err = integrate.quad(f, -12.0, 0.5 * w + 12.0,
+                                   points=[0.0, 0.5 * w], epsabs=0.0,
+                                   epsrel=1e-9, limit=200)
+        return val / math.sqrt(2.0 * math.pi)
+
+    log_c = (0.5 * df * math.log(df) - (0.5 * df - 1.0) * math.log(2.0)
+             - float(gammaln(0.5 * df)))
+
+    def outer(s):
+        return (math.exp(log_c + (df - 1) * math.log(s) - 0.5 * df * s * s)
+                * range_tail(q * s))
+
+    sd = 1.0 / math.sqrt(2.0 * df)
+    val, _err = integrate.quad(outer, 0.0, 1.0 + 40.0 * sd + 5.0,
+                               points=[max(1e-9, 1.0 - 4.0 * sd), 1.0,
+                                       1.0 + 4.0 * sd],
+                               epsabs=0.0, epsrel=1e-9, limit=400)
+    return val
+
+
+@pytest.mark.parametrize("q, k, df", [
+    # importance compares up to 8 feature types over thousands of columns
+    (3.5, 8, 1000), (5.0, 8, 1200), (4.2, 8, 5000), (9.5, 8, 1000),
+    # few degrees of freedom: the density of s has a long left tail
+    (3.0, 3, 1), (3.0, 3, 2), (5.0, 3, 3), (4.0, 5, 4), (6.0, 8, 5),
+    (2.0, 8, 6),
+])
+def test_tukey_tail_matches_an_upper_tail_oracle(q, k, df):
+    oracle = studentized_range_upper_tail(q, k, df)
+    assert stats.studentized_range_sf(q, k, df) == pytest.approx(
+        oracle, rel=1e-7, abs=1e-15)
+
+
+def test_tukey_deep_tail_keeps_its_digits():
+    # 1 - CDF would leave none of them
+    oracle = studentized_range_upper_tail(12.0, 4, 60)
+    assert 1e-11 < oracle < 1e-10
+    assert stats.studentized_range_sf(12.0, 4, 60) == pytest.approx(
+        oracle, rel=1e-6, abs=0.0)
+
+
+@pytest.mark.parametrize("df", [1, 5, 30, 100, 1000, 5000])
+def test_tukey_tail_of_two_means_is_the_t_tail(df):
+    # the range of two means over its standard error is sqrt(2)·|t|
+    from scipy.stats import t
+    for q in (0.5, 2.0, 5.0, 10.0, 12.0):
+        want = 2.0 * t.sf(q / math.sqrt(2.0), df)
+        if want > 1e-12:
+            assert stats.studentized_range_sf(q, 2, df) == pytest.approx(
+                want, rel=1e-6, abs=0.0)
+
+
+def test_tukey_tail_at_a_vanishing_statistic_is_one():
+    # there Phi(z - w) equals Phi(z), and log1p(-1) must not warn
+    assert stats.studentized_range_sf(0.0, 3, 10) == 1.0
+    for q in (1e-300, 1e-17):
+        assert stats.studentized_range_sf(q, 3, 10) == pytest.approx(
+            1.0, abs=1e-12)
+    assert stats.studentized_range_sf(1e6, 3, 10) == 0.0
 
 
 def test_tukey_kramer_unequal_sizes():
@@ -247,6 +324,19 @@ def test_ols_matches_lstsq_and_diagnostics():
     assert res.f_statistic == pytest.approx(f_stat, abs=1e-9)
     assert res.f_pvalue == pytest.approx(float(fdist.sf(f_stat, 2, n - 3)),
                                          abs=1e-12)
+
+
+def test_f_tail_matches_scipy():
+    from scipy.special import fdtrc
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        d1 = int(rng.integers(1, 41))
+        d2 = int(rng.integers(1, 5001))
+        f = float(np.exp(rng.uniform(-6.0, 5.0)))
+        assert stats.f_sf(f, d1, d2) == pytest.approx(
+            float(fdtrc(d1, d2, f)), rel=1e-9, abs=1e-300)
+    assert stats.f_sf(0.0, 3, 10) == 1.0
+    assert stats.f_sf(math.inf, 3, 10) == 0.0
 
 
 def test_ols_modal_reference_level():

@@ -233,7 +233,7 @@ def test_profile_columns_equal_a_direct_tally(corpus):
         ft.profile_blocks(corpus, enc.term_counts("bio", 1, _STOP), lex),
         cm.build_interaction_graph(corpus), min_in_degree=1)
     got = {(m.rows[i], m.columns[j].identifier): v
-           for i, j, v in zip(*m.X.nonzero(), m.X.data)}
+           for i, j, v in zip(*m.X.tocoo())}
 
     want = Counter()
     for u, prof in corpus.users.items():
