@@ -20,6 +20,7 @@ import yaml
 from . import gbt
 from .gbt import (BOOST_RANGES, COUNT, FRACTION, POSITIVE, POSITIVE_COUNT,
                   BoostParams)
+from .tsv import read_text
 
 
 class ConfigError(Exception):
@@ -180,14 +181,7 @@ def load_config(path) -> PipelineConfig:
     """The config file ``path``; a file that cannot be read as UTF-8 text,
     or YAML that does not parse, raises :class:`ConfigError` naming the
     file (and the line)."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot read: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise ConfigError(f"{path}:{line}: not UTF-8 text: {exc.reason}"
-                          ) from None
+    text = read_text(path, ConfigError)
     try:
         raw = yaml.safe_load(text) or {}
     except yaml.YAMLError as exc:

@@ -111,11 +111,11 @@ def _id(value) -> str:
     raise ValueError(f"id {value!r} is neither a string nor an integer")
 
 
-def _user_id(value) -> str:
+def user_id(value) -> str:
     """``value`` as a user id that every stage file can hold: not empty, no
-    whitespace (the train-user list splits on it, a TSV line on tabs and
-    line ends) and no leading ``#`` (a comment line in TSV files). Interned,
-    so that all the posts of an author hold one string."""
+    whitespace (a TSV line splits on tabs and line ends) and no leading
+    ``#`` (a comment line in TSV files). Interned, so that all the posts of
+    an author hold one string."""
     uid = _id(value)
     if uid.split() != [uid] or uid.startswith("#"):
         raise ValueError(f"user id {uid!r} is empty, holds whitespace or "
@@ -147,7 +147,7 @@ def _parse_post(obj: dict) -> tuple[MicroPost, Optional[UserProfile]]:
     retweet_of = obj.get("retweet_of")
     post = MicroPost(
         post_id=_id(obj["post_id"]),
-        author_id=_user_id(obj["author_id"]),
+        author_id=user_id(obj["author_id"]),
         timestamp=timestamp,
         text=text,
         retweet_of=None if retweet_of in (None, "") else _id(retweet_of),

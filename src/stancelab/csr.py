@@ -1,9 +1,7 @@
 """The one sparse matrix type: rows × columns in canonical CSR layout.
 
 Row i's cells are ``indices[indptr[i]:indptr[i + 1]]`` (columns, sorted and
-unique) and the same slice of ``data`` (values); absent cells are zero. This
-is the layout of ``scipy.sparse.csr_array`` in canonical form, which
-:func:`as_csr` reads by its ``tocsr()``.
+unique) and the same slice of ``data`` (values); absent cells are zero.
 """
 
 from __future__ import annotations
@@ -82,17 +80,11 @@ class CSR:
 
 
 def as_csr(X) -> CSR:
-    """``X`` as a CSR of float64: a CSR, anything with ``tocsr()`` (a scipy
-    sparse matrix; stored zeros stay stored), or a dense rows × columns
-    array, whose nonzero cells are stored."""
+    """``X`` as a CSR of float64: a CSR (stored zeros stay stored), or a
+    dense rows × columns array, whose nonzero cells are stored."""
     if isinstance(X, CSR):
         return CSR(X.indptr, X.indices,
                    X.data.astype(np.float64, copy=False), X.shape)
-    if hasattr(X, "tocsr"):
-        X = X.tocsr()
-        row = np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))
-        return CSR.from_triplets(row, X.indices,
-                                 X.data.astype(np.float64), X.shape)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     row, col = np.nonzero(X)
     return CSR.from_triplets(row, col, X[row, col], X.shape)

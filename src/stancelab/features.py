@@ -21,10 +21,11 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .corpus import Corpus, InteractionGraph
-from .csr import CSR, as_csr
+from .csr import CSR
 from .textproc import (EMOJI, Lexicon, TermCounts, registrable_domain,
                        tokenize)  # noqa: F401  (perfbench's tracing tests
                                   # look up `features.tokenize`)
+from .tsv import read_text
 
 BLOCKS = ("tweet_term", "bio_term", "profile_meta", "retweet_edge", "directed_edge")
 FEATURE_TYPES = ("emoji", "hashtag", "mention", "url", "word",
@@ -60,21 +61,16 @@ class FeatureColumn:
 class FeatureMatrix:
     rows: tuple[str, ...]
     columns: tuple[FeatureColumn, ...]
-    # canonical CSR, positive finite values only; a scipy sparse array (any
-    # object with ``tocsr()``) is read into one by its stored cells
-    X: CSR
+    X: CSR  # canonical, positive finite values only
     period: Optional[tuple[int, int]] = None
 
     def __post_init__(self):
         ids = [c.identifier for c in self.columns]
         if len(set(ids)) != len(ids):
             raise MatrixError("duplicate column identifiers")
-        if hasattr(self.X, "tocsr"):
-            object.__setattr__(self, "X", as_csr(self.X))
         X = self.X
         if not isinstance(X, CSR) or X.data.dtype != np.float64:
-            raise MatrixError("values must be a float64 CSR, or a sparse "
-                              "array with tocsr()")
+            raise MatrixError("values must be a float64 CSR")
         if X.shape != self.shape:
             raise MatrixError(f"values have shape {X.shape}, "
                               f"rows × columns is {self.shape}")
@@ -137,8 +133,7 @@ class FeatureMatrix:
         non-positive or non-finite value, or duplicate or out-of-order
         ``(row, col)`` pair.
         """
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
+        lines = read_text(path, MatrixError).split("\n")
         if lines[-1] == "":
             lines.pop()
         if not lines or lines[0].strip() != _FORMAT_LINE:
@@ -324,15 +319,22 @@ def profile_blocks(corpus: Corpus, bio_counts: TermCounts,
     for i, u in enumerate(rows):
         prof = corpus.users[u]
         if prof.url:
-            cell(i, f"home_domain:{registrable_domain(prof.url)}", "meta", 1.0)
+            cell(i, "home_domain:" + _one_line(registrable_domain(prof.url)),
+                 "meta", 1.0)
         if prof.timezone:
-            cell(i, f"timezone:{prof.timezone}", "meta", 1.0)
+            cell(i, "timezone:" + _one_line(prof.timezone), "meta", 1.0)
         if n_emojis[i]:
             cell(i, "n_emojis_bio", "meta", float(n_emojis[i]))
     for i, t in name_cells:
         cell(i, f"name:{encoding.terms[t].surface}", "emoji", 1.0)
     meta = _block("profile_meta", idents, types, meta_row, meta_col, meta_val)
     return bio, meta
+
+
+def _one_line(text: str) -> str:
+    """``text`` with each run of whitespace, line ends included, one blank:
+    an identifier that the matrix and model files can hold on one line."""
+    return " ".join(text.split())
 
 
 def _edge_blocks(graph: InteractionGraph, ridx: dict[str, int],

@@ -31,9 +31,10 @@ import numpy as np
 from . import _kernels
 from .csr import CSR, as_csr
 from .features import FeatureMatrix
+from .tsv import read_text
 
 # a FeatureMatrix, or a rows × columns matrix whose columns are identified by
-# position: dense, a CSR or any sparse array with ``tocsr()`` (scipy's)
+# position: dense or a CSR
 MatrixLike = Union[FeatureMatrix, np.ndarray, CSR]
 
 
@@ -168,10 +169,9 @@ class BoostedModel:
         order, or a file that ends before its ``end`` line (a file cut off
         anywhere) raises :class:`TrainingError` naming the file and line.
         """
-        with open(path, "rb") as fh:
-            # a line counts only with its line end: the piece after the last
-            # one is empty in a whole file, and never read
-            lines = fh.read().split(b"\n")
+        # a line counts only with its line end: the piece after the last one
+        # is empty in a whole file, and never read
+        lines = read_text(path, TrainingError).split("\n")
         at = 0  # the 1-based number of the line read last
 
         def line(tag: str, maxsplit: int = -1) -> list[str]:
@@ -181,7 +181,7 @@ class BoostedModel:
             at += 1
             if at >= len(lines):
                 raise ValueError(f"the file ends before its {tag!r} line")
-            text = lines[at - 1].decode("utf-8")
+            text = lines[at - 1]
             fields = text.split(" ", maxsplit)
             if fields[0] != tag:
                 raise ValueError(f"expected a {tag!r} line, found {text!r}")
@@ -193,8 +193,8 @@ class BoostedModel:
                 raise ValueError(f"index {i} out of range [{start}, {stop})")
             return i
 
-        def next_tag() -> bytes:
-            return lines[at].split(b" ", 1)[0] if at + 1 < len(lines) else b""
+        def next_tag() -> str:
+            return lines[at].split(" ", 1)[0] if at + 1 < len(lines) else ""
 
         try:
             if line("stancelab-model") != ["v1"]:
@@ -244,7 +244,7 @@ class BoostedModel:
                     else:
                         raise ValueError(f"unknown node kind {kind!r}")
                 gains: dict[int, float] = {}
-                while next_tag() == b"treegain":
+                while next_tag() == "treegain":
                     k, col, gain = line("treegain")
                     index(k, t + 1, t)
                     gains[index(col, n_cols)] = float(gain)

@@ -16,7 +16,7 @@ import regex
 
 from .corpus import UserProfile
 from .textproc import HASHTAG, MENTION, Encoding, Token
-from .tsv import RuleFileError, read_tsv  # noqa: F401 (re-exported)
+from .tsv import read_tsv
 
 STANCES = ("defense", "opposition")
 COHORTS = ("<18", "18-29", "30-39", ">=40")

@@ -16,7 +16,6 @@ import fcntl
 import functools
 import hashlib
 import json
-import math
 import os
 import time
 from collections import Counter
@@ -31,7 +30,7 @@ from . import corpus as corpus_mod
 from . import features as features_mod
 from . import gbt, labeling, stats, textproc
 from .config import ConfigError, PipelineConfig
-from .tsv import read_tsv
+from .tsv import read_text, read_tsv
 
 VERSION = "stancelab 0.1.0"
 
@@ -96,10 +95,9 @@ def _one_platt(models: list) -> calib.PlattModel:
 
 def _turnaround_line(user_id, p_t0, p_t1, delta):
     p0, p1, d = float(p_t0), float(p_t1), float(delta)
-    if not (0.0 <= p0 <= 1.0 and 0.0 <= p1 <= 1.0):
-        raise ValueError("p_t0 and p_t1 must be probabilities in [0, 1]")
-    if not math.isfinite(d):
-        raise ValueError("delta must be finite")
+    # turnaround refuses a p_t0 or p_t1 outside [0, 1], NaN included
+    if d != stats.turnaround(p0, p1):
+        raise ValueError("delta must be p_t1 - p_t0")
     return user_id, p0, p1, d
 
 
@@ -123,8 +121,11 @@ def _read_table(path: Path, text: str | None = None):
         raise StageError(f"{path}: {exc}") from None
 
 
-def _train_users(text: str) -> set[str]:
-    return set(text.split())
+def _read_users(path: Path, text: str | None = None) -> set[str]:
+    """The user ids of ``model_train_users.txt``, one a line, each a user id
+    as the corpus takes it; or those of the file holding ``text``."""
+    return set(read_tsv(path, 1, corpus_mod.user_id, error=StageError,
+                        contents=text))
 
 
 # How each stage output that a later stage reads is loaded from its file. An
@@ -135,8 +136,7 @@ _LOADERS: dict[str, Callable[[Path], object]] = {
     **dict.fromkeys(("matrix_full.txt", "matrix_p0.txt", "matrix_p1.txt"),
                     lambda path: features_mod.FeatureMatrix.load(path)),
     "model_stance.txt": lambda path: gbt.BoostedModel.load(path),
-    "model_train_users.txt":
-        lambda path: _train_users(path.read_text(encoding="utf-8")),
+    "model_train_users.txt": lambda path: _read_users(path),
     **dict.fromkeys(_TABLES, _read_table),
 }
 
@@ -248,7 +248,7 @@ class Pipeline:
         if not path.exists():
             return {"version": VERSION, "stages": {}}
         try:  # a JSON error names the line and column
-            manifest = json.loads(path.read_text(encoding="utf-8"))
+            manifest = json.loads(read_text(path, StageError))
         except ValueError as exc:
             raise StageError(f"{path}: not JSON: {exc}") from None
         stages = manifest.get("stages") if type(manifest) is dict else None
@@ -502,8 +502,8 @@ class Pipeline:
         model.columns = matrix.column_identifiers()
         self._put("model_stance.txt", model.save, model)
         users = "".join(u + "\n" for u in kept_users)
-        self._put("model_train_users.txt", _writes(users),
-                  _train_users(users))
+        path = self.out / "model_train_users.txt"
+        self._put(path.name, _writes(users), _read_users(path, users))
         self._write_tsv("cv_metrics.tsv",
                         ["attribute", "k", "precision_mean", "precision_std",
                          "recall_mean", "recall_std"],

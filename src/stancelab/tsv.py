@@ -1,15 +1,42 @@
-"""The one line reader of tab-separated text: rule files, manual labels and
-stage tables. A file loads whole, or raises an error naming the file and the
-1-based line.
+"""The one reader of text files, and the one line reader of tab-separated
+text: rule files, manual labels and stage tables. A file loads whole, or
+raises an error naming the file and the 1-based line.
 """
 
 from __future__ import annotations
 
-import io
+from pathlib import Path
 
 
 class RuleFileError(Exception):
     """A rule file or manual-label file that does not parse."""
+
+
+def _newlines(text: str) -> str:
+    """``text`` with each ``\\r\\n`` and each other ``\\r`` read as ``\\n``,
+    as text mode reads them."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def read_text(path, error: type[Exception]) -> str:
+    """The whole file ``path`` as UTF-8 text, its line ends read as ``\\n``.
+
+    A file that cannot be read raises ``error`` as ``{path}: cannot read:
+    {reason}``, and one that is not UTF-8 as ``{path}:{line}: not UTF-8
+    text: {reason}``, naming the line of the first bad byte. Every file that
+    stancelab reads goes through here but the corpus: ``load_corpus`` reads
+    it line by line, and a line there that is not UTF-8 is one malformed
+    line, counted against the corpus's tolerance, not a fault of the file.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise error(f"{path}: cannot read: {exc.strerror}") from None
+    try:
+        return _newlines(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        line = _newlines(data[:exc.start].decode("utf-8")).count("\n") + 1
+        raise error(f"{path}:{line}: not UTF-8 text: {exc.reason}") from None
 
 
 def read_tsv(path, n_fields: int, parse, *, header: str | None = None,
@@ -19,34 +46,32 @@ def read_tsv(path, n_fields: int, parse, *, header: str | None = None,
 
     Blank lines and lines whose first non-blank character is ``#`` are
     skipped. With ``header``, the first line not skipped must equal it, and
-    every later line is data. A line that does not split on tabs into
-    ``n_fields`` fields, a blank field, or a line that ``parse`` rejects
-    with ``ValueError`` raises ``error``. ``contents``, when given, are read
-    in place of the file's (as the file holding them would read), and
-    ``path`` only names the file in errors.
+    every later line is data. A file that :func:`read_text` refuses, a line
+    that does not split on tabs into ``n_fields`` fields, a blank field, or
+    a line that ``parse`` rejects with ``ValueError`` raises ``error``.
+    ``contents``, when given, are read in place of the file's (as the file
+    holding them would read), and ``path`` only names the file in errors.
     """
+    text = read_text(path, error) if contents is None else _newlines(contents)
     rows = []
-    with (open(path, encoding="utf-8") if contents is None
-          else io.StringIO(contents, newline=None)) as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.rstrip("\n")
-            if text.lstrip()[:1] in ("", "#"):
+    for lineno, line in enumerate(text.split("\n"), 1):
+        if line.lstrip()[:1] in ("", "#"):
+            continue
+        try:
+            if header is not None:
+                if line != header:
+                    raise ValueError(f"expected header {header!r}")
+                header = None
                 continue
-            try:
-                if header is not None:
-                    if text != header:
-                        raise ValueError(f"expected header {header!r}")
-                    header = None
-                    continue
-                fields = text.split("\t")
-                if len(fields) != n_fields:
-                    raise ValueError(f"expected {n_fields} tab-separated "
-                                     f"fields, found {len(fields)}")
-                if not all(field.strip() for field in fields):
-                    raise ValueError("blank field")
-                rows.append(parse(*fields))
-            except ValueError as exc:
-                raise error(f"{path}:{lineno}: {exc}: {text!r}") from None
+            fields = line.split("\t")
+            if len(fields) != n_fields:
+                raise ValueError(f"expected {n_fields} tab-separated "
+                                 f"fields, found {len(fields)}")
+            if not all(field.strip() for field in fields):
+                raise ValueError("blank field")
+            rows.append(parse(*fields))
+        except ValueError as exc:
+            raise error(f"{path}:{lineno}: {exc}: {line!r}") from None
     if header is not None:
         raise error(f"{path}: no header line {header!r}")
     return rows

@@ -1,6 +1,5 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
-from scipy import sparse
 
 from stancelab.csr import CSR, as_csr
 
@@ -49,18 +48,6 @@ def test_operations_match_a_dense_oracle(cells, data):
     assert np.array_equal(taken.toarray(), dense[:, cols])
 
     assert np.array_equal(as_csr(dense).toarray(), dense)
-    via_scipy = as_csr(sparse.coo_array(
-        (val, (row, col)), shape=shape).tocsr(copy=True))
-    assert canonical(via_scipy)
-    assert np.array_equal(via_scipy.toarray(), dense)
-
-
-def test_scipy_input_keeps_its_stored_zeros():
-    X = sparse.csr_array((np.array([0.0, 2.0]), np.array([1, 0]),
-                          np.array([0, 2])), shape=(1, 2))
-    got = as_csr(X)
-    assert got.indices.tolist() == [0, 1]
-    assert got.data.tolist() == [2.0, 0.0]
 
 
 def test_coo_view_is_row_major():

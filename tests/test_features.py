@@ -2,11 +2,10 @@ import re
 
 import numpy as np
 import pytest
-from scipy import sparse
-
 from stancelab import corpus as cm
 from stancelab import features as ft
 from stancelab import textproc as tp
+from stancelab.csr import CSR, as_csr
 
 
 def small_corpus():
@@ -91,6 +90,10 @@ def test_save_load_round_trip(tmp_path):
     assert m2.columns == m.columns
     assert np.array_equal(m2.to_dense(), m.to_dense())
     assert m2 == m
+    # \r\n ends a line as \n does
+    crlf = tmp_path / "crlf.txt"
+    crlf.write_bytes(f.read_bytes().replace(b"\n", b"\r\n"))
+    assert ft.FeatureMatrix.load(crlf) == m
     # byte-identical re-save
     f2 = tmp_path / "m2.txt"
     m2.save(f2)
@@ -114,7 +117,7 @@ def test_align_rows():
     X = np.zeros((2, m.shape[1]))
     X[0, 0] = 1.0
     other = ft.FeatureMatrix(rows=("b", "z"), columns=m.columns,
-                             X=sparse.csr_array(X))
+                             X=as_csr(X))
     a, b = ft.align_rows(m, other)
     assert a.rows == b.rows == ("b",)
     assert a.columns == m.columns
@@ -123,8 +126,8 @@ def test_align_rows():
 
 
 def test_positive_cell_contract():
-    explicit_zero = sparse.csr_array(
-        (np.array([0.0]), np.array([0]), np.array([0, 1])), shape=(1, 1))
+    explicit_zero = CSR(np.array([0, 1]), np.array([0]), np.array([0.0]),
+                        (1, 1))
     with pytest.raises(ft.MatrixError):
         ft.FeatureMatrix(rows=("a",),
                          columns=(ft.FeatureColumn("x", "tweet_term", "word"),),
@@ -166,6 +169,11 @@ CORRUPTIONS = {
     "duplicate": lambda ls, d: (ls[:d + 1] + ls[d:], d + 1),
     "out_of_order":
         lambda ls, d: (ls[:d] + [ls[d + 1], ls[d]] + ls[d + 2:], d + 1),
+    # 0xff, written from its surrogate escape
+    "not_utf8": lambda ls, d: _value(ls, d + 1, "1.\udcff0"),
+    "not_utf8_header":
+        lambda ls, d: _set(ls, _first(ls, "#col "),
+                           "#col 0 abort\udcffo tweet_term word"),
 }
 
 
@@ -178,6 +186,7 @@ def test_load_rejects_corruption_with_file_and_line(tmp_path, case):
                    if not line.startswith("#"))
     bad_lines, blame = CORRUPTIONS[case](lines, data_at)
     bad = tmp_path / "bad.txt"
-    bad.write_text("\n".join(bad_lines) + "\n", encoding="utf-8")
+    bad.write_text("\n".join(bad_lines) + "\n", encoding="utf-8",
+                   errors="surrogateescape")
     with pytest.raises(ft.MatrixError, match=re.escape(f"{bad}:{blame + 1}:")):
         ft.FeatureMatrix.load(bad)

@@ -8,10 +8,9 @@ from multiprocessing import connection
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import sparse
-
 from stancelab import _kernels, gbt
 from stancelab._kernels import GAIN_EPS
+from stancelab.csr import as_csr
 
 
 def _best_split_loop(Xn, gn, hn, reg_lambda, min_child_weight):
@@ -300,7 +299,7 @@ def test_predict_kernels_agree():
     # a CSR array reads the same values, absent cells as zero
     X0 = np.where(np.abs(X) < 0.5, 0.0, X)
     for dense, given in ((X, X), (Xn, Xn), (X0, X0),
-                         (X0, sparse.csr_array(X0))):
+                         (X0, as_csr(X0))):
         assert np.array_equal(gbt.predict_margin(model, given),
                               reference(dense))
 
@@ -315,8 +314,7 @@ def test_predict_kernels_agree():
         rows=tuple(f"u{i}" for i in range(X.shape[0])),
         columns=tuple(cols[j] for j in perm)
         + (FeatureColumn("new", "tweet_term", "word"),),
-        X=sparse.csr_array(np.column_stack([Xp[:, perm],
-                                            np.ones(X.shape[0])])))
+        X=as_csr(np.column_stack([Xp[:, perm], np.ones(X.shape[0])])))
     assert np.array_equal(gbt.predict_margin(named, m), reference(Xp))
 
 
@@ -372,6 +370,9 @@ def test_save_load_round_trip(tmp_path):
     model2.save(f2)
     assert f.read_bytes() == f2.read_bytes()
     _assert_same_model(model, model2)  # leaves included, not only bytes
+    # \r\n ends a line as \n does
+    f2.write_bytes(f.read_bytes().replace(b"\n", b"\r\n"))
+    _assert_same_model(model, gbt.BoostedModel.load(f2))
 
 
 @pytest.fixture(scope="module")
@@ -408,6 +409,7 @@ def test_cut_model_file_is_a_named_error(saved_model, tmp_path_factory, data):
     (b"\nend\n", b"\nend\nend\n", "goes on after"),
     (b" learning_rate=0.1 ", b" learning_rate=nan ",
      "learning_rate must be a positive number"),
+    (b"\ncol 1 ", b"\ncol 1 \xff", "not UTF-8 text"),
 ])
 def test_malformed_model_file_is_a_named_error(saved_model, tmp_path, old,
                                                new, what):
@@ -425,7 +427,7 @@ def test_column_reconciliation():
     cols = tuple(FeatureColumn(f"t{j}", "tweet_term", "word")
                  for j in range(X.shape[1]))
     m = FeatureMatrix(rows=tuple(f"u{i}" for i in range(X.shape[0])),
-                      columns=cols, X=sparse.csr_array(X))
+                      columns=cols, X=as_csr(X))
     model = gbt.train(m, y)
     base = gbt.predict_margin(model, m)
     assert np.array_equal(base, gbt.predict_margin(model, X))
@@ -436,7 +438,7 @@ def test_column_reconciliation():
     X2 = np.zeros((X.shape[0], len(perm)))
     for j, c in enumerate(cols):
         X2[:, remap[c.identifier]] = X[:, j]
-    m2 = FeatureMatrix(rows=m.rows, columns=perm, X=sparse.csr_array(X2))
+    m2 = FeatureMatrix(rows=m.rows, columns=perm, X=as_csr(X2))
     assert np.array_equal(gbt.predict_margin(model, m2), base)
 
 

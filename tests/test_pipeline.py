@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stancelab import corpus as cm
-from stancelab import features, gbt, labeling, pipeline, synth, textproc
+from stancelab import features, gbt, labeling, pipeline, synth, textproc, tsv
 from stancelab.config import (SCALARS, PipelineConfig, RulePaths, Thresholds,
                               config_from_dict)
 from stancelab.gbt import BoostParams
@@ -309,9 +309,26 @@ def test_commands_load_no_scipy(tmp_path):
         assert done.stdout.splitlines()[-1] == "[]", args
 
 
-def test_run_writes_what_separate_stage_commands_write(demo_corpus, tmp_path):
+@pytest.mark.parametrize("profiles", ["as made", "with line ends"])
+def test_run_writes_what_separate_stage_commands_write(demo_corpus, finished,
+                                                        tmp_path, profiles):
     from click.testing import CliRunner
     from stancelab import cli
+
+    if profiles == "with line ends":
+        # profile text makes identifiers, each on one line of the matrix and
+        # model files: three users of the matrix get line ends in theirs
+        corpus = cm.load_corpus(demo_corpus)
+        a, b, c = features.FeatureMatrix.load(
+            finished / "matrix_full.txt").rows[:3]
+        edits = {a: {"timezone": "Santiago\nde Chile"},
+                 b: {"timezone": "Santiago\r\nde  Chile"},
+                 c: {"url": "http://[x\ny"}}  # a URL that does not parse
+        corpus = dataclasses.replace(corpus, users={**corpus.users, **{
+            u: dataclasses.replace(corpus.users[u], **edit)
+            for u, edit in edits.items()}})
+        demo_corpus = str(tmp_path / "corpus.jsonl")
+        cm.write_corpus(corpus, demo_corpus)
 
     def config(out):
         path = tmp_path / f"{out}.yaml"
@@ -336,6 +353,11 @@ def test_run_writes_what_separate_stage_commands_write(demo_corpus, tmp_path):
     for name in outputs:
         assert (tmp_path / "run" / name).read_bytes() == \
             (tmp_path / "stages" / name).read_bytes(), name
+    if profiles == "with line ends":
+        idents = features.FeatureMatrix.load(
+            tmp_path / "stages" / "matrix_full.txt").column_identifiers()
+        assert {"timezone:Santiago de Chile",
+                "home_domain:http://[x y"} <= set(idents)
 
 
 def test_ingest_replaces_the_cached_corpus(tmp_path):
@@ -578,6 +600,19 @@ _TURNAROUND = "user_id\tp_t0\tp_t1\tdelta"
      "u2\t0.25\t0.5\tnan"),
     ("turnaround.tsv", _TURNAROUND, "u1\t0.25\t0.5\t0.25",
      "u2\t0.25\t0.5\t-inf"),
+    # a delta is exactly p_t1 - p_t0
+    ("turnaround.tsv", _TURNAROUND, "u1\t0.25\t0.5\t0.25",
+     "u2\t0.25\t0.5\t0.3"),
+    # one user id a line, as the corpus takes it, and no header
+    ("model_train_users.txt", "", "u1", "u2 u3"),
+    ("model_train_users.txt", "", "u1", "u2\tu3"),
+    # a byte that is not UTF-8 (0xff, written from its surrogate escape)
+    ("labels.tsv", _LABELS, "u1\tgender\tmale\trule\t1.0",
+     "u2\tgender\tfemale\udcff\trule\t1.0"),
+    ("platt.tsv", "slope\toffset", "1.5\t-0.25", "1.5\udcff\t-0.25"),
+    ("turnaround.tsv", _TURNAROUND, "u1\t0.25\t0.5\t0.25",
+     "u\udcff2\t0.25\t0.5\t0.25"),
+    ("model_train_users.txt", "", "u1", "u\udcff2"),
 ])
 def test_stage_readers_name_file_and_line(tmp_path, name, header, good, bad):
     # a fresh pipeline each time: one loads each file once
@@ -589,7 +624,7 @@ def test_stage_readers_name_file_and_line(tmp_path, name, header, good, bad):
     path.write_text(f"# manifest x\n{header}\n{good}\n", encoding="utf-8")
     load()
     path.write_text(f"# manifest x\n{header}\n{good}\n{bad}\n",
-                    encoding="utf-8")
+                    encoding="utf-8", errors="surrogateescape")
     with pytest.raises(StageError, match=re.escape(f"{path}:4: ")):
         load()
 
@@ -654,6 +689,17 @@ def _rule_loader(role):
     ("manual_labels", "u1\tgender\tfemale", "u1\tshoe_size\t38"),
     ("manual_labels", "u1\tgender\tfemale", "u3\tstance\tdefence"),
     ("manual_labels", "u1\tgender\tfemale", "u3\tage_cohort\t17"),
+    # a byte that is not UTF-8, written from its surrogate escape: Latin-1
+    # "bogotá" (0xe1), and 0xff
+    ("gazetteer", "santiago\tChile", "bogot\udce1\tColombia"),
+    ("names", "ana\tfemale", "ana\udcff\tfemale"),
+    ("patterns", "gender\tfemale\t\\bmadre\\b",
+     "gender\tfemale\t\\bmadre\udcff\\b"),
+    ("stance_seeds", "defense\tbio\t#abortolegal",
+     "defense\tbio\t#aborto\udcfflegal"),
+    ("lexicon", "family\tmadre", "family\tmadre\udcff"),
+    ("stopwords", "de", "l\udcffa"),
+    ("manual_labels", "u1\tgender\tfemale", "u1\tgender\tfemale\udcff"),
 ])
 def test_rule_readers_name_file_and_line(tmp_path, role, good, bad):
     # a comment may be indented; blank lines are skipped
@@ -661,10 +707,13 @@ def test_rule_readers_name_file_and_line(tmp_path, role, good, bad):
     path = tmp_path / "rules.tsv"
     path.write_text(f"# comment\n  # indented comment\n\n{good}\n",
                     encoding="utf-8")
-    loader(path)
+    loaded = loader(path)
+    # \r\n ends a line as \n does
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert loader(path) == loaded
     path.write_text(f"# comment\n  # indented comment\n\n{good}\n{bad}\n",
-                    encoding="utf-8")
-    with pytest.raises(labeling.RuleFileError,
+                    encoding="utf-8", errors="surrogateescape")
+    with pytest.raises(tsv.RuleFileError,
                        match=re.escape(f"{path}:5: ")):
         loader(path)
 
@@ -818,6 +867,35 @@ def test_a_missing_stage_input_is_one_error_naming_its_stage(
                            for f in _STAGE_OUTPUTS[stage]}, (stage, name)
         assert entry == json.loads((out / "manifest.json").read_text())[
             "stages"][stage], (stage, name)
+
+
+@pytest.mark.parametrize("stage, name", [
+    ("train", "manifest.json"), ("train", "labels.tsv"),
+    ("train", "matrix_full.txt"), ("turnaround", "matrix_p0.txt"),
+    ("turnaround", "matrix_p1.txt"), ("calibrate", "model_stance.txt"),
+    ("calibrate", "model_train_users.txt"), ("predict", "platt.tsv"),
+    ("regress", "turnaround.tsv")])
+def test_a_stage_file_that_is_not_utf8_is_one_error_naming_its_line(
+        demo_corpus, finished, tmp_path, stage, name):
+    from click.testing import CliRunner
+    from stancelab import cli
+
+    out = _copy_of(finished, tmp_path)
+    config = _config_file(demo_corpus, out, tmp_path / "config.yaml")
+    lines = (out / name).read_bytes().splitlines(True)
+    k = len(lines) // 2
+    lines[k] = lines[k].replace(b"\n", b"\xff\n")
+    (out / name).write_bytes(b"".join(lines))
+    before = {path.name: path.read_bytes() for path in out.iterdir()
+              if path.name != ".lock"}  # which holds the last pid to lock
+    done = CliRunner().invoke(cli.main, ["stage", stage, "--config", config])
+    assert done.exit_code == 1, done.output
+    assert isinstance(done.exception, SystemExit)  # not an uncaught error
+    assert done.output == (f"Error: {out / name}:{k + 1}: not UTF-8 text: "
+                           "invalid start byte\n")
+    # nothing written: no stage output, no .tmp file, the manifest as it was
+    assert before == {path.name: path.read_bytes() for path in out.iterdir()
+                      if path.name != ".lock"}
 
 
 def test_a_stage_that_runs_makes_every_later_stage_stale(
