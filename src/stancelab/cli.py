@@ -25,7 +25,8 @@ from .synth import SynthError, SynthSpec, generate
 # errors that name their cause; _Main prints each as one `Error:` line
 _NAMED_ERRORS = (StageError, ConfigError, corpus_mod.CorpusError,
                  tsv.RuleFileError, features.MatrixError, gbt.TrainingError,
-                 calibration.CalibrationError, stats.StatsError, SynthError)
+                 calibration.CalibrationError, stats.StatsError, SynthError,
+                 OSError)
 
 
 def _pipeline(config_path: str, seed) -> Pipeline:

@@ -6,6 +6,7 @@ author profile embedded on its first occurrence (see FORMATS.md).
 
 from __future__ import annotations
 
+import codecs
 import functools
 import itertools
 import json
@@ -86,6 +87,20 @@ class Corpus:
         """Per post, whether start <= timestamp < end, as a boolean mask: the
         one rule that every period view of the corpus applies."""
         return np.array([start <= p.timestamp < end for p in self.posts], bool)
+
+    def select(self, keep) -> "Corpus":
+        """The posts that the boolean mask ``keep`` keeps, in corpus order,
+        and the profiles of their authors only: the one rule of every
+        selection of a corpus. A user left with no posts goes.
+
+        Interaction targets outside the selection stay in the post records;
+        a graph built on it ignores them, as they are no longer corpus users.
+        """
+        posts = tuple(itertools.compress(self.posts, keep))
+        authors = {p.author_id for p in posts}
+        return Corpus(posts=posts, users={u: prof for u, prof
+                                          in self.users.items()
+                                          if u in authors})
 
 
 @dataclass(frozen=True)
@@ -169,20 +184,18 @@ def _parse_post(obj: dict) -> tuple[MicroPost, Optional[UserProfile]]:
     return post, UserProfile(**values)
 
 
-def load_corpus(path, time_range: Optional[tuple[int, int]] = None,
-                counts: Optional[dict] = None) -> Corpus:
-    """Load a line-delimited corpus file, reading it once, line by line.
+def load_corpus(path, counts: Optional[dict] = None) -> Corpus:
+    """Load a line-delimited corpus file, reading it once, line by line; its
+    posts in ``(timestamp, post_id)`` order.
 
-    Posts outside ``time_range`` (half-open ``[start, end)``) are dropped after
-    parsing. A line is malformed when it is not UTF-8, does not parse (a
-    value not of its field's type included), holds a string with a lone
-    surrogate (which UTF-8 cannot write back), repeats a post id, has an
-    ``author_id`` that is empty, holds whitespace or starts with ``#``, or
-    has an author whose profile no earlier line embedded.
-    Raises :class:`CorpusError` if the file is unreadable or more than
-    10% of non-empty lines are malformed. A ``counts`` dict receives what was
-    read and dropped: ``lines_read`` (non-empty lines), ``malformed_lines``,
-    ``posts_outside_time_range`` and ``users_outside_time_range``.
+    A leading UTF-8 byte-order mark is not data. A line is malformed when it
+    is not UTF-8, does not parse (a value not of its field's type included),
+    holds a string with a lone surrogate (which UTF-8 cannot write back),
+    repeats a post id, has an ``author_id`` that is empty, holds whitespace
+    or starts with ``#``, or has an author whose profile no earlier line
+    embedded. Raises :class:`CorpusError` if the file is unreadable or more
+    than 10% of non-empty lines are malformed. A ``counts`` dict receives
+    what was read: ``lines_read`` (non-empty lines) and ``malformed_lines``.
     """
     posts: list[MicroPost] = []
     users: dict[str, UserProfile] = {}
@@ -192,6 +205,8 @@ def load_corpus(path, time_range: Optional[tuple[int, int]] = None,
     try:
         with open(path, "rb") as fh:
             for lineno, line in enumerate(fh, start=1):
+                if lineno == 1:
+                    line = line.removeprefix(codecs.BOM_UTF8)
                 if not line.strip():
                     continue
                 n_records += 1
@@ -225,26 +240,10 @@ def load_corpus(path, time_range: Optional[tuple[int, int]] = None,
             f"(first offenders at lines: {head})"
         )
 
-    n_parsed, n_users = len(posts), len(users)
-    if time_range is not None:
-        start, end = time_range
-        posts = [p for p in posts if start <= p.timestamp < end]
-    corpus = _assemble(posts, users)
     if counts is not None:
-        counts.update(lines_read=n_records, malformed_lines=len(bad_lines),
-                      posts_outside_time_range=n_parsed - corpus.n_posts,
-                      users_outside_time_range=n_users - corpus.n_users)
-    return corpus
-
-
-def _assemble(posts: Iterable[MicroPost],
-              users: dict[str, UserProfile]) -> Corpus:
-    """The corpus of ``posts``, in ``(timestamp, post_id)`` order, and the
-    profiles of their authors only: the one rule of every post selection."""
-    posts = sorted(posts, key=lambda p: (p.timestamp, p.post_id))
-    authors = {p.author_id for p in posts}
-    return Corpus(posts=tuple(posts),
-                  users={u: prof for u, prof in users.items() if u in authors})
+        counts.update(lines_read=n_records, malformed_lines=len(bad_lines))
+    posts.sort(key=lambda p: (p.timestamp, p.post_id))
+    return Corpus(posts=tuple(posts), users=users)
 
 
 def _term_matcher(terms: Iterable[str]) -> "regex.Pattern":
@@ -268,15 +267,9 @@ def filter_relevant(corpus: Corpus, include_terms: list[str],
     inc = _term_matcher(include_terms)
     exc = [regex.compile(p, regex.IGNORECASE) for p in (exclude_patterns or [])]
 
-    kept = []
-    for p in corpus.posts:
-        text = p.text.casefold()
-        if not inc.search(text):
-            continue
-        if any(e.search(text) for e in exc):
-            continue
-        kept.append(p)
-    return _assemble(kept, corpus.users)
+    texts = (p.text.casefold() for p in corpus.posts)
+    return corpus.select([bool(inc.search(t)) and
+                          not any(e.search(t) for e in exc) for t in texts])
 
 
 def build_interaction_graph(corpus: Corpus,
@@ -327,17 +320,6 @@ def largest_connected_component(graph: InteractionGraph) -> set[str]:
                                      min(comp) < min(best)):
             best = comp
     return best
-
-
-def restrict_users(corpus: Corpus, keep: set[str]) -> Corpus:
-    """Drop posts authored by users outside ``keep``; a user left with no
-    posts goes too.
-
-    Interaction targets outside ``keep`` stay in the post records; subsequent
-    graph builds exclude them because they are no longer corpus users.
-    """
-    return _assemble((p for p in corpus.posts if p.author_id in keep),
-                     corpus.users)
 
 
 def _iso_week(ts: int) -> tuple[int, int]:

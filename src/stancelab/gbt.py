@@ -448,8 +448,6 @@ def train(matrix: MatrixLike, labels: Sequence[int],
     rng = np.random.default_rng(params.rng_seed)
     train_idx, val_idx = _stratified_split(y.astype(np.int64),
                                            params.validation_fraction, rng)
-    if len(set(y[train_idx])) < 2:
-        raise TrainingError("training split lost one of the classes")
     X_tr, y_tr = X.take_rows(train_idx), y[train_idx]
     X_val, y_val = X.take_rows(val_idx), y[val_idx]
 

@@ -381,22 +381,23 @@ class Pipeline:
         cfg = self.config
         if not cfg.corpus:
             raise StageError("config has no corpus path")
-        # the config sets both ends of the range or neither
-        time_range = (None if cfg.time_from is None
-                      else (cfg.time_from, cfg.time_to))
         metrics: dict = {}
-        corpus = corpus_mod.load_corpus(cfg.corpus, time_range, metrics)
-        # the weeks of volume_weekly.tsv: the window, else the posts read
-        if time_range is None:
-            time_range = ((corpus.posts[0].timestamp,
-                           corpus.posts[-1].timestamp + 1)
-                          if corpus.posts else (0, 0))
+        corpus = corpus_mod.load_corpus(cfg.corpus, metrics)
 
         def dropped(step: str, kept: corpus_mod.Corpus) -> corpus_mod.Corpus:
             metrics[f"posts_{step}"] = corpus.n_posts - kept.n_posts
             metrics[f"users_{step}"] = corpus.n_users - kept.n_users
             return kept
 
+        # the window (the config sets both ends or neither), else the span
+        # of the posts read; also the weeks of volume_weekly.tsv
+        window = (cfg.time_from, cfg.time_to)
+        if cfg.time_from is None:
+            window = ((corpus.posts[0].timestamp,
+                       corpus.posts[-1].timestamp + 1) if corpus.posts
+                      else (0, 0))
+        corpus = dropped("outside_time_range",
+                         corpus.select(corpus.in_period(*window)))
         relevant = corpus
         if cfg.include_terms:
             relevant = corpus_mod.filter_relevant(corpus, cfg.include_terms,
@@ -404,13 +405,14 @@ class Pipeline:
         corpus = dropped("off_topic", relevant)
         graph = corpus_mod.build_interaction_graph(corpus)
         lcc = corpus_mod.largest_connected_component(graph)
-        corpus = dropped("outside_lcc", corpus_mod.restrict_users(corpus, lcc))
+        corpus = dropped("outside_lcc", corpus.select(
+            [p.author_id in lcc for p in corpus.posts]))
         metrics.update(posts=corpus.n_posts, users=corpus.n_users)
         self._put("corpus.jsonl",
                   lambda tmp: corpus_mod.write_corpus(corpus, tmp), corpus)
 
         self._write_tsv("volume_weekly.tsv", ["week", "posts"],
-                        corpus_mod.weekly_volume(corpus, time_range))
+                        corpus_mod.weekly_volume(corpus, window))
 
         # yearly relevant terms: each year against all the others
         by_year = corpus.encoding.counts_by_year(self._stopwords)
@@ -465,17 +467,16 @@ class Pipeline:
             metrics[f"nonzeros_{name}"] = int(m.X.nnz)
         return metrics
 
-    def _split_stance_labels(self, labels: labeling.LabelSet
-                             ) -> tuple[list[str], list[str]]:
-        """Deterministic split of stance-labeled users into classifier
-        training and calibration sets (disjoint by construction)."""
+    def _train_users(self, labels: labeling.LabelSet) -> list[str]:
+        """The stance-labeled users that the classifier is trained on: all
+        but a ``calibration_fraction`` of them, drawn with ``rng_seed``.
+        Calibrate takes the others, those that ``model_train_users.txt``
+        does not hold, so the two sets are disjoint by construction."""
         users = labels.users_with("stance")
         rng = np.random.default_rng(self.config.rng_seed)
         users = [users[i] for i in rng.permutation(len(users))]
         n_cal = int(round(self.config.calibration_fraction * len(users)))
-        calib_users = sorted(users[:n_cal])
-        train_users = sorted(users[n_cal:])
-        return train_users, calib_users
+        return sorted(users[n_cal:])
 
     def _stance_rows(self, users: list[str], matrix, labels
                      ) -> tuple[list[str], list[int], list[int]]:
@@ -491,7 +492,7 @@ class Pipeline:
         full = self._artifact("matrix_full.txt")
         matrix = features_mod.drop_columns(full, labeling.leakage_columns(
             self._ruleset, full.column_identifiers()))
-        train_users, _calib_users = self._split_stance_labels(labels)
+        train_users = self._train_users(labels)
         if not train_users:
             raise StageError("no stance-labeled users to train on")
         kept_users, rows, y = self._stance_rows(train_users, matrix, labels)
@@ -516,8 +517,10 @@ class Pipeline:
         labels = self._artifact("labels.tsv")
         full = self._artifact("matrix_full.txt")
         train_users = self._artifact("model_train_users.txt")
-        _train, calib_users = self._split_stance_labels(labels)
-        calib_users, rows, y = self._stance_rows(calib_users, full, labels)
+        # train users without a matrix row, not in that file, have none here
+        calib_users, rows, y = self._stance_rows(
+            [u for u in labels.users_with("stance") if u not in train_users],
+            full, labels)
         if len(calib_users) < 10:
             raise StageError("calibration set too small (<10 labeled users)")
         c = self._confidence[rows]
@@ -612,7 +615,11 @@ class Pipeline:
         opposition = _users_with(first, features_mod.OPPOSITION_EMOJI)
 
         records, response = [], []
-        t0_start = self.config.periods[0][0]
+        # account ages count from the start of matrix_p0.txt's period
+        if first.period is None:
+            raise StageError(f"{self.out / 'matrix_p0.txt'} has no #period "
+                             "line")
+        t0_start = first.period[0]
         for u, p0, _p1, delta in turn:
             prof = corpus.users.get(u)
             if prof is None:

@@ -5,6 +5,7 @@ raises an error naming the file and the 1-based line.
 
 from __future__ import annotations
 
+import codecs
 from pathlib import Path
 
 
@@ -23,13 +24,15 @@ def read_text(path, error: type[Exception]) -> str:
 
     A file that cannot be read raises ``error`` as ``{path}: cannot read:
     {reason}``, and one that is not UTF-8 as ``{path}:{line}: not UTF-8
-    text: {reason}``, naming the line of the first bad byte. Every file that
+    text: {reason}``, naming the line of the first bad byte. A leading UTF-8
+    byte-order mark is not data: it is dropped before decoding, so that the
+    offset of a bad byte counts from the start of the text. Every file that
     stancelab reads goes through here but the corpus: ``load_corpus`` reads
     it line by line, and a line there that is not UTF-8 is one malformed
     line, counted against the corpus's tolerance, not a fault of the file.
     """
     try:
-        data = Path(path).read_bytes()
+        data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     except OSError as exc:
         raise error(f"{path}: cannot read: {exc.strerror}") from None
     try:

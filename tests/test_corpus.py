@@ -1,3 +1,4 @@
+import codecs
 import json
 
 import pytest
@@ -75,7 +76,8 @@ def test_time_range_half_open(tmp_path):
         _post("p2", "a", 20, "y"),
         _post("p3", "a", 30, "z"),
     ])
-    c = cm.load_corpus(f, time_range=(10, 30))
+    c = cm.load_corpus(f)
+    c = c.select(c.in_period(10, 30))
     assert [p.post_id for p in c.posts] == ["p1", "p2"]
 
 
@@ -236,8 +238,11 @@ def test_load_reports_what_it_drops(tmp_path):
         "{broken",
     ] + [_post(f"q{i}", "a", 150, "w") for i in range(9)])
     counts = {}
-    c = cm.load_corpus(f, time_range=(100, 200), counts=counts)
+    read = cm.load_corpus(f, counts=counts)
+    c = read.select(read.in_period(100, 200))
     assert c.n_posts == 10 and set(c.users) == {"a"}
+    counts.update(posts_outside_time_range=read.n_posts - c.n_posts,
+                  users_outside_time_range=read.n_users - c.n_users)
     assert counts == {"lines_read": 13, "malformed_lines": 1,
                       "posts_outside_time_range": 2,
                       "users_outside_time_range": 1}
@@ -248,10 +253,37 @@ def test_a_selected_corpus_equals_the_written_file_read_back(tmp_path):
     corpus, _truth = synth.generate(synth.SynthSpec(n_users=40, rng_seed=5))
     corpus = cm.filter_relevant(corpus, ["aborto"])
     keep = set(sorted(corpus.users)[::2])
-    corpus = cm.restrict_users(corpus, keep)
+    corpus = corpus.select([p.author_id in keep for p in corpus.posts])
     f = tmp_path / "c.jsonl"
     cm.write_corpus(corpus, f)
     assert cm.load_corpus(f) == corpus
+
+
+def test_select_keeps_the_masked_posts_and_only_their_authors():
+    users = {u: cm.UserProfile(user_id=u) for u in "abc"}
+    posts = (cm.MicroPost("p1", "a", 1, "x", directed_at=(("b", "reply"),)),
+             cm.MicroPost("p2", "b", 2, "y"),
+             cm.MicroPost("p3", "a", 3, "z"),
+             cm.MicroPost("p4", "c", 4, "w"))
+    c = cm.Corpus(posts=posts, users=users)
+    kept = c.select([True, False, True, True])
+    assert kept.posts == (posts[0], posts[2], posts[3])
+    assert list(kept.users) == ["a", "c"]
+    # b's reply stays in the record, but is no edge of the selection
+    assert cm.build_interaction_graph(kept).edges == {}
+    assert c.select(c.in_period(0, 10)) == c
+    assert c.select([False] * 4) == cm.Corpus(posts=(), users={})
+
+
+def test_a_byte_order_mark_is_no_data(tmp_path):
+    from stancelab import synth
+    corpus, _truth = synth.generate(synth.SynthSpec(n_users=60, rng_seed=3))
+    f = tmp_path / "c.jsonl"
+    cm.write_corpus(corpus, f)
+    f.write_bytes(codecs.BOM_UTF8 + f.read_bytes())
+    counts = {}
+    assert cm.load_corpus(f, counts=counts) == corpus
+    assert counts == {"lines_read": corpus.n_posts, "malformed_lines": 0}
 
 
 def _ten_posts_by_a():

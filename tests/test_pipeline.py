@@ -1,4 +1,6 @@
+import codecs
 import dataclasses
+import errno
 import hashlib
 import json
 import math
@@ -431,6 +433,7 @@ def test_ingest_and_featurize_report_counts(tmp_path):
         line("o2", "zz_off", inside + 1, "otro tema"),
         line("i1", "zz_iso1", inside, "aborto sí"),
         line("i2", "zz_iso2", inside, "aborto no"),
+        line("w1", "zz_late", t1 + 7, "aborto"),  # only outside the window
     ]
     with open(path, "a", encoding="utf-8") as fh:
         fh.writelines(planted)
@@ -463,7 +466,7 @@ def test_ingest_and_featurize_report_counts(tmp_path):
     assert stages["ingest"]["metrics"] == {
         "lines_read": len(corpus.posts) + len(planted),
         "malformed_lines": 3,
-        "posts_outside_time_range": 2, "users_outside_time_range": 0,
+        "posts_outside_time_range": 3, "users_outside_time_range": 1,
         "posts_off_topic": 2, "users_off_topic": 1,
         "posts_outside_lcc": sum(p.author_id in outside for p in kept),
         "users_outside_lcc": len(outside),
@@ -708,11 +711,18 @@ def test_rule_readers_name_file_and_line(tmp_path, role, good, bad):
     path.write_text(f"# comment\n  # indented comment\n\n{good}\n",
                     encoding="utf-8")
     loaded = loader(path)
-    # \r\n ends a line as \n does
-    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-    assert loader(path) == loaded
+    # \r\n ends a line as \n does, and a leading byte-order mark is no data
+    data = path.read_bytes()
+    for copy in (data.replace(b"\n", b"\r\n"), codecs.BOM_UTF8 + data):
+        path.write_bytes(copy)
+        assert loader(path) == loaded
     path.write_text(f"# comment\n  # indented comment\n\n{good}\n{bad}\n",
                     encoding="utf-8", errors="surrogateescape")
+    with pytest.raises(tsv.RuleFileError,
+                       match=re.escape(f"{path}:5: ")):
+        loader(path)
+    # after a byte-order mark, a bad line or byte still names its own line
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
     with pytest.raises(tsv.RuleFileError,
                        match=re.escape(f"{path}:5: ")):
         loader(path)
@@ -1058,6 +1068,40 @@ def test_regress_names_a_turnaround_user_it_cannot_describe(
         Pipeline(make_config(demo_corpus, out)).run_stage("regress")
 
 
+def test_calibrate_takes_the_stance_users_that_train_left_out(
+        demo_corpus, finished, tmp_path):
+    # another seed would draw another split; calibrate reads train's from
+    # model_train_users.txt, so its set and its outputs stay the same
+    out = _copy_of(finished, tmp_path)
+    cfg = dataclasses.replace(make_config(demo_corpus, out), rng_seed=12)
+    Pipeline(cfg).run_stage("calibrate")
+    for name in ("platt.tsv", "calibration.tsv"):
+        assert _without_manifest(out / name) == \
+            _without_manifest(finished / name)
+
+
+def test_regress_measures_account_age_from_the_period_of_matrix_p0(
+        demo_corpus, finished, tmp_path):
+    # a period edited after featurize is not the one the matrices were built
+    # over; regress takes period 0 from matrix_p0.txt
+    out = _copy_of(finished, tmp_path)
+    cfg = make_config(demo_corpus, out)
+    (start, end), p1 = cfg.periods
+    cfg = dataclasses.replace(cfg, periods=((start - 31 * 86400, end), p1))
+    Pipeline(cfg).run_stage("regress")
+    assert _without_manifest(out / "regression.tsv") == \
+        _without_manifest(finished / "regression.tsv")
+    # and a matrix_p0.txt without a period is a named error
+    path = out / "matrix_p0.txt"
+    lines = path.read_text(encoding="utf-8").splitlines(True)
+    path.write_text("".join(line for line in lines
+                            if not line.startswith("#period ")),
+                    encoding="utf-8")
+    with pytest.raises(StageError, match=re.escape(
+            f"{path} has no #period line")):
+        Pipeline(cfg).run_stage("regress")
+
+
 @pytest.mark.parametrize("args, config, error", [
     (["run", "--seed", "-1"], "", "--seed"),
     (["stage", "ingest", "--seed", "-1"], "", "--seed"),
@@ -1363,6 +1407,32 @@ def test_cli_prints_synth_error_as_one_line(tmp_path):
     assert isinstance(done.exception, SystemExit)  # not an uncaught error
     assert done.output == "Error: n_users must be a positive integer, got 0\n"
     assert not out.exists()
+
+
+def test_cli_prints_an_output_dir_that_is_a_file_as_one_line(demo_corpus,
+                                                             tmp_path):
+    outfile = tmp_path / "outfile"
+    outfile.write_text("kept\n", encoding="utf-8")
+    error = _cli_error(f"corpus: {demo_corpus}\noutput_dir: {outfile}\n",
+                       tmp_path)
+    assert error == (f"Error: [Errno {errno.EEXIST}] "
+                     f"{os.strerror(errno.EEXIST)}: '{outfile}'")
+    assert outfile.read_text(encoding="utf-8") == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml",
+                                                          "outfile"]
+
+
+def test_cli_prints_synth_into_a_directory_as_one_line(tmp_path):
+    from click.testing import CliRunner
+    from stancelab import cli
+
+    done = CliRunner().invoke(cli.main, ["synth", str(tmp_path),
+                                         "--n-users", "5"])
+    assert done.exit_code == 1
+    assert isinstance(done.exception, SystemExit)  # not an uncaught error
+    assert done.output == (f"Error: [Errno {errno.EISDIR}] "
+                           f"{os.strerror(errno.EISDIR)}: '{tmp_path}'\n")
+    assert not any(tmp_path.iterdir())
 
 
 def _cli_error(config_text, tmp_path):
