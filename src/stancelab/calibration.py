@@ -4,7 +4,7 @@ three-band discretization (opposition / undisclosed / defense)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,15 +48,12 @@ class StanceScore:
     band: str
 
 
-def fit_platt(confidences: Sequence[float], labels: Sequence[int],
-              user_ids: Optional[Sequence[str]] = None,
-              training_user_ids: Optional[set[str]] = None) -> PlattModel:
+def fit_platt(confidences: Sequence[float], labels: Sequence[int]
+              ) -> PlattModel:
     """Fit sigmoid(A*s + B) to labels by Newton iteration on cross-entropy.
 
     Targets are smoothed to (N+ + 1)/(N+ + 2) and 1/(N- + 2), which keeps the
-    optimum finite even on perfectly separated scores. When both ``user_ids``
-    and ``training_user_ids`` are given, any overlap with the classifier's
-    training set is a fatal error (the calibration set must be disjoint).
+    optimum finite even on perfectly separated scores.
     """
     s = np.asarray(confidences, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
@@ -64,12 +61,6 @@ def fit_platt(confidences: Sequence[float], labels: Sequence[int],
         raise CalibrationError("need >= 10 (confidence, label) pairs")
     if set(np.unique(y)) != {0.0, 1.0}:
         raise CalibrationError("both classes must be present")
-    if user_ids is not None and training_user_ids is not None:
-        overlap = set(user_ids) & set(training_user_ids)
-        if overlap:
-            raise CalibrationError(
-                f"calibration set overlaps classifier training set: "
-                f"{sorted(overlap)[:5]} ...")
 
     n_pos = float(y.sum())
     n_neg = float(len(y) - n_pos)

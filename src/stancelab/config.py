@@ -169,9 +169,13 @@ class PipelineConfig:
         return d
 
     def digest(self, input_digests: dict[str, str]) -> str:
+        """sha256 of the config's values and of ``input_digests``, the
+        contents of the input files that are set, by name. Paths are left
+        out: the inputs' bytes stand for where they are read from, and where
+        outputs land does not change what they contain."""
         snap = self.snapshot()
-        # where outputs land does not change what they contain
-        snap.pop("output_dir", None)
+        for key in ("corpus", "output_dir", "rules"):
+            del snap[key]
         payload = json.dumps({"config": snap, "inputs": input_digests},
                              sort_keys=True).encode("utf-8")
         return hashlib.sha256(payload).hexdigest()

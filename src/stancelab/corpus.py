@@ -262,8 +262,6 @@ def filter_relevant(corpus: Corpus, include_terms: list[str],
     Matching is case-folded on token boundaries. Users left with zero posts
     are removed.
     """
-    if not include_terms:
-        raise ValueError("include_terms must be non-empty")
     inc = _term_matcher(include_terms)
     exc = [regex.compile(p, regex.IGNORECASE) for p in (exclude_patterns or [])]
 

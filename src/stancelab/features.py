@@ -130,8 +130,8 @@ class FeatureMatrix:
 
         Raises :class:`MatrixError` naming the file and line of the first
         malformed header or data line, out-of-range or out-of-sequence index,
-        non-positive or non-finite value, or duplicate or out-of-order
-        ``(row, col)`` pair.
+        second ``#col`` line of one identifier, non-positive or non-finite
+        value, or duplicate or out-of-order ``(row, col)`` pair.
         """
         lines = read_text(path, MatrixError).split("\n")
         if lines[-1] == "":
@@ -140,6 +140,7 @@ class FeatureMatrix:
             raise MatrixError(f"{path}:1: unrecognized matrix file")
         rows: list[str] = []
         cols: list[FeatureColumn] = []
+        col_lines: dict[str, int] = {}  # the #col line of each identifier
         period = None
         n = 1
         while n < len(lines) and lines[n].startswith("#"):
@@ -158,6 +159,11 @@ class FeatureMatrix:
                     head, block, ftype = line.rsplit(" ", 2)
                     _tag, idx, ident = head.split(" ", 2)
                     _in_sequence(path, n, tag, idx, len(cols))
+                    if ident in col_lines:
+                        raise MatrixError(
+                            f"{path}:{n}: duplicate column identifier "
+                            f"{ident!r} (first on line {col_lines[ident]})")
+                    col_lines[ident] = n
                     cols.append(FeatureColumn(ident, block, ftype))
                 else:
                     raise MatrixError(f"{path}:{n}: unrecognized header line "
@@ -190,10 +196,7 @@ class FeatureMatrix:
                "(row, col) out of order; data lines are sorted by row, "
                "then column")
         X = CSR.from_triplets(i, j, v, (n_rows, n_cols))
-        try:
-            return cls(tuple(rows), tuple(cols), X, period)
-        except MatrixError as exc:
-            raise MatrixError(f"{path}: {exc}") from None
+        return cls(tuple(rows), tuple(cols), X, period)
 
 
 def _in_sequence(path, line_no: int, tag: str, idx: str, expected: int) -> None:
@@ -262,12 +265,6 @@ def _term_cells(counts: TermCounts, prefix: str):
     return idents, types, cells.row, cells.col, cells.data
 
 
-def _check_rows(rows: tuple[str, ...], counts: TermCounts) -> None:
-    if counts.users != rows:
-        raise MatrixError(f"{counts.scope} counts are not over the corpus "
-                          "users in sorted order")
-
-
 def profile_blocks(corpus: Corpus, bio_counts: TermCounts,
                    lexicon: Lexicon) -> tuple[Block, Block]:
     """The ``bio_term`` and ``profile_meta`` blocks of every corpus user.
@@ -278,7 +275,6 @@ def profile_blocks(corpus: Corpus, bio_counts: TermCounts,
     emoji count and the emoji of the full name.
     """
     rows = tuple(sorted(corpus.users))
-    _check_rows(rows, bio_counts)
     encoding = corpus.encoding
 
     idents, types, row, col, val = _term_cells(bio_counts, "profile:")
@@ -378,14 +374,9 @@ def build_matrix(corpus: Corpus,
     ``tweet_counts`` gives the tweet-term block and ``profile`` (from
     :func:`profile_blocks`) the bio-term and profile-meta blocks. Edge
     columns are created only for targets with at least ``min_in_degree``
-    distinct in-neighbours (per edge block), to bound matrix width. Raises
-    :class:`MatrixError` if the graph mentions a user missing from the corpus.
+    distinct in-neighbours (per edge block), to bound matrix width.
     """
-    for node in graph.nodes:
-        if node not in corpus.users:
-            raise MatrixError(f"graph user {node} not present in corpus")
     rows = tuple(sorted(corpus.users))
-    _check_rows(rows, tweet_counts)
     ridx = {u: i for i, u in enumerate(rows)}
 
     blocks = [_block("tweet_term", *_term_cells(tweet_counts, "")), *profile,

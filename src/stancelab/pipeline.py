@@ -306,8 +306,6 @@ class Pipeline:
         """Run ``stage`` unless ``skip_fresh`` and it is fresh; True if run.
         Every earlier stage must be recorded as run, so that the recorded
         stages are always the first ones of ``STAGES``."""
-        if stage not in STAGES:
-            raise StageError(f"unknown stage {stage!r}")
         recorded = self._load_manifest()["stages"]
         for earlier in STAGES[:STAGES.index(stage)]:
             if earlier not in recorded:
@@ -524,8 +522,7 @@ class Pipeline:
         if len(calib_users) < 10:
             raise StageError("calibration set too small (<10 labeled users)")
         c = self._confidence[rows]
-        platt = calib.fit_platt(c, y, user_ids=calib_users,
-                                training_user_ids=train_users)
+        platt = calib.fit_platt(c, y)
         self._write_tsv("platt.tsv", _PLATT_HEADER,
                         [(platt.slope, platt.offset)])
         probs = calib.calibrate_many(platt, c)

@@ -86,7 +86,6 @@ class TermCounts:
     users: tuple[str, ...]
     terms: tuple[Token, ...]
     X: CSR
-    scope: str  # "tweet" or "bio"
 
     @property
     def counts(self) -> dict[tuple[str, Token], int]:
@@ -241,7 +240,7 @@ class Encoding:
                               >= min_count)
         return TermCounts(users=self.users,
                           terms=tuple(self.terms[t] for t in cols.tolist()),
-                          X=X.take_columns(cols), scope=scope)
+                          X=X.take_columns(cols))
 
     def lexicon_counts(self, lexicon: Lexicon
                        ) -> tuple[tuple[str, ...], CSR]:

@@ -296,6 +296,8 @@ def _ten_posts_by_a():
     ("timestamp", True), ("timestamp", 1.5), ("author.n_friends", 2.9),
     ("author.n_posts", "12"), ("post_id", [1]),
     ("directed_at", [{"user": "a", "kind": "retweet"}]),
+    # an embedded author is the post's, and a count is not negative
+    ("author.user_id", "c"), ("author.n_followers", -1),
 ])
 def test_a_value_not_of_its_fields_type_makes_its_line_malformed(
         tmp_path, field, value):

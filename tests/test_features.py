@@ -71,16 +71,6 @@ def test_min_in_degree_prunes_edges():
     assert "rt:a" not in ids and "at:a" not in ids
 
 
-def test_graph_user_outside_corpus_fatal():
-    c = small_corpus()
-    enc = tp.encode(c)
-    profile = ft.profile_blocks(c, enc.term_counts("bio", 1),
-                                tp.Lexicon(categories={}))
-    g = cm.InteractionGraph(nodes=frozenset({"ghost"}), edges={})
-    with pytest.raises(ft.MatrixError):
-        ft.build_matrix(c, enc.term_counts("tweet", 1), profile, g)
-
-
 def test_save_load_round_trip(tmp_path):
     m = build()
     f = tmp_path / "m.txt"
@@ -169,6 +159,23 @@ CORRUPTIONS = {
     "duplicate": lambda ls, d: (ls[:d + 1] + ls[d:], d + 1),
     "out_of_order":
         lambda ls, d: (ls[:d] + [ls[d + 1], ls[d]] + ls[d + 2:], d + 1),
+    # the second #col line of an identifier
+    "duplicate_column":
+        lambda ls, d: _set(ls, _first(ls, "#col ") + 1,
+                           "#col 1 aborto tweet_term word"),
+    "no_format_line": lambda ls, d: (ls[1:], 0),
+    "unknown_tag": lambda ls, d: _set(ls, _first(ls, "#row "), "#rows 0 a"),
+    "col_two_fields":
+        lambda ls, d: _set(ls, _first(ls, "#col "), "#col 0"),
+    "unknown_block":
+        lambda ls, d: _set(ls, _first(ls, "#col "),
+                           "#col 0 aborto tweet_terms word"),
+    "unknown_feature_type":
+        lambda ls, d: _set(ls, _first(ls, "#col "),
+                           "#col 0 aborto tweet_term words"),
+    "network_outside_edge_block":
+        lambda ls, d: _set(ls, _first(ls, "#col "),
+                           "#col 0 aborto tweet_term network"),
     # 0xff, written from its surrogate escape
     "not_utf8": lambda ls, d: _value(ls, d + 1, "1.\udcff0"),
     "not_utf8_header":

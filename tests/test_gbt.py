@@ -407,6 +407,10 @@ def test_cut_model_file_is_a_named_error(saved_model, tmp_path_factory, data):
     (b" l ", b" x ", "unknown node kind"),
     (b"\ntree 0 ", b"\ntree 0 99999999999", "ends before the"),
     (b"\nend\n", b"\nend\nend\n", "goes on after"),
+    (b"\nend\n", b"\nend x\n", "malformed 'end' line"),
+    (b"\nbase_score ", b"\nbase ", "expected a 'base_score' line"),
+    # a tree of no nodes, its node count moved to a line of its own
+    (b"\ntree 0 ", b"\ntree 0 0\nx ", "at least one node"),
     (b" learning_rate=0.1 ", b" learning_rate=nan ",
      "learning_rate must be a positive number"),
     (b"\ncol 1 ", b"\ncol 1 \xff", "not UTF-8 text"),

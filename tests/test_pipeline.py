@@ -681,9 +681,13 @@ def _rule_loader(role):
     ("patterns", "gender\tfemale\t\\bmadre\\b",
      "gender\tfemale\t\\bmadre\\b\textra"),
     ("patterns", "gender\tfemale\t\\bmadre\\b", "gender\tfemale\t(madre"),
+    ("patterns", "gender\tfemale\t\\bmadre\\b", "shoe_size\t38\t\\bpie\\b"),
+    ("patterns", "gender\tfemale\t\\bmadre\\b", "age\tdecade\t\\d0s\\b"),
     ("stance_seeds", "defense\tbio\t#abortolegal", "defense\tbio"),
     ("stance_seeds", "defense\tbio\t#abortolegal",
      "defense\tbio\t#abortolegal\textra"),
+    ("stance_seeds", "defense\tbio\t#abortolegal", "defence\tbio\t#vida"),
+    ("stance_seeds", "defense\tbio\t#abortolegal", "defense\tname\t#vida"),
     ("lexicon", "family\tmadre", "family"),
     ("lexicon", "family\tmadre", "family\tmadre\tpadre"),
     ("stopwords", "de", "de\tla"),
@@ -728,6 +732,25 @@ def test_rule_readers_name_file_and_line(tmp_path, role, good, bad):
         loader(path)
 
 
+@pytest.mark.parametrize("name", sorted(pipeline._TABLES))
+def test_a_stage_table_needs_its_header(tmp_path, name):
+    def load():
+        return Pipeline(PipelineConfig(output_dir=str(tmp_path)))._artifact(
+            name)
+
+    path = tmp_path / name
+    header = "\t".join(pipeline._TABLES[name][0])
+    path.write_text("# manifest x\n# no header\n\n", encoding="utf-8")
+    with pytest.raises(StageError, match=re.escape(
+            f"{path}: no header line {header!r}")):
+        load()
+    short = header.rpartition("\t")[0]  # without its last column
+    path.write_text(f"# manifest x\n{short}\n", encoding="utf-8")
+    with pytest.raises(StageError, match=re.escape(
+            f"{path}:2: expected header")):
+        load()
+
+
 def test_platt_file_without_values_is_a_named_error(tmp_path):
     pipe = Pipeline(PipelineConfig(output_dir=str(tmp_path)))
     (tmp_path / "platt.tsv").write_text("# manifest x\nslope\toffset\n",
@@ -764,6 +787,36 @@ def test_skip_fresh(demo_corpus, tmp_path):
     assert not pipe2._is_fresh("ingest")
 
 
+def test_the_same_inputs_from_another_place_make_the_same_run(
+        demo_corpus, finished, tmp_path):
+    from click.testing import CliRunner
+    from stancelab import cli
+
+    # the corpus and every rule file copied to another directory
+    moved = tmp_path / "moved"
+    moved.mkdir()
+    rules = {key: str(shutil.copy(path, moved))
+             for key, path in dataclasses.asdict(RulePaths()).items() if path}
+    corpus = str(shutil.copy(demo_corpus, moved))
+    cfg = dataclasses.replace(make_config(corpus, tmp_path / "run"),
+                              rules=RulePaths(**rules))
+    run_all(cfg)
+    for name in REPORT_FILES:
+        assert (tmp_path / "run" / name).read_bytes() == \
+            (finished / name).read_bytes(), name
+    # and every stage over the moved inputs reads as fresh
+    out = _copy_of(finished, tmp_path)
+    config = tmp_path / "moved.yaml"
+    _config_file(corpus, out, config)
+    with open(config, "a", encoding="utf-8") as fh:
+        fh.write(f"rules: {json.dumps(rules)}\n")
+    done = CliRunner().invoke(cli.main, ["run", "--config", str(config),
+                                         "--skip-fresh"])
+    assert done.exit_code == 0, done.output
+    assert done.output.splitlines()[:len(STAGES)] == [
+        f"{stage}: fresh, skipped" for stage in STAGES]
+
+
 def test_editing_manual_labels_makes_label_stale(demo_corpus, tmp_path):
     manual = tmp_path / "manual.tsv"
     manual.write_text("u00001\tgender\tfemale\n", encoding="utf-8")
@@ -782,7 +835,7 @@ def _config_file(corpus_path, out, path):
     path.write_text(
         f"corpus: {corpus_path}\noutput_dir: {out}\n"
         "thresholds: {tweet_min_count: 5, bio_min_count: 2}\n"
-        "boost: {n_estimators: 40, early_stopping_rounds: 8}\n"
+        "boost: {n_estimators: 40, early_stopping_rounds: 8, rng_seed: 11}\n"
         "min_in_degree: 2\nrng_seed: 11\n", encoding="utf-8")
     return str(path)
 
@@ -1068,6 +1121,32 @@ def test_regress_names_a_turnaround_user_it_cannot_describe(
         Pipeline(make_config(demo_corpus, out)).run_stage("regress")
 
 
+@pytest.mark.parametrize("stage, name, drop, error", [
+    ("train", "labels.tsv", lambda line, train: "\tstance\t" in line,
+     "no stance-labeled users to train on"),
+    # the stance labels of every user that train left out
+    ("calibrate", "labels.tsv",
+     lambda line, train: "\tstance\t" in line
+     and line.split("\t")[0] not in train,
+     "calibration set too small (<10 labeled users)"),
+    ("turnaround", "labels.tsv", lambda line, train: "\tgender\t" in line,
+     "no users with known gender and age among the "),
+    ("regress", "turnaround.tsv",
+     lambda line, train: not line.startswith(("#", "user_id\t")),
+     "turnaround table is empty"),
+], ids=["train", "calibrate", "turnaround", "regress"])
+def test_a_stage_without_the_users_it_needs_is_a_named_error(
+        demo_corpus, finished, tmp_path, stage, name, drop, error):
+    out = _copy_of(finished, tmp_path)
+    train = set((out / "model_train_users.txt").read_text().split())
+    lines = (out / name).read_text(encoding="utf-8").splitlines(True)
+    kept = [line for line in lines if not drop(line, train)]
+    assert len(kept) < len(lines)
+    (out / name).write_text("".join(kept), encoding="utf-8")
+    with pytest.raises(StageError, match=re.escape(error)):
+        Pipeline(make_config(demo_corpus, out)).run_stage(stage)
+
+
 def test_calibrate_takes_the_stance_users_that_train_left_out(
         demo_corpus, finished, tmp_path):
     # another seed would draw another split; calibrate reads train's from
@@ -1078,6 +1157,15 @@ def test_calibrate_takes_the_stance_users_that_train_left_out(
     for name in ("platt.tsv", "calibration.tsv"):
         assert _without_manifest(out / name) == \
             _without_manifest(finished / name)
+    # its set is every stance-labeled user of the matrix that train left
+    # out: disjoint from the training set, and no smaller
+    train = pipeline._read_users(out / "model_train_users.txt")
+    rows = set(features.FeatureMatrix.load(out / "matrix_full.txt").rows)
+    left_out = [u for u in pipeline._read_table(out / "labels.tsv")
+                .users_with("stance") if u in rows and u not in train]
+    counts = [line.split("\t")[2] for line in (out / "calibration.tsv")
+              .read_text(encoding="utf-8").splitlines()[3:]]
+    assert sum(map(int, counts)) == len(left_out) >= 10
 
 
 def test_regress_measures_account_age_from_the_period_of_matrix_p0(
@@ -1145,7 +1233,7 @@ def _raw_config(key, value):
     ("boost.max_depth", True), ("boost.max_depth", "6"),
     ("boost.min_child_weight", "1"), ("boost.n_estimators", 10.0),
     ("boost.learning_rate", float("nan")), ("corpus", 5),
-    ("rules.names", 3), ("rules.gazetteer", ""),
+    ("rules", 5), ("rules.names", 3), ("rules.gazetteer", ""),
     ("filter.include_terms", "aborto"),
     ("filter.from", "2017-13-01"),
     ("filter.from", "2018-01-01"), ("filter.from", 0),
@@ -1461,6 +1549,12 @@ def test_cli_names_a_missing_rule_file(demo_corpus, tmp_path, key):
                        tmp_path)
     assert error == f"Error: rules.{key}: no such file: {missing}"
     assert not (tmp_path / "out" / "corpus.jsonl").exists()
+
+
+def test_cli_names_a_config_without_a_corpus(tmp_path):
+    error = _cli_error(f"output_dir: {tmp_path / 'out'}\n", tmp_path)
+    assert error == "Error: config has no corpus path"
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_cli_names_file_and_line_of_bad_yaml(demo_corpus, tmp_path):
