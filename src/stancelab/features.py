@@ -15,12 +15,13 @@ made except by :meth:`FeatureMatrix.to_dense`.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, InteractionGraph
+from .corpus import Corpus, InteractionGraph, user_id
 from .csr import CSR
 from .textproc import (EMOJI, Lexicon, TermCounts, registrable_domain,
                        tokenize)  # noqa: F401  (perfbench's tracing tests
@@ -65,22 +66,18 @@ class FeatureMatrix:
     period: Optional[tuple[int, int]] = None
 
     def __post_init__(self):
-        ids = [c.identifier for c in self.columns]
-        if len(set(ids)) != len(ids):
-            raise MatrixError("duplicate column identifiers")
+        for what, ids in (("row", self.rows),
+                          ("column", self.column_identifiers())):
+            if (repeat := first_repeat(ids)) is not None:
+                raise MatrixError(f"duplicate {what} {ids[repeat[1]]!r}")
         X = self.X
         if not isinstance(X, CSR) or X.data.dtype != np.float64:
             raise MatrixError("values must be a float64 CSR")
         if X.shape != self.shape:
             raise MatrixError(f"values have shape {X.shape}, "
                               f"rows × columns is {self.shape}")
-        cells = X.tocoo()
-        if not (np.all(np.diff(cells.row * X.shape[1] + cells.col) > 0)
-                and np.all((cells.col >= 0) & (cells.col < X.shape[1]))):
-            raise MatrixError("column indices must be sorted, unique and in "
-                              "range within each row")
-        if not np.all((X.data > 0) & (X.data < np.inf)):
-            raise MatrixError("stored cells must be positive and finite")
+        if (bad := _bad_cell(*X.tocoo(), X.shape)) is not None:
+            raise MatrixError(f"stored cell {bad[0]}: {bad[1]}")
 
     def __eq__(self, other):
         if not isinstance(other, FeatureMatrix):
@@ -126,22 +123,18 @@ class FeatureMatrix:
 
     @classmethod
     def load(cls, path) -> "FeatureMatrix":
-        """Parse the text format written by :meth:`save`.
-
-        Raises :class:`MatrixError` naming the file and line of the first
-        malformed header or data line, out-of-range or out-of-sequence index,
-        second ``#col`` line of one identifier, non-positive or non-finite
-        value, or duplicate or out-of-order ``(row, col)`` pair.
-        """
-        lines = read_text(path, MatrixError).split("\n")
-        if lines[-1] == "":
-            lines.pop()
-        if not lines or lines[0].strip() != _FORMAT_LINE:
+        """Parse the text format written by :meth:`save`. Raises
+        :class:`MatrixError` naming the file and the first line at fault: a
+        malformed line, a ``#row`` or ``#col`` index out of sequence, the
+        second ``#row`` or ``#col`` line of one identifier
+        (:func:`first_repeat`), or a cell that :func:`_bad_cell` refuses."""
+        lines = read_text(path, MatrixError).removesuffix("\n").split("\n")
+        if lines[0].strip() != _FORMAT_LINE:
             raise MatrixError(f"{path}:1: unrecognized matrix file")
         rows: list[str] = []
         cols: list[FeatureColumn] = []
-        col_lines: dict[str, int] = {}  # the #col line of each identifier
         period = None
+        faults = []  # (line, what): the first line at fault is named
         n = 1
         while n < len(lines) and lines[n].startswith("#"):
             line = lines[n]
@@ -153,78 +146,84 @@ class FeatureMatrix:
                     period = (int(a), int(b))
                 elif tag == "#row":
                     _tag, idx, user = line.split(" ", 2)
-                    _in_sequence(path, n, tag, idx, len(rows))
-                    rows.append(user)
+                    _in_sequence(idx, len(rows))
+                    rows.append(user_id(user))
                 elif tag == "#col":
                     head, block, ftype = line.rsplit(" ", 2)
                     _tag, idx, ident = head.split(" ", 2)
-                    _in_sequence(path, n, tag, idx, len(cols))
-                    if ident in col_lines:
-                        raise MatrixError(
-                            f"{path}:{n}: duplicate column identifier "
-                            f"{ident!r} (first on line {col_lines[ident]})")
-                    col_lines[ident] = n
+                    _in_sequence(idx, len(cols))
                     cols.append(FeatureColumn(ident, block, ftype))
                 else:
-                    raise MatrixError(f"{path}:{n}: unrecognized header line "
-                                      f"{line!r}")
+                    raise ValueError("unknown tag")
             except ValueError as exc:
-                raise MatrixError(f"{path}:{n}: malformed {tag} line "
-                                  f"{line!r}: {exc}") from None
-
-        # data lines: `row col value`; data[k] is line first + k of the file
-        data, first = lines[n:], n + 1
-        _check(path, first, data, [line.count(" ") != 2 for line in data],
-               "data line must have 3 fields 'row col value'")
-        fields = " ".join(data).split(" ") if data else []
-        try:
-            i, j, v = _parse_triplets(fields[0::3], fields[1::3], fields[2::3])
-        except (ValueError, OverflowError):
-            _check(path, first, data, [not _parses(line) for line in data],
-                   "row and column must be integers and value a number")
-            raise
-        n_rows, n_cols = len(rows), len(cols)
-        _check(path, first, data, (i < 0) | (i >= n_rows),
-               f"row index out of range [0, {n_rows})")
-        _check(path, first, data, (j < 0) | (j >= n_cols),
-               f"column index out of range [0, {n_cols})")
-        _check(path, first, data, ~((v > 0) & (v < np.inf)),
-               "value must be positive and finite")
-        step = np.diff(i * n_cols + j)
-        _check(path, first + 1, data[1:], step == 0, "duplicate (row, col)")
-        _check(path, first + 1, data[1:], step < 0,
-               "(row, col) out of order; data lines are sorted by row, "
-               "then column")
-        X = CSR.from_triplets(i, j, v, (n_rows, n_cols))
+                faults.append((n, f"malformed {tag} line {line!r}: {exc}"))
+                break
+        for what, tag, ids in (("row", "#row ", rows), ("column", "#col ", [
+                c.identifier for c in cols])):
+            if (repeat := first_repeat(ids)) is not None:
+                line_of = [m for m, text in enumerate(lines[:n], 1)
+                           if text.startswith(tag)]  # of each id, in order
+                was, k = repeat
+                faults.append((line_of[k], f"duplicate {what} identifier "
+                               f"{ids[k]!r} (first on line {line_of[was]})"))
+        data, first = lines[n:], n + 1  # data line k is line first + k
+        # value v[k] at row i[k], column j[k]: int64, int64 and float64
+        i, j, v = (array(code, bytes(8 * len(data))) for code in "qqd")
+        for k, line in enumerate(data):
+            try:
+                a, b, c = line.split(" ")
+                i[k], j[k], v[k] = int(a), int(b), float(c)
+            except (ValueError, OverflowError) as exc:
+                faults.append((first + k, f"malformed line {line!r}: {exc}"))
+                del i[k:], j[k:], v[k:]  # keep the cells before it
+                break
+        i, j, v = map(np.asarray, (i, j, v))
+        shape = (len(rows), len(cols))
+        if (bad := _bad_cell(i, j, v, shape)) is not None:
+            k, what = bad
+            faults.append((first + k, f"{what}: {data[k]!r}"))
+        if faults:
+            at, what = min(faults)
+            raise MatrixError(f"{path}:{at}: {what}")
+        # the cells are canonical: sorted by row, then column, once each
+        X = CSR(np.searchsorted(i, np.arange(shape[0] + 1)), j, v, shape)
         return cls(tuple(rows), tuple(cols), X, period)
 
 
-def _in_sequence(path, line_no: int, tag: str, idx: str, expected: int) -> None:
+def _in_sequence(idx: str, expected: int) -> None:
     if int(idx) != expected:
-        raise MatrixError(f"{path}:{line_no}: {tag} index {idx} out of "
-                          f"sequence (expected {expected})")
+        raise ValueError(f"index {idx} out of sequence (expected {expected})")
 
 
-def _parse_triplets(i, j, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return (np.array(i, dtype=np.int64), np.array(j, dtype=np.int64),
-            np.array(v, dtype=np.float64))
+def _bad_cell(row, col, value, shape) -> Optional[tuple[int, str]]:
+    """The first cell ``k`` (``value[k]`` at ``row[k]``, ``col[k]``) that is
+    out of ``shape``, not positive and finite, or not strictly after cell
+    k - 1, and what is wrong with it; None if every cell is canonical."""
+    n_rows, n_cols = shape
+    rules = (((row < 0) | (row >= n_rows),
+              f"row index out of range [0, {n_rows})"),
+             ((col < 0) | (col >= n_cols),
+              f"column index out of range [0, {n_cols})"),
+             (~((value > 0) & (value < np.inf)),
+              "value must be positive and finite"),
+             (np.diff(row * n_cols + col, prepend=-1) <= 0,
+              "(row, col) not after the previous cell's; cells are sorted "
+              "by row, then column, once each"))
+    bad = np.flatnonzero(np.logical_or.reduce([flags for flags, _ in rules]))
+    if not len(bad):
+        return None
+    k = int(bad[0])
+    return k, next(what for flags, what in rules if flags[k])
 
 
-def _parses(line: str) -> bool:
-    try:
-        _parse_triplets(*([f] for f in line.split(" ")))
-    except (ValueError, OverflowError):
-        return False
-    return True
-
-
-def _check(path, first: int, data: list[str], bad, what: str) -> None:
-    """Raise for the first data line flagged in ``bad``; ``data[k]`` is line
-    ``first + k`` of the file."""
-    hits = np.flatnonzero(bad)
-    if len(hits):
-        k = int(hits[0])
-        raise MatrixError(f"{path}:{first + k}: {what}: {data[k]!r}")
+def first_repeat(ids: Sequence[str]) -> Optional[tuple[int, int]]:
+    """``(first, k)`` for the first identifier ``ids[k]`` that an earlier
+    ``ids[first]`` equals, or None when the identifiers are unique."""
+    seen: dict[str, int] = {}
+    for k, ident in enumerate(ids):
+        if (first := seen.setdefault(ident, k)) != k:
+            return first, k
+    return None
 
 
 class Block(NamedTuple):

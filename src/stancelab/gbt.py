@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _kernels
 from .csr import CSR, as_csr
-from .features import FeatureMatrix
+from .features import FeatureMatrix, first_repeat
 from .tsv import read_text
 
 # a FeatureMatrix, or a rows × columns matrix whose columns are identified by
@@ -165,9 +165,10 @@ class BoostedModel:
     def load(cls, path) -> "BoostedModel":
         """Parse the format written by :meth:`save`.
 
-        A malformed line, a node or child index out of range, a node out of
-        order, or a file that ends before its ``end`` line (a file cut off
-        anywhere) raises :class:`TrainingError` naming the file and line.
+        A malformed line, the second ``col`` line of one identifier, a node or
+        child index out of range, a node out of order, or a file that ends
+        before its ``end`` line (a file cut off anywhere) raises
+        :class:`TrainingError` naming the file and line.
         """
         # a line counts only with its line end: the piece after the last one
         # is empty in a whole file, and never read
@@ -207,10 +208,22 @@ class BoostedModel:
             (best_val_loss,) = map(float, line("best_val_loss"))
             (n_cols,) = map(int, line("columns"))
             columns = []
-            for j in range(n_cols):
-                k, ident = line("col", 2)
-                index(k, j + 1, j)
-                columns.append(ident)
+            col0 = at + 1  # the line of column 0
+            try:
+                for j in range(n_cols):
+                    k, ident = line("col", 2)
+                    index(k, j + 1, j)
+                    columns.append(ident)
+            except ValueError:
+                # a repeat comes before the line that ended the loop
+                if first_repeat(columns) is None:
+                    raise
+            if (repeat := first_repeat(columns)) is not None:
+                first, k = repeat
+                at = col0 + k
+                raise ValueError(f"duplicate column identifier "
+                                 f"{columns[k]!r} (first on line "
+                                 f"{col0 + first})")
             (n_trees,) = map(int, line("trees"))
             trees = []
             for t in range(n_trees):

@@ -15,6 +15,7 @@ import numpy as np
 import regex
 
 from .corpus import UserProfile
+from .features import FeatureColumn
 from .textproc import HASHTAG, MENTION, Encoding, Token
 from .tsv import read_tsv
 
@@ -251,20 +252,26 @@ def label_stances(corpus, seeds: dict[str, dict[str, tuple[str, ...]]]
 _NUMERIC_LEAK_RE = regex.compile(r"^(?:\d{2}|\d{4})$")
 
 
-def leakage_columns(ruleset: RuleSet, columns: Iterable[str]) -> set[str]:
-    """Columns that would leak the labeling rules into the classifier.
+def leakage_columns(ruleset: RuleSet,
+                    columns: Iterable[FeatureColumn]) -> set[str]:
+    """The identifiers of the columns that would leak the labeling rules into
+    the classifier.
 
     Includes every stance seed term present in the vocabulary, columns hit by
     gender expressions, gazetteer place names, and bare 2- or 4-digit numeric
-    tokens (used for age labeling).
+    tokens (used for age labeling). A tweet term is matched as it is; the
+    other blocks' identifiers are matched without their prefix (``profile:``,
+    ``rt:``, ...), since a term such as ``abc.org:8080`` holds a ``:`` of its
+    own.
     """
     seeds = set()
     for stance in STANCES:
         for scope in ("bio", "tweet"):
             seeds.update(ruleset.stance_seeds[stance][scope])
     out = set()
-    for col in columns:
-        base = col.split(":", 1)[1] if ":" in col else col
+    for column in columns:
+        col = column.identifier
+        base = col if column.block == "tweet_term" else col.split(":", 1)[-1]
         low = base.lower()
         if low in seeds:
             out.add(col)

@@ -489,7 +489,7 @@ class Pipeline:
         labels = self._artifact("labels.tsv")
         full = self._artifact("matrix_full.txt")
         matrix = features_mod.drop_columns(full, labeling.leakage_columns(
-            self._ruleset, full.column_identifiers()))
+            self._ruleset, full.columns))
         train_users = self._train_users(labels)
         if not train_users:
             raise StageError("no stance-labeled users to train on")

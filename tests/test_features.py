@@ -1,7 +1,10 @@
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from stancelab import corpus as cm
 from stancelab import features as ft
 from stancelab import textproc as tp
@@ -124,6 +127,16 @@ def test_positive_cell_contract():
                          X=explicit_zero)
 
 
+def test_row_ids_and_column_identifiers_are_unique():
+    x = ft.FeatureColumn("x", "tweet_term", "word")
+    with pytest.raises(ft.MatrixError, match="duplicate row 'a'"):
+        ft.FeatureMatrix(rows=("a", "b", "a"), columns=(x,),
+                         X=as_csr(np.ones((3, 1))))
+    with pytest.raises(ft.MatrixError, match="duplicate column 'x'"):
+        ft.FeatureMatrix(rows=("a",), columns=(x, x),
+                         X=as_csr(np.ones((1, 2))))
+
+
 def _set(lines, k, text):
     return lines[:k] + [text] + lines[k + 1:], k
 
@@ -159,10 +172,16 @@ CORRUPTIONS = {
     "duplicate": lambda ls, d: (ls[:d + 1] + ls[d:], d + 1),
     "out_of_order":
         lambda ls, d: (ls[:d] + [ls[d + 1], ls[d]] + ls[d + 2:], d + 1),
-    # the second #col line of an identifier
+    # the second #col (or #row) line of an identifier
     "duplicate_column":
         lambda ls, d: _set(ls, _first(ls, "#col ") + 1,
                            "#col 1 aborto tweet_term word"),
+    "duplicate_row": lambda ls, d: _set(ls, _first(ls, "#row ") + 2,
+                                        "#row 2 a"),
+    "row_id_with_blank": lambda ls, d: _set(ls, _first(ls, "#row ") + 1,
+                                            "#row 1 b x"),
+    "index_beyond_int64":
+        lambda ls, d: _set(ls, d + 1, "99999999999999999999 0 1.0"),
     "no_format_line": lambda ls, d: (ls[1:], 0),
     "unknown_tag": lambda ls, d: _set(ls, _first(ls, "#row "), "#rows 0 a"),
     "col_two_fields":
@@ -197,3 +216,46 @@ def test_load_rejects_corruption_with_file_and_line(tmp_path, case):
                    errors="surrogateescape")
     with pytest.raises(ft.MatrixError, match=re.escape(f"{bad}:{blame + 1}:")):
         ft.FeatureMatrix.load(bad)
+
+
+def _first_bad_cell(cells, n_rows, n_cols):
+    """The index of the first cell out of range, not positive and finite, or
+    not after the cell before it; None if there is none."""
+    for k, (i, j, v) in enumerate(cells):
+        if not (0 <= i < n_rows and 0 <= j < n_cols and 0 < v < math.inf):
+            return k
+        if k and (i, j) <= cells[k - 1][:2]:
+            return k
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_load_agrees_with_a_plain_oracle(tmp_path_factory, data):
+    n_rows, n_cols = 3, 4
+    if data.draw(st.booleans(), label="wild"):
+        index = st.integers(-1, 5) | st.sampled_from([2**63, -2**63 - 1])
+        value = st.floats() | st.sampled_from([0.0, -1.0])
+    else:
+        index = st.integers(0, 2)
+        value = st.floats(1e-300, 1e300)
+    cells = data.draw(st.lists(st.tuples(index, index, value), max_size=10))
+    if data.draw(st.booleans(), label="sorted"):
+        cells = sorted({(i, j): (i, j, v) for i, j, v in cells}.values())
+    header = (["#format stancelab-matrix v1"]
+              + [f"#row {i} u{i}" for i in range(n_rows)]
+              + [f"#col {j} t{j} tweet_term word" for j in range(n_cols)])
+    path = tmp_path_factory.mktemp("oracle") / "m.txt"
+    path.write_text("\n".join(header + [f"{i} {j} {v!r}" for i, j, v in cells])
+                    + "\n", encoding="utf-8")
+    bad = _first_bad_cell(cells, n_rows, n_cols)
+    if bad is None:
+        dense = np.zeros((n_rows, n_cols))
+        for i, j, v in cells:
+            dense[i, j] = v
+        assert np.array_equal(ft.FeatureMatrix.load(path).X.toarray(), dense)
+    else:
+        line = len(header) + 1 + bad
+        with pytest.raises(ft.MatrixError,
+                           match=re.escape(f"{path}:{line}:")):
+            ft.FeatureMatrix.load(path)

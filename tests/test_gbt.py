@@ -414,6 +414,12 @@ def test_cut_model_file_is_a_named_error(saved_model, tmp_path_factory, data):
     (b" learning_rate=0.1 ", b" learning_rate=nan ",
      "learning_rate must be a positive number"),
     (b"\ncol 1 ", b"\ncol 1 \xff", "not UTF-8 text"),
+    # the second col line of an identifier, named with the first, and
+    # before a later fault
+    (b"\ncol 1 c1\n", b"\ncol 1 c0\n",
+     r"duplicate column identifier 'c0' \(first on line 7\)"),
+    (b"\ncol 1 c1\ncol 2 c2\n", b"\ncol 1 c0\ncol 9 c2\n",
+     r"duplicate column identifier 'c0' \(first on line 7\)"),
 ])
 def test_malformed_model_file_is_a_named_error(saved_model, tmp_path, old,
                                                new, what):

@@ -5,6 +5,7 @@ from stancelab import labeling as lb
 from stancelab import textproc as tp
 from stancelab.config import default_rule_path
 from stancelab.corpus import Corpus, MicroPost, UserProfile
+from stancelab.features import FeatureColumn
 
 
 @pytest.fixture(scope="module")
@@ -101,8 +102,15 @@ def test_stance_from_bio(rules):
 
 
 def test_leakage_columns(rules):
-    cols = ["#abortolegal", "profile:#provida", "aborto", "santiago",
-            "1995", "25", "w001", "profile:madre", "lexcat:family"]
+    cols = [FeatureColumn(ident, block, ftype) for ident, block, ftype in (
+        ("#abortolegal", "tweet_term", "hashtag"),
+        ("profile:#provida", "bio_term", "hashtag"),
+        ("aborto", "tweet_term", "word"), ("santiago", "tweet_term", "word"),
+        ("1995", "tweet_term", "word"), ("25", "tweet_term", "word"),
+        ("w001", "tweet_term", "word"), ("profile:madre", "bio_term", "word"),
+        ("lexcat:family", "bio_term", "lexicon_category"),
+        ("abc.org:8080", "tweet_term", "url"),
+        ("example.com:2017", "tweet_term", "url"))]
     leaks = lb.leakage_columns(rules, cols)
     assert "#abortolegal" in leaks
     assert "profile:#provida" in leaks
@@ -112,6 +120,9 @@ def test_leakage_columns(rules):
     assert "w001" not in leaks
     assert "lexcat:family" not in leaks
     assert "aborto" not in leaks        # topic term is not a stance seed
+    # a tweet term's own ':' is no prefix: a port is not an age
+    assert "abc.org:8080" not in leaks
+    assert "example.com:2017" not in leaks
 
 
 def test_label_confidence_contract():
