@@ -10,6 +10,7 @@ outputs to the later stages in memory instead of reading them back.
 
 from __future__ import annotations
 
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -36,6 +37,16 @@ def _pipeline(config_path: str, seed) -> Pipeline:
         cfg = replace(cfg, rng_seed=seed,
                       boost=replace(cfg.boost, rng_seed=seed))
     return Pipeline(cfg)
+
+
+def _progress(line: str) -> None:
+    """Print a progress line. Once the reader has closed stdout (as
+    ``| head -n 1`` does), the later lines go to ``os.devnull``, as Python's
+    ``signal`` docs advise, and the command runs on."""
+    try:
+        click.echo(line)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 class _Main(click.Group):
@@ -65,7 +76,7 @@ def stage(stage, config_path, seed, skip_fresh):
     pipe = _pipeline(config_path, seed)
     with output_lock(pipe.out):
         ran = pipe.run_stage(stage, skip_fresh=skip_fresh)
-    click.echo(f"{stage}: {'done' if ran else 'fresh, skipped'} ({pipe.out})")
+    _progress(f"{stage}: {'done' if ran else 'fresh, skipped'} ({pipe.out})")
 
 
 @main.command()
@@ -81,8 +92,8 @@ def run(config_path, seed, skip_fresh):
     with output_lock(pipe.out):
         for s in STAGES:
             ran = pipe.run_stage(s, skip_fresh=skip_fresh)
-            click.echo(f"{s}: {'done' if ran else 'fresh, skipped'}")
-    click.echo(f"all stages complete ({pipe.out})")
+            _progress(f"{s}: {'done' if ran else 'fresh, skipped'}")
+    _progress(f"all stages complete ({pipe.out})")
 
 
 @main.command()

@@ -125,7 +125,8 @@ class FeatureMatrix:
     def load(cls, path) -> "FeatureMatrix":
         """Parse the text format written by :meth:`save`. Raises
         :class:`MatrixError` naming the file and the first line at fault: a
-        malformed line, a ``#row`` or ``#col`` index out of sequence, the
+        malformed line, a second ``#period`` line or one whose start is not
+        before its end, a ``#row`` or ``#col`` index out of sequence, the
         second ``#row`` or ``#col`` line of one identifier
         (:func:`first_repeat`), or a cell that :func:`_bad_cell` refuses."""
         lines = read_text(path, MatrixError).removesuffix("\n").split("\n")
@@ -142,8 +143,12 @@ class FeatureMatrix:
             tag = line.split(" ", 1)[0]
             try:
                 if tag == "#period":
+                    if period is not None:
+                        raise ValueError("a second #period line")
                     _tag, a, b = line.split(" ")
                     period = (int(a), int(b))
+                    if period[0] >= period[1]:
+                        raise ValueError("start must be before end")
                 elif tag == "#row":
                     _tag, idx, user = line.split(" ", 2)
                     _in_sequence(idx, len(rows))

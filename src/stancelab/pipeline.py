@@ -2,11 +2,12 @@
 
 Every stage writes its outputs atomically into the output directory and
 appends an entry to ``manifest.json``. Report files start with a ``# manifest
-<digest>`` line tying them to the config and inputs that produced them. A
-stage gets each output of an earlier stage through :meth:`Pipeline._artifact`:
-the object the same pipeline published, which is what reading the file back
-gives, or else the file, loaded once. A missing file is a :class:`StageError`
-naming the stage that writes it.
+<digest>`` line tying them to the config and inputs that produced them.
+``STAGE_TABLE`` declares the files each stage reads and writes, and a stage
+receives exactly its reads, each through :meth:`Pipeline._artifact`: the
+object the same pipeline published, which is what reading the file back
+gives, or else the file, loaded once. A missing file is a
+:class:`StageError` naming the stage that writes it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import hashlib
 import json
 import os
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable
@@ -34,25 +35,37 @@ from .tsv import read_text, read_tsv
 
 VERSION = "stancelab 0.1.0"
 
-STAGES = ("ingest", "label", "featurize", "train", "calibrate", "predict",
-          "importance", "turnaround", "regress", "report")
-
-REPORT_FILES = ("volume_weekly.tsv", "terms_by_year.tsv", "cv_metrics.tsv",
-                "calibration.tsv", "stance_distribution.tsv",
-                "importance_hsd.tsv", "turnaround.tsv", "regression.tsv")
-
-_STAGE_OUTPUTS = {
-    "ingest": ("corpus.jsonl", "volume_weekly.tsv", "terms_by_year.tsv"),
-    "label": ("labels.tsv",),
-    "featurize": ("matrix_full.txt", "matrix_p0.txt", "matrix_p1.txt"),
-    "train": ("model_stance.txt", "model_train_users.txt", "cv_metrics.tsv"),
-    "calibrate": ("platt.tsv", "calibration.tsv"),
-    "predict": ("stance_scores.tsv", "stance_distribution.tsv"),
-    "importance": ("importance_hsd.tsv",),
-    "turnaround": ("turnaround.tsv",),
-    "regress": ("regression.tsv",),
-    "report": ("summary.txt",),
-}
+# The stages in run order: each one's name, the files it reads, in the order
+# it loads them, and the files it writes. ``run_stage`` calls
+# ``_stage_<name>`` with each file of ``reads`` as ``_artifact`` gives it.
+Stage = namedtuple("Stage", "name reads writes")
+STAGE_TABLE = (
+    Stage("ingest", (), ("corpus.jsonl", "volume_weekly.tsv",
+                         "terms_by_year.tsv")),
+    Stage("label", ("corpus.jsonl",), ("labels.tsv",)),
+    Stage("featurize", ("corpus.jsonl",),
+          ("matrix_full.txt", "matrix_p0.txt", "matrix_p1.txt")),
+    Stage("train", ("labels.tsv", "matrix_full.txt"),
+          ("model_stance.txt", "model_train_users.txt", "cv_metrics.tsv")),
+    Stage("calibrate", ("labels.tsv", "matrix_full.txt",
+                        "model_train_users.txt", "model_stance.txt"),
+          ("platt.tsv", "calibration.tsv")),
+    Stage("predict", ("matrix_full.txt", "platt.tsv", "model_stance.txt"),
+          ("stance_scores.tsv", "stance_distribution.tsv")),
+    Stage("importance", ("matrix_full.txt", "model_stance.txt"),
+          ("importance_hsd.tsv",)),
+    Stage("turnaround", ("matrix_p0.txt", "matrix_p1.txt", "model_stance.txt",
+                         "platt.tsv", "labels.tsv"), ("turnaround.tsv",)),
+    Stage("regress", ("corpus.jsonl", "labels.tsv", "turnaround.tsv",
+                      "matrix_p0.txt"), ("regression.tsv",)),
+    Stage("report", ("volume_weekly.tsv", "terms_by_year.tsv",
+                     "cv_metrics.tsv", "calibration.tsv",
+                     "stance_distribution.tsv", "importance_hsd.tsv",
+                     "turnaround.tsv", "regression.tsv"), ("summary.txt",)),
+)
+STAGES = tuple(stage.name for stage in STAGE_TABLE)
+REPORT_FILES = STAGE_TABLE[-1].reads
+_WRITER = {name: stage.name for stage in STAGE_TABLE for name in stage.writes}
 
 
 class StageError(Exception):
@@ -238,6 +251,7 @@ class Pipeline:
         self.digest = config.digest(self._input_digests)
         # the stage outputs held for later stages, by file name
         self._held: dict[str, object] = {}
+        self._predicted = (None, None, None)  # see _confidence
         # created only once the config has passed every check above
         self.out.mkdir(parents=True, exist_ok=True)
 
@@ -266,12 +280,13 @@ class Pipeline:
         manifest = self._load_manifest()
         manifest.update(digest=self.digest, config=self.config.snapshot(),
                         inputs=self._input_digests)
-        for later in STAGES[STAGES.index(stage) + 1:]:
+        i = STAGES.index(stage)
+        for later in STAGES[i + 1:]:
             manifest["stages"].pop(later, None)
         manifest["stages"][stage] = {
             "seconds": round(seconds, 3),
             "digest": self.digest,
-            "outputs": list(_STAGE_OUTPUTS[stage]),
+            "outputs": list(STAGE_TABLE[i].writes),
             "metrics": metrics,
         }
         _publish(self._manifest, _writes(
@@ -281,7 +296,8 @@ class Pipeline:
         entry = self._load_manifest()["stages"].get(stage)
         if not entry or entry.get("digest") != self.digest:
             return False
-        return all((self.out / f).exists() for f in _STAGE_OUTPUTS[stage])
+        return all((self.out / f).exists()
+                   for f in STAGE_TABLE[STAGES.index(stage)].writes)
 
     def _report_header(self) -> str:
         return f"# manifest {self.digest}\n"
@@ -307,14 +323,16 @@ class Pipeline:
         Every earlier stage must be recorded as run, so that the recorded
         stages are always the first ones of ``STAGES``."""
         recorded = self._load_manifest()["stages"]
-        for earlier in STAGES[:STAGES.index(stage)]:
+        i = STAGES.index(stage)
+        for earlier in STAGES[:i]:
             if earlier not in recorded:
                 raise StageError(f"missing stage: {earlier} "
                                  "(not recorded in manifest.json)")
         if skip_fresh and self._is_fresh(stage):
             return False
         started = time.monotonic()
-        metrics = getattr(self, f"_stage_{stage}")()
+        metrics = getattr(self, f"_stage_{stage}")(
+            *map(self._artifact, STAGE_TABLE[i].reads))
         self._record(stage, time.monotonic() - started, metrics or {})
         return True
 
@@ -330,13 +348,13 @@ class Pipeline:
         ``value``, what reading the file back gives, for later stages."""
         _publish(self.out / name, write)
         self._held[name] = value
-        if name in ("matrix_full.txt", "model_stance.txt"):
-            self.__dict__.pop("_confidence", None)
 
     def _artifact(self, name: str):
         """The stage output ``name``, as a later stage reads it: the object
         this pipeline published or loaded before, else the file, loaded once
-        (see ``_LOADERS``)."""
+        (see ``_LOADERS``). A file with no loader is its path."""
+        if name not in _LOADERS:
+            return self._stage_file(name)
         if name not in self._held:
             self._held[name] = _LOADERS[name](self._stage_file(name))
         return self._held[name]
@@ -346,9 +364,7 @@ class Pipeline:
         :class:`StageError` names the stage that writes it."""
         path = self.out / name
         if not path.is_file():
-            stage = next(s for s, names in _STAGE_OUTPUTS.items()
-                         if name in names)
-            raise StageError(f"missing stage: {stage} "
+            raise StageError(f"missing stage: {_WRITER[name]} "
                              f"(expected outputs: {name})")
         return path
 
@@ -360,13 +376,15 @@ class Pipeline:
                                      r.stance_seeds,
                                      reference_year=self.config.reference_year)
 
-    @functools.cached_property
-    def _confidence(self) -> np.ndarray:
-        """The stance model's confidence for each row of the full matrix,
-        computed once per pipeline; dropped when featurize or train
-        publishes a new input to it."""
-        return gbt.predict_confidence(self._artifact("model_stance.txt"),
-                                      self._artifact("matrix_full.txt"))
+    def _confidence(self, model, full) -> np.ndarray:
+        """The confidence of ``model`` for each row of the full matrix
+        ``full``: the last result while both are the objects it was
+        computed from, so calibrate and predict share one prediction."""
+        last_model, last_full, confidence = self._predicted
+        if model is not last_model or full is not last_full:
+            confidence = gbt.predict_confidence(model, full)
+            self._predicted = (model, full, confidence)
+        return confidence
 
     @functools.cached_property
     def _stopwords(self) -> set[str]:
@@ -430,9 +448,8 @@ class Pipeline:
                         rows)
         return metrics
 
-    def _stage_label(self) -> None:
-        labels = labeling.apply_rules(self._artifact("corpus.jsonl"),
-                                      self._ruleset)
+    def _stage_label(self, corpus) -> None:
+        labels = labeling.apply_rules(corpus, self._ruleset)
         if self.config.rules.manual_labels:
             labeling.import_manual_labels(labels,
                                           self.config.rules.manual_labels)
@@ -442,9 +459,8 @@ class Pipeline:
                 if (lab := labels.get(user_id, attribute)) is not None]
         self._write_tsv("labels.tsv", _LABELS_HEADER, rows)
 
-    def _stage_featurize(self) -> dict:
+    def _stage_featurize(self, corpus) -> dict:
         cfg = self.config
-        corpus = self._artifact("corpus.jsonl")
         encoding, stop = corpus.encoding, self._stopwords
         bio = encoding.term_counts("bio", cfg.thresholds.bio_min_count, stop)
         profile = features_mod.profile_blocks(
@@ -485,9 +501,7 @@ class Pipeline:
         y = [int(labels.get(u, "stance").value == "defense") for u in kept]
         return kept, [ridx[u] for u in kept], y
 
-    def _stage_train(self) -> dict:
-        labels = self._artifact("labels.tsv")
-        full = self._artifact("matrix_full.txt")
+    def _stage_train(self, labels, full) -> dict:
         matrix = features_mod.drop_columns(full, labeling.leakage_columns(
             self._ruleset, full.columns))
         train_users = self._train_users(labels)
@@ -511,17 +525,14 @@ class Pipeline:
                           report.recall_std)])
         return {"fits": report.fits, "workers": report.workers}
 
-    def _stage_calibrate(self) -> None:
-        labels = self._artifact("labels.tsv")
-        full = self._artifact("matrix_full.txt")
-        train_users = self._artifact("model_train_users.txt")
+    def _stage_calibrate(self, labels, full, train_users, model) -> None:
         # train users without a matrix row, not in that file, have none here
         calib_users, rows, y = self._stance_rows(
             [u for u in labels.users_with("stance") if u not in train_users],
             full, labels)
         if len(calib_users) < 10:
             raise StageError("calibration set too small (<10 labeled users)")
-        c = self._confidence[rows]
+        c = self._confidence(model, full)[rows]
         platt = calib.fit_platt(c, y)
         self._write_tsv("platt.tsv", _PLATT_HEADER,
                         [(platt.slope, platt.offset)])
@@ -532,10 +543,9 @@ class Pipeline:
             calib.calibration_table(probs, y),
             before=[f"# platt slope={platt.slope!r} offset={platt.offset!r}"])
 
-    def _stage_predict(self) -> None:
-        full = self._artifact("matrix_full.txt")
-        platt = self._artifact("platt.tsv")
-        scores = calib.score_users(platt, full.rows, self._confidence)
+    def _stage_predict(self, full, platt, model) -> None:
+        scores = calib.score_users(platt, full.rows,
+                                   self._confidence(model, full))
         self._write_tsv("stance_scores.tsv",
                         ["user_id", "raw_confidence", "probability", "band"],
                         [(s.user_id, s.raw_confidence, s.probability, s.band)
@@ -548,11 +558,9 @@ class Pipeline:
                             calib.BAND_OPPOSITION, calib.BAND_UNDISCLOSED,
                             calib.BAND_DEFENSE)])
 
-    def _stage_importance(self) -> None:
+    def _stage_importance(self, full, model) -> None:
         # the model's columns are the full matrix's without the leakage
         # columns that train dropped
-        full = self._artifact("matrix_full.txt")
-        model = self._artifact("model_stance.txt")
         col_by_id = {c.identifier: c for c in full.columns}
         try:
             pairs = [(col_by_id[ident], gain)
@@ -575,15 +583,10 @@ class Pipeline:
                         [(col.identifier, col.feature_type, gain)
                          for col, gain in pairs], after=after)
 
-    def _stage_turnaround(self) -> None:
-        p0 = self._artifact("matrix_p0.txt")
-        p1 = self._artifact("matrix_p1.txt")
-        model = self._artifact("model_stance.txt")
-        platt = self._artifact("platt.tsv")
+    def _stage_turnaround(self, p0, p1, model, platt, labels) -> None:
         # demographics come from labels.tsv (rule and manual labels only), so
-        # that the selection is reproducible from that file
-        labels = self._artifact("labels.tsv")
-        # both matrices have a row per corpus user
+        # that the selection is reproducible from that file; both matrices
+        # have a row per corpus user
         if set(p0.rows) != set(p1.rows):
             raise StageError(f"{self.out / 'matrix_p0.txt'} and "
                              f"{self.out / 'matrix_p1.txt'} have different rows")
@@ -601,13 +604,9 @@ class Pipeline:
             (u, a, b, stats.turnaround(a, b))
             for u, a, b in zip(users, calibrated(p0), calibrated(p1))])
 
-    def _stage_regress(self) -> None:
-        corpus = self._artifact("corpus.jsonl")
-        labels = self._artifact("labels.tsv")
-        turn = self._artifact("turnaround.tsv")
+    def _stage_regress(self, corpus, labels, turn, first) -> None:
         if not turn:
             raise StageError("turnaround table is empty")
-        first = self._artifact("matrix_p0.txt")
         defense = _users_with(first, features_mod.DEFENSE_EMOJI)
         opposition = _users_with(first, features_mod.OPPOSITION_EMOJI)
 
@@ -663,10 +662,11 @@ class Pipeline:
                         ("coefficient", "estimate", "stderr", "ci_low",
                          "ci_high"), result.to_rows(), before=before)
 
-    def _stage_report(self) -> None:
+    def _stage_report(self, *_checked) -> None:
+        # run_stage has found each report file, and read turnaround.tsv
         lines = [self._report_header(), f"{VERSION}\n",
                  f"output directory: {self.out}\n", "report files:\n",
-                 *(f"  {self._stage_file(f).name}\n" for f in REPORT_FILES)]
+                 *(f"  {name}\n" for name in REPORT_FILES)]
         _publish(self.out / "summary.txt", _writes("".join(lines)))
 
 

@@ -182,6 +182,11 @@ CORRUPTIONS = {
                                             "#row 1 b x"),
     "index_beyond_int64":
         lambda ls, d: _set(ls, d + 1, "99999999999999999999 0 1.0"),
+    # a matrix has at most one #period line, and its start is before its end
+    "second_period":
+        lambda ls, d: (ls[:1] + ["#period 5 9", "#period 5 9"] + ls[1:], 2),
+    "period_start_not_before_end":
+        lambda ls, d: (ls[:1] + ["#period 9 9"] + ls[1:], 1),
     "no_format_line": lambda ls, d: (ls[1:], 0),
     "unknown_tag": lambda ls, d: _set(ls, _first(ls, "#row "), "#rows 0 a"),
     "col_two_fields":

@@ -24,7 +24,7 @@ from stancelab import features, gbt, labeling, pipeline, synth, textproc, tsv
 from stancelab.config import (SCALARS, PipelineConfig, RulePaths, Thresholds,
                               config_from_dict)
 from stancelab.gbt import BoostParams
-from stancelab.pipeline import (_LOADERS, _STAGE_OUTPUTS, REPORT_FILES, STAGES,
+from stancelab.pipeline import (_LOADERS, REPORT_FILES, STAGE_TABLE, STAGES,
                                 Pipeline, StageError, output_lock)
 
 
@@ -192,7 +192,7 @@ def test_calibrate_and_predict_share_one_prediction_of_the_full_matrix(
     pipe.run_stage("predict")
     model = pipe._held["model_stance.txt"]
     assert predicted == [(model, full)]
-    assert np.array_equal(pipe._confidence, predict(model, full))
+    assert np.array_equal(pipe._confidence(model, full), predict(model, full))
 
 
 def test_held_outputs_equal_what_reading_the_files_gives(demo_corpus,
@@ -311,6 +311,26 @@ def test_commands_load_no_scipy(tmp_path):
         assert done.stdout.splitlines()[-1] == "[]", args
 
 
+def test_a_closed_stdout_stops_the_progress_lines_not_the_run(demo_corpus,
+                                                              tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pipeline.__file__)))
+    out = tmp_path / "out"
+    config = _config_file(demo_corpus, out, tmp_path / "config.yaml")
+    read, write = os.pipe()
+    os.close(read)  # no reader from the start: every write fails with EPIPE
+    try:
+        for command in (["run"], ["stage", "report"]):
+            done = subprocess.run(
+                [sys.executable, "-m", "stancelab.cli", *command, "--config",
+                 config], stdout=write, stderr=subprocess.PIPE, text=True,
+                env={**os.environ, "PYTHONPATH": src})
+            assert (done.returncode, done.stderr) == (0, ""), command
+            assert set(json.loads((out / "manifest.json").read_text())[
+                "stages"]) == set(STAGES), command
+    finally:
+        os.close(write)
+
+
 @pytest.mark.parametrize("profiles", ["as made", "with line ends"])
 def test_run_writes_what_separate_stage_commands_write(demo_corpus, finished,
                                                         tmp_path, profiles):
@@ -349,7 +369,7 @@ def test_run_writes_what_separate_stage_commands_write(demo_corpus, finished,
                              ["stage", stage, "--config", config("stages")])
         assert done.exit_code == 0, done.output
     # summary.txt names the output directory, which differs
-    outputs = [name for names in _STAGE_OUTPUTS.values() for name in names
+    outputs = [name for stage in STAGE_TABLE for name in stage.writes
                if name != "summary.txt"]
     assert len(outputs) == 17
     for name in outputs:
@@ -364,7 +384,7 @@ def test_run_writes_what_separate_stage_commands_write(demo_corpus, finished,
 
 def test_ingest_replaces_the_cached_corpus(tmp_path):
     path = tmp_path / "corpus.jsonl"
-    outputs = [name for names in _STAGE_OUTPUTS.values() for name in names
+    outputs = [name for stage in STAGE_TABLE for name in stage.writes
                if name != "summary.txt"]
     text_outputs = ("matrix_full.txt", "matrix_p0.txt", "matrix_p1.txt",
                     "labels.tsv", "terms_by_year.tsv")
@@ -880,15 +900,14 @@ def test_each_stage_publishes_its_declared_outputs(demo_corpus, tmp_path,
     monkeypatch.setattr(pipeline, "_publish", recorded)
     pipe = Pipeline(make_config(demo_corpus, tmp_path / "run"))
     with output_lock(pipe.out):
-        for stage in STAGES:
+        for stage in STAGE_TABLE:
             published.clear()
-            pipe.run_stage(stage)
-            assert published[-1] == "manifest.json", stage
-            assert sorted(published[:-1]) == sorted(_STAGE_OUTPUTS[stage]), \
-                stage
+            pipe.run_stage(stage.name)
+            assert published[-1] == "manifest.json", stage.name
+            assert sorted(published[:-1]) == sorted(stage.writes), stage.name
     assert sorted(p.name for p in pipe.out.iterdir()) == sorted(
         [".lock", "manifest.json",
-         *(name for names in _STAGE_OUTPUTS.values() for name in names)])
+         *(name for stage in STAGE_TABLE for name in stage.writes)])
 
 
 def test_a_missing_stage_input_is_one_error_naming_its_stage(
@@ -896,40 +915,42 @@ def test_a_missing_stage_input_is_one_error_naming_its_stage(
     from click.testing import CliRunner
     from stancelab import cli
 
-    # the stage files each stage reads, found by running it alone
+    # the stage files each stage loads, found by running it alone, are the
+    # ones the table declares, in its order
     calls = _count_loads(monkeypatch)
-    reads = []
-    for stage in STAGES[:-1]:
-        out = _copy_of(finished, tmp_path, stage)
+    for stage in STAGE_TABLE:
+        out = _copy_of(finished, tmp_path, stage.name)
         calls.clear()
-        Pipeline(make_config(demo_corpus, out)).run_stage(stage)
-        reads += [(stage, name) for key, name in calls if key == "table"]
-    assert len(reads) == 22
+        Pipeline(make_config(demo_corpus, out)).run_stage(stage.name)
+        assert [name for key, name in calls if key == "table"] == [
+            name for name in stage.reads if name in _LOADERS], stage.name
+    # every stage but report reads stage outputs, each through its loader
+    assert _LOADERS.keys() == {name for stage in STAGE_TABLE[:-1]
+                               for name in stage.reads}
     # report checks the report files that summary.txt lists
     listed = (finished / "summary.txt").read_text().split(
         "report files:\n")[1].split()
-    assert len(listed) == 8
-    reads += [("report", name) for name in listed]
+    assert tuple(listed) == REPORT_FILES
 
-    for stage, name in reads:
-        out = _copy_of(finished, tmp_path, f"{stage}-{name}")
+    for stage, name in ((s, name) for s in STAGE_TABLE for name in s.reads):
+        out = _copy_of(finished, tmp_path, f"{stage.name}-{name}")
         config = _config_file(demo_corpus, out, tmp_path / f"{out.name}.yaml")
         (out / name).unlink()
-        outputs = {f: (out / f).read_bytes() for f in _STAGE_OUTPUTS[stage]}
+        outputs = {f: (out / f).read_bytes() for f in stage.writes}
         entry = json.loads((out / "manifest.json").read_text())[
-            "stages"][stage]
+            "stages"][stage.name]
         done = CliRunner().invoke(cli.main,
-                                  ["stage", stage, "--config", config])
-        producer = next(s for s, names in _STAGE_OUTPUTS.items()
-                        if name in names)
-        assert done.exit_code == 1, (stage, name, done.output)
-        assert isinstance(done.exception, SystemExit), (stage, name)
+                                  ["stage", stage.name, "--config", config])
+        producer = next(s.name for s in STAGE_TABLE if name in s.writes)
+        case = (stage.name, name)
+        assert done.exit_code == 1, (*case, done.output)
+        assert isinstance(done.exception, SystemExit), case
         assert done.output == (f"Error: missing stage: {producer} "
-                               f"(expected outputs: {name})\n"), (stage, name)
+                               f"(expected outputs: {name})\n"), case
         assert outputs == {f: (out / f).read_bytes()
-                           for f in _STAGE_OUTPUTS[stage]}, (stage, name)
+                           for f in stage.writes}, case
         assert entry == json.loads((out / "manifest.json").read_text())[
-            "stages"][stage], (stage, name)
+            "stages"][stage.name], case
 
 
 @pytest.mark.parametrize("stage, name", [
@@ -937,7 +958,7 @@ def test_a_missing_stage_input_is_one_error_naming_its_stage(
     ("train", "matrix_full.txt"), ("turnaround", "matrix_p0.txt"),
     ("turnaround", "matrix_p1.txt"), ("calibrate", "model_stance.txt"),
     ("calibrate", "model_train_users.txt"), ("predict", "platt.tsv"),
-    ("regress", "turnaround.tsv")])
+    ("regress", "turnaround.tsv"), ("report", "turnaround.tsv")])
 def test_a_stage_file_that_is_not_utf8_is_one_error_naming_its_line(
         demo_corpus, finished, tmp_path, stage, name):
     from click.testing import CliRunner
@@ -996,7 +1017,7 @@ def test_a_stage_runs_only_after_every_earlier_stage(
     manifest = (out / "manifest.json").read_bytes()
     assert set(json.loads(manifest)["stages"]) == {"ingest", "label"}
     before = {name: (out / name).read_bytes()
-              for names in _STAGE_OUTPUTS.values() for name in names}
+              for stage in STAGE_TABLE for name in stage.writes}
 
     config = _config_file(demo_corpus, out, tmp_path / "config.yaml")
     done = CliRunner().invoke(cli.main,
