@@ -9,6 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from ._kernels import sigmoid
+from .tsv import StancelabError
 
 BAND_OPPOSITION = "opposition"
 BAND_UNDISCLOSED = "undisclosed"
@@ -18,7 +19,8 @@ BAND_DEFENSE = "defense"
 LOWER_BOUND = 0.4
 UPPER_BOUND = 0.6
 
-# the Platt fit stops once both gradient components are below TOL
+# the Platt fit needs MIN_PAIRS pairs; it stops once both gradients are below TOL
+MIN_PAIRS = 10
 TOL = 1e-8
 MAX_ITER = 100
 
@@ -26,7 +28,7 @@ MAX_ITER = 100
 N_BINS = 10
 
 
-class CalibrationError(Exception):
+class CalibrationError(StancelabError):
     pass
 
 
@@ -57,8 +59,8 @@ def fit_platt(confidences: Sequence[float], labels: Sequence[int]
     """
     s = np.asarray(confidences, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
-    if len(s) != len(y) or len(s) < 10:
-        raise CalibrationError("need >= 10 (confidence, label) pairs")
+    if len(s) != len(y) or len(s) < MIN_PAIRS:
+        raise CalibrationError(f"need >= {MIN_PAIRS} (confidence, label) pairs")
     if set(np.unique(y)) != {0.0, 1.0}:
         raise CalibrationError("both classes must be present")
 

@@ -17,17 +17,12 @@ from pathlib import Path
 
 import click
 
-from . import calibration, features, gbt, stats, tsv
+from . import __version__
 from . import corpus as corpus_mod
-from .config import SCALARS, ConfigError, check_value, load_config
-from .pipeline import STAGES, Pipeline, StageError, output_lock
-from .synth import SynthError, SynthSpec, generate
-
-# errors that name their cause; _Main prints each as one `Error:` line
-_NAMED_ERRORS = (StageError, ConfigError, corpus_mod.CorpusError,
-                 tsv.RuleFileError, features.MatrixError, gbt.TrainingError,
-                 calibration.CalibrationError, stats.StatsError, SynthError,
-                 OSError)
+from .config import SCALARS, PipelineConfig, check_value, load_config
+from .pipeline import STAGES, Pipeline, output_lock
+from .synth import SynthSpec, generate
+from .tsv import StancelabError
 
 
 def _pipeline(config_path: str, seed) -> Pipeline:
@@ -53,12 +48,12 @@ class _Main(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except _NAMED_ERRORS as exc:
+        except (StancelabError, OSError) as exc:
             raise click.ClickException(str(exc)) from None
 
 
 @click.group(cls=_Main)
-@click.version_option(version="0.1.0", prog_name="stancelab")
+@click.version_option(version=__version__, prog_name="stancelab")
 def main():
     """Stance measurement and turnaround analysis for micro-blogging data."""
 
@@ -89,16 +84,14 @@ def stage(stage, config_path, seed, skip_fresh):
 def run(config_path, seed, skip_fresh):
     """Run every pipeline stage in order."""
     pipe = _pipeline(config_path, seed)
-    with output_lock(pipe.out):
-        for s in STAGES:
-            ran = pipe.run_stage(s, skip_fresh=skip_fresh)
-            _progress(f"{s}: {'done' if ran else 'fresh, skipped'}")
+    pipe.run_all(skip_fresh, lambda s, ran: _progress(
+        f"{s}: {'done' if ran else 'fresh, skipped'}"))
     _progress(f"all stages complete ({pipe.out})")
 
 
 @main.command()
 @click.argument("corpus_path", type=click.Path(exists=True))
-@click.option("--terms", default="aborto",
+@click.option("--terms", default=",".join(PipelineConfig.include_terms),
               help="Comma-separated relevance terms.")
 def inspect(corpus_path, terms):
     """Print corpus summary statistics without running the pipeline."""

@@ -18,12 +18,13 @@ import regex
 import yaml
 
 from . import gbt
+from .corpus import is_time
 from .gbt import (BOOST_RANGES, COUNT, FRACTION, POSITIVE, POSITIVE_COUNT,
                   BoostParams)
-from .tsv import read_text
+from .tsv import StancelabError, read_text
 
 
-class ConfigError(Exception):
+class ConfigError(StancelabError):
     pass
 
 
@@ -57,7 +58,7 @@ def default_rule_path(name: str) -> str:
 _RULE_PATH = (str, lambda v: v != "", "a non-empty path")
 _STRINGS = ((list, tuple), lambda v: all(isinstance(s, str) for s in v),
             "a list of strings")
-_DATE = (int, None, "a YYYY-MM-DD date")  # held as UTC epoch seconds
+_DATE = (int, is_time, "a YYYY-MM-DD date")  # held as a corpus time
 
 
 def parse_date(value, key: str = "date") -> int:

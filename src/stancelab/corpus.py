@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple, Optional
 import numpy as np
 import regex
 
-from . import textproc
+from . import textproc, tsv
 
 # a JSON escape of a UTF-16 surrogate, \uD800 to \uDFFF, in a line's bytes
 _SURROGATE_ESCAPE = regex.compile(rb"\\u[dD][89a-fA-F]")
@@ -31,7 +31,7 @@ DIRECTED_KINDS = ("mention", "reply", "quote")
 MALFORMED_TOLERANCE = 0.10
 
 
-class CorpusError(Exception):
+class CorpusError(tsv.StancelabError):
     """Fatal problem with a corpus file or its contents."""
 
 
@@ -138,6 +138,16 @@ def user_id(value) -> str:
     return sys.intern(uid)
 
 
+# the times that every stage can hold: whole UTC epoch seconds from 0001-01-01
+# to 9999-12-31, the dates of `datetime`
+TIME_RANGE = (-62135596800, 253402300799)
+
+
+def is_time(value) -> bool:
+    """Whether ``value`` is a time: an integer within ``TIME_RANGE``."""
+    return type(value) is int and TIME_RANGE[0] <= value <= TIME_RANGE[1]
+
+
 # what JSON may give for a profile field of each annotation
 _OF_TYPE = {"str": lambda v: type(v) is str,
             "Optional[str]": lambda v: v is None or type(v) is str,
@@ -157,8 +167,8 @@ def _parse_post(obj: dict) -> tuple[MicroPost, Optional[UserProfile]]:
             raise ValueError(f"bad interaction kind {kind!r}")
         directed.append((_id(item["user"]), kind))
     timestamp, text = obj["timestamp"], obj["text"]
-    if type(timestamp) is not int or type(text) is not str:
-        raise ValueError("timestamp is not an integer or text not a string")
+    if not is_time(timestamp) or type(text) is not str:
+        raise ValueError("timestamp is not a time or text not a string")
     retweet_of = obj.get("retweet_of")
     post = MicroPost(
         post_id=_id(obj["post_id"]),
@@ -179,8 +189,12 @@ def _parse_post(obj: dict) -> tuple[MicroPost, Optional[UserProfile]]:
         value = values[name] = author.get(name, default)
         if not of_type(value):
             raise ValueError(f"author {name} {value!r} is not of its type")
-    if min(values[n] for n in ("n_posts", "n_followers", "n_friends")) < 0:
-        raise ValueError("negative profile counts")
+    if not is_time(values["account_created"]):
+        raise ValueError("author account_created is not a time")
+    # a count fits an int64, as a matrix index does
+    if not all(0 <= values[n] < 2**63
+               for n in ("n_posts", "n_followers", "n_friends")):
+        raise ValueError("profile counts must be in [0, 2**63)")
     return post, UserProfile(**values)
 
 
@@ -190,10 +204,11 @@ def load_corpus(path, counts: Optional[dict] = None) -> Corpus:
 
     A leading UTF-8 byte-order mark is not data. A line is malformed when it
     is not UTF-8, does not parse (a value not of its field's type included),
-    holds a string with a lone surrogate (which UTF-8 cannot write back),
-    repeats a post id, has an ``author_id`` that is empty, holds whitespace
-    or starts with ``#``, or has an author whose profile no earlier line
-    embedded. Raises :class:`CorpusError` if the file is unreadable or more
+    holds a time outside ``TIME_RANGE`` or a profile count outside [0,
+    2**63), holds a string with a lone surrogate (which UTF-8 cannot write
+    back), repeats a post id, has an ``author_id`` that is empty, holds
+    whitespace or starts with ``#``, or has an author whose profile no
+    earlier line embedded. Raises :class:`CorpusError` if the file is unreadable or more
     than 10% of non-empty lines are malformed. A ``counts`` dict receives
     what was read: ``lines_read`` (non-empty lines) and ``malformed_lines``.
     """

@@ -21,12 +21,12 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, InteractionGraph, user_id
+from .corpus import TIME_RANGE, Corpus, InteractionGraph, is_time, user_id
 from .csr import CSR
 from .textproc import (EMOJI, Lexicon, TermCounts, registrable_domain,
                        tokenize)  # noqa: F401  (perfbench's tracing tests
                                   # look up `features.tokenize`)
-from .tsv import read_text
+from .tsv import StancelabError, read_text
 
 BLOCKS = ("tweet_term", "bio_term", "profile_meta", "retweet_edge", "directed_edge")
 FEATURE_TYPES = ("emoji", "hashtag", "mention", "url", "word",
@@ -39,7 +39,7 @@ OPPOSITION_EMOJI = "\U0001F499"  # blue heart
 _FORMAT_LINE = "#format stancelab-matrix v1"
 
 
-class MatrixError(Exception):
+class MatrixError(StancelabError):
     pass
 
 
@@ -126,9 +126,10 @@ class FeatureMatrix:
         """Parse the text format written by :meth:`save`. Raises
         :class:`MatrixError` naming the file and the first line at fault: a
         malformed line, a second ``#period`` line or one whose start is not
-        before its end, a ``#row`` or ``#col`` index out of sequence, the
-        second ``#row`` or ``#col`` line of one identifier
-        (:func:`first_repeat`), or a cell that :func:`_bad_cell` refuses."""
+        before its end or whose times fail :func:`~stancelab.corpus.is_time`,
+        a ``#row`` or ``#col`` index out of sequence, the second ``#row`` or
+        ``#col`` line of one identifier (:func:`first_repeat`), or a cell
+        that :func:`_bad_cell` refuses."""
         lines = read_text(path, MatrixError).removesuffix("\n").split("\n")
         if lines[0].strip() != _FORMAT_LINE:
             raise MatrixError(f"{path}:1: unrecognized matrix file")
@@ -147,6 +148,8 @@ class FeatureMatrix:
                         raise ValueError("a second #period line")
                     _tag, a, b = line.split(" ")
                     period = (int(a), int(b))
+                    if not all(map(is_time, period)):
+                        raise ValueError(f"a time outside {list(TIME_RANGE)}")
                     if period[0] >= period[1]:
                         raise ValueError("start must be before end")
                 elif tag == "#row":
@@ -278,8 +281,8 @@ def profile_blocks(corpus: Corpus, bio_counts: TermCounts,
     every category, zero or not), then home domain, time zone, the bio's
     emoji count and the emoji of the full name.
     """
-    rows = tuple(sorted(corpus.users))
     encoding = corpus.encoding
+    rows = encoding.users
 
     idents, types, row, col, val = _term_cells(bio_counts, "profile:")
     if rows:
@@ -337,12 +340,13 @@ def _one_line(text: str) -> str:
     return " ".join(text.split())
 
 
-def _edge_blocks(graph: InteractionGraph, ridx: dict[str, int],
+def _edge_blocks(graph: InteractionGraph, users: tuple[str, ...],
                  min_in_degree: int) -> list[Block]:
     """Adjacency columns (``rt:``, ``at:``) for targets with at least
     ``min_in_degree`` distinct sources; mention, reply and quote weights
     add up in the directed block."""
-    n = len(ridx)
+    n = len(users)
+    ridx = {u: i for i, u in enumerate(users)}
     src, dst, w, retweet = [], [], [], []
     for (s, d, kind), weight in graph.edges.items():
         src.append(ridx[s])
@@ -351,7 +355,6 @@ def _edge_blocks(graph: InteractionGraph, ridx: dict[str, int],
         retweet.append(kind == "retweet")
     src, dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
     w, retweet = np.array(w, dtype=np.float64), np.array(retweet, dtype=bool)
-    users = sorted(ridx, key=ridx.__getitem__)
     out = []
     for block, prefix, sel in (("retweet_edge", "rt:", retweet),
                                ("directed_edge", "at:", ~retweet)):
@@ -371,8 +374,8 @@ def build_matrix(corpus: Corpus,
                  tweet_counts: TermCounts,
                  profile: tuple[Block, Block],
                  graph: InteractionGraph,
-                 period: Optional[tuple[int, int]] = None,
-                 min_in_degree: int = 5) -> FeatureMatrix:
+                 period: Optional[tuple[int, int]] = None, *,
+                 min_in_degree: int) -> FeatureMatrix:
     """Assemble the concatenated feature matrix for all corpus users.
 
     ``tweet_counts`` gives the tweet-term block and ``profile`` (from
@@ -380,11 +383,10 @@ def build_matrix(corpus: Corpus,
     columns are created only for targets with at least ``min_in_degree``
     distinct in-neighbours (per edge block), to bound matrix width.
     """
-    rows = tuple(sorted(corpus.users))
-    ridx = {u: i for i, u in enumerate(rows)}
+    rows = corpus.encoding.users
 
     blocks = [_block("tweet_term", *_term_cells(tweet_counts, "")), *profile,
-              *_edge_blocks(graph, ridx, min_in_degree)]
+              *_edge_blocks(graph, rows, min_in_degree)]
     columns: list[FeatureColumn] = []
     row, col, val = [], [], []
     for b in blocks:

@@ -31,14 +31,14 @@ import numpy as np
 from . import _kernels
 from .csr import CSR, as_csr
 from .features import FeatureMatrix, first_repeat
-from .tsv import read_text
+from .tsv import StancelabError, read_text
 
 # a FeatureMatrix, or a rows × columns matrix whose columns are identified by
 # position: dense or a CSR
 MatrixLike = Union[FeatureMatrix, np.ndarray, CSR]
 
 
-class TrainingError(Exception):
+class TrainingError(StancelabError):
     pass
 
 

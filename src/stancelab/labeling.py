@@ -34,7 +34,7 @@ class RuleSet:
     gender_expressions: tuple[tuple["regex.Pattern", str], ...]
     age_patterns: tuple[tuple["regex.Pattern", str], ...]  # (pattern, "age"|"birth_year")
     stance_seeds: dict[str, dict[str, tuple[str, ...]]]    # stance -> scope -> patterns
-    reference_year: int = 2017                      # epoch for birth-year cohorts
+    reference_year: int                             # epoch for birth-year cohorts
 
     def __post_init__(self):
         if set(self.stance_seeds) != set(STANCES):
@@ -132,8 +132,8 @@ def load_stance_seeds(path) -> dict[str, dict[str, tuple[str, ...]]]:
     return {s: {sc: tuple(p) for sc, p in d.items()} for s, d in seeds.items()}
 
 
-def load_ruleset(gazetteer_path, names_path, patterns_path, seeds_path,
-                 reference_year: int = 2017) -> RuleSet:
+def load_ruleset(gazetteer_path, names_path, patterns_path, seeds_path, *,
+                 reference_year: int) -> RuleSet:
     genders, ages = load_attribute_patterns(patterns_path)
     return RuleSet(
         gazetteer=load_lookup(gazetteer_path),
@@ -260,9 +260,10 @@ def leakage_columns(ruleset: RuleSet,
     Includes every stance seed term present in the vocabulary, columns hit by
     gender expressions, gazetteer place names, and bare 2- or 4-digit numeric
     tokens (used for age labeling). A tweet term is matched as it is; the
-    other blocks' identifiers are matched without their prefix (``profile:``,
-    ``rt:``, ...), since a term such as ``abc.org:8080`` holds a ``:`` of its
-    own.
+    bio and profile blocks' identifiers are matched without their prefix
+    (``profile:``, ``lexcat:``, ...), since a term such as ``abc.org:8080``
+    holds a ``:`` of its own. An edge column never leaks: its identifier is
+    a user id, which no rule reads.
     """
     seeds = set()
     for stance in STANCES:
@@ -270,6 +271,8 @@ def leakage_columns(ruleset: RuleSet,
             seeds.update(ruleset.stance_seeds[stance][scope])
     out = set()
     for column in columns:
+        if column.block.endswith("_edge"):
+            continue
         col = column.identifier
         base = col if column.block == "tweet_term" else col.split(":", 1)[-1]
         low = base.lower()

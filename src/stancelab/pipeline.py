@@ -26,14 +26,15 @@ from typing import Callable
 
 import numpy as np
 
+from . import __version__
 from . import calibration as calib
 from . import corpus as corpus_mod
 from . import features as features_mod
 from . import gbt, labeling, stats, textproc
 from .config import ConfigError, PipelineConfig
-from .tsv import read_text, read_tsv
+from .tsv import StancelabError, read_text, read_tsv
 
-VERSION = "stancelab 0.1.0"
+VERSION = f"stancelab {__version__}"
 
 # The stages in run order: each one's name, the files it reads, in the order
 # it loads them, and the files it writes. ``run_stage`` calls
@@ -68,7 +69,7 @@ REPORT_FILES = STAGE_TABLE[-1].reads
 _WRITER = {name: stage.name for stage in STAGE_TABLE for name in stage.writes}
 
 
-class StageError(Exception):
+class StageError(StancelabError):
     pass
 
 
@@ -336,10 +337,12 @@ class Pipeline:
         self._record(stage, time.monotonic() - started, metrics or {})
         return True
 
-    def run_all(self, skip_fresh: bool = False) -> None:
+    def run_all(self, skip_fresh=False, done=lambda stage, ran: None) -> None:
+        """Every stage in order, under the output lock; ``done(stage, ran)``
+        follows each."""
         with output_lock(self.out):
             for stage in STAGES:
-                self.run_stage(stage, skip_fresh=skip_fresh)
+                done(stage, self.run_stage(stage, skip_fresh=skip_fresh))
 
     # -- stage outputs and shared inputs -------------------------------------
 
@@ -510,7 +513,7 @@ class Pipeline:
         kept_users, rows, y = self._stance_rows(train_users, matrix, labels)
         # the model and the CV folds are fit together, in parallel
         report = gbt.cross_validate(matrix.X.take_rows(rows), y,
-                                    self.config.boost, k=5)
+                                    self.config.boost)
         model = report.model
         model.columns = matrix.column_identifiers()
         self._put("model_stance.txt", model.save, model)
@@ -530,8 +533,9 @@ class Pipeline:
         calib_users, rows, y = self._stance_rows(
             [u for u in labels.users_with("stance") if u not in train_users],
             full, labels)
-        if len(calib_users) < 10:
-            raise StageError("calibration set too small (<10 labeled users)")
+        if len(calib_users) < calib.MIN_PAIRS:
+            raise StageError(f"calibration set too small "
+                             f"(<{calib.MIN_PAIRS} labeled users)")
         c = self._confidence(model, full)[rows]
         platt = calib.fit_platt(c, y)
         self._write_tsv("platt.tsv", _PLATT_HEADER,

@@ -12,11 +12,13 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from .tsv import StancelabError
+
 # the tails of the studentized range and F distributions are computed here,
 # from math and numpy alone
 
 
-class StatsError(Exception):
+class StatsError(StancelabError):
     pass
 
 
@@ -61,6 +63,9 @@ def log_odds_prior(counts_a: Mapping[str, int], counts_b: Mapping[str, int],
         delta = (math.log((y_a + alpha_i) / (n_a + alpha0 - y_a - alpha_i))
                  - math.log((y_b + alpha_i) / (n_b + alpha0 - y_b - alpha_i)))
         variance = 1.0 / (y_a + alpha_i) + 1.0 / (y_b + alpha_i)
+        if not 0 < variance < math.inf:  # an alpha0 that swamps the counts
+            raise StatsError(f"term {term!r} has variance {variance!r}, not "
+                             f"positive and finite, with alpha0 {alpha0!r}")
         out.append(TermScore(term=term, delta=delta, variance=variance,
                              z=delta / math.sqrt(variance)))
     return sorted(out, key=lambda t: (-t.z, t.term))

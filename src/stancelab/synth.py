@@ -17,6 +17,7 @@ from .config import PERIODS
 from .corpus import Corpus, MicroPost, UserProfile
 from .features import DEFENSE_EMOJI, OPPOSITION_EMOJI
 from .gbt import COUNT, POSITIVE_COUNT, check_value
+from .tsv import StancelabError
 
 # each user's planted attributes, drawn in this order: every value with its
 # share of the users
@@ -47,7 +48,7 @@ _COUNTRY_LOCATION = {"Chile": "Santiago, Chile",
 _COUNTRY_TIMEZONE = {"Chile": "Santiago", "Argentina": "Buenos_Aires"}
 
 
-class SynthError(Exception):
+class SynthError(StancelabError):
     pass
 
 

@@ -9,7 +9,11 @@ import codecs
 from pathlib import Path
 
 
-class RuleFileError(Exception):
+class StancelabError(Exception):
+    """An error that names its cause; the command line prints it as one line."""
+
+
+class RuleFileError(StancelabError):
     """A rule file or manual-label file that does not parse."""
 
 

@@ -298,6 +298,10 @@ def _ten_posts_by_a():
     ("directed_at", [{"user": "a", "kind": "retweet"}]),
     # an embedded author is the post's, and a count is not negative
     ("author.user_id", "c"), ("author.n_followers", -1),
+    # a time is within TIME_RANGE, and a count below 2**63
+    ("timestamp", 10**15), ("author.account_created", -10**15),
+    ("author.n_posts", 2**63), ("author.n_followers", 2**64),
+    ("author.n_friends", 2**63),
 ])
 def test_a_value_not_of_its_fields_type_makes_its_line_malformed(
         tmp_path, field, value):

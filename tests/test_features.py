@@ -187,6 +187,10 @@ CORRUPTIONS = {
         lambda ls, d: (ls[:1] + ["#period 5 9", "#period 5 9"] + ls[1:], 2),
     "period_start_not_before_end":
         lambda ls, d: (ls[:1] + ["#period 9 9"] + ls[1:], 1),
+    # a #period time is a corpus time
+    "period_time_out_of_range":
+        lambda ls, d: (ls[:1] + [f"#period {'1' * 400} {'2' * 400}"] + ls[1:],
+                       1),
     "no_format_line": lambda ls, d: (ls[1:], 0),
     "unknown_tag": lambda ls, d: _set(ls, _first(ls, "#row "), "#rows 0 a"),
     "col_two_fields":

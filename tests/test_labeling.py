@@ -110,7 +110,9 @@ def test_leakage_columns(rules):
         ("w001", "tweet_term", "word"), ("profile:madre", "bio_term", "word"),
         ("lexcat:family", "bio_term", "lexicon_category"),
         ("abc.org:8080", "tweet_term", "url"),
-        ("example.com:2017", "tweet_term", "url"))]
+        ("example.com:2017", "tweet_term", "url"),
+        ("rt:1995", "retweet_edge", "network"),
+        ("at:santiago", "directed_edge", "network"))]
     leaks = lb.leakage_columns(rules, cols)
     assert "#abortolegal" in leaks
     assert "profile:#provida" in leaks
@@ -123,6 +125,8 @@ def test_leakage_columns(rules):
     # a tweet term's own ':' is no prefix: a port is not an age
     assert "abc.org:8080" not in leaks
     assert "example.com:2017" not in leaks
+    # an edge column names a user, whom no rule reads
+    assert "rt:1995" not in leaks and "at:santiago" not in leaks
 
 
 def test_label_confidence_contract():

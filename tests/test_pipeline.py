@@ -687,7 +687,7 @@ def _rule_loader(role):
             return labeling.import_manual_labels(labeling.LabelSet(), path)
         r = RulePaths(**{role: str(path)})
         return labeling.load_ruleset(r.gazetteer, r.names, r.patterns,
-                                     r.stance_seeds)
+                                     r.stance_seeds, reference_year=2017)
     return load
 
 
@@ -1353,6 +1353,8 @@ def test_config_built_in_python_takes_what_yaml_takes(key, value):
      "filter.from must be a YYYY-MM-DD date, got '2017'"),
     (lambda: PipelineConfig(time_from=0, time_to="2018"),
      "filter.to must be a YYYY-MM-DD date, got '2018'"),
+    (lambda: config_from_dict({"filter": {"from": 1, "to": 99999999999999}}),
+     "filter.to must be a YYYY-MM-DD date, got 99999999999999"),
     (lambda: PipelineConfig(rules=RulePaths(gazetteer="")),
      "rules.gazetteer must be a non-empty path, got ''"),
     (lambda: PipelineConfig(periods=((1, 2),)),
@@ -1364,7 +1366,7 @@ def test_config_built_in_python_takes_what_yaml_takes(key, value):
     (lambda: PipelineConfig(rules="x"), "rules must be a RulePaths, got 'x'"),
 ], ids=["calibration_fraction", "min_in_degree", "exclude_patterns",
         "thresholds", "rng_seed", "include_terms", "time_from", "time_to",
-        "rules", "periods", "boost_section", "thresholds_section",
+        "time_to_beyond_9999", "rules", "periods", "boost_section", "thresholds_section",
         "rules_section"])
 def test_config_built_in_python_refuses_a_bad_value_naming_its_key(build,
                                                                   error):
@@ -1820,3 +1822,71 @@ def test_config_rejects_unknown_keys(tmp_path, raw, key):
     from stancelab.config import ConfigError
     with pytest.raises(ConfigError, match=re.escape(key)):
         config_from_dict(raw, base_dir=tmp_path)
+
+
+# the five numeric fields of a corpus line, each with its rule (FORMATS.md)
+_NUMERIC_FIELDS = {
+    "timestamp": cm.is_time, "author.account_created": cm.is_time,
+    **dict.fromkeys(("author.n_posts", "author.n_followers",
+                     "author.n_friends"), lambda v: 0 <= v < 2**63)}
+
+
+@settings(max_examples=50, deadline=None)
+@given(field=st.sampled_from(sorted(_NUMERIC_FIELDS)),
+       value=st.integers(-2**80, 2**80) | st.integers(-2**40, 2**40)
+       | st.sampled_from([*(t + d for t in cm.TIME_RANGE for d in (-1, 0, 1)),
+                          -1, 2**63 - 1, 2**63]))
+def test_a_numeric_corpus_value_loads_by_its_rule_and_ingests(field, value):
+    import tempfile
+
+    start = PipelineConfig().periods[0][0]
+
+    def line(pid, uid, day, target, **author):
+        obj = {"post_id": pid, "author_id": uid, "timestamp": start + day,
+               "text": f"aborto @{target}",
+               "directed_at": [{"user": target, "kind": "mention"}]}
+        if author:
+            obj["author"] = {"user_id": uid, **author}
+        return obj
+
+    # users a and b post five times each; c, once, on the line drawn for
+    last = line("c0", "c", 9, "a", full_name="C", n_posts=1)
+    where, _dot, key = field.rpartition(".")
+    (last[where] if where else last)[key] = value
+    lines = [line(f"{u}{i}", u, i, "b" if u == "a" else "a",
+                  **({"full_name": u.upper()} if i == 0 else {}))
+             for u in "ab" for i in range(5)] + [last]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in lines),
+                        encoding="utf-8")
+        counts = {}
+        corpus = cm.load_corpus(path, counts)
+        kept = _NUMERIC_FIELDS[field](value)
+        assert counts == {"lines_read": 11, "malformed_lines": int(not kept)}
+        assert ("c" in corpus.users) == kept
+        Pipeline(make_config(str(path), Path(tmp) / "out")).run_stage("ingest")
+
+
+def test_every_error_is_a_stancelab_error_and_one_version_is_stated():
+    import importlib
+    import pkgutil
+
+    import stancelab
+    from click.testing import CliRunner
+    from stancelab import cli
+
+    errors = [cls for info in pkgutil.iter_modules(stancelab.__path__)
+              for cls in vars(importlib.import_module(
+                  f"stancelab.{info.name}")).values()
+              if isinstance(cls, type) and cls.__name__.endswith("Error")
+              and cls.__module__ == f"stancelab.{info.name}"]
+    assert len(errors) >= 9
+    for cls in errors:
+        assert issubclass(cls, tsv.StancelabError), cls
+    done = CliRunner().invoke(cli.main, ["--version"])
+    assert done.output == f"stancelab, version {stancelab.__version__}\n"
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    [version] = re.findall(r'^version = "([^"]*)"$', pyproject.read_text(
+        encoding="utf-8"), re.MULTILINE)
+    assert version == stancelab.__version__

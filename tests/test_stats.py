@@ -82,6 +82,12 @@ def test_log_odds_rejects_bad_alpha():
         stats.log_odds_prior({"x": 1}, {"x": 1}, alpha0=0.0)
 
 
+def test_log_odds_refuses_an_alpha_that_swamps_the_counts():
+    # alpha0 * 3 overflows, so each variance underflows to 0
+    with pytest.raises(stats.StatsError, match="variance 0.0"):
+        stats.log_odds_prior({"a": 1, "b": 2}, {"a": 2, "b": 1}, alpha0=1e308)
+
+
 # ---------------------------------------------------------------------------
 # Tukey HSD
 

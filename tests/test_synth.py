@@ -61,7 +61,8 @@ def test_self_reports_parseable_by_shipped_rules():
     rules = lb.load_ruleset(default_rule_path("gazetteer.tsv"),
                             default_rule_path("names.tsv"),
                             default_rule_path("patterns.tsv"),
-                            default_rule_path("stance_seeds.tsv"))
+                            default_rule_path("stance_seeds.tsv"),
+                            reference_year=2017)
     # bios alone: the users without their posts
     bios_only = Corpus(posts=(), users=c.users)
     stances = dict(zip(sorted(c.users),
