@@ -335,14 +335,10 @@ def largest_connected_component(graph: InteractionGraph) -> set[str]:
     return best
 
 
-def _iso_week(ts: int) -> tuple[int, int]:
-    d = datetime.fromtimestamp(ts, tz=timezone.utc)
-    iso = d.isocalendar()
-    return (iso.year, iso.week)
-
-
-def _week_label(year: int, week: int) -> str:
-    return f"{year}-W{week:02d}"
+def _monday(ts: int) -> int:
+    """The day number (``toordinal``) of the Monday of ``ts``'s UTC week."""
+    day = datetime.fromtimestamp(ts, tz=timezone.utc)
+    return day.toordinal() - day.weekday()
 
 
 def weekly_volume(corpus: Corpus,
@@ -353,21 +349,13 @@ def weekly_volume(corpus: Corpus,
     Weeks without posts inside the range are emitted as explicit zeros, so
     crawl gaps are visible downstream.
     """
-    counts: Counter = Counter(_iso_week(p.timestamp) for p in corpus.posts)
+    counts = Counter(_monday(p.timestamp) for p in corpus.posts)
     start, end = time_range
-    weeks: list[tuple[int, int]] = []
-    if end > start:
-        y, w = _iso_week(start)
-        last = _iso_week(end - 1)
-        while True:
-            weeks.append((y, w))
-            if (y, w) >= last:
-                break
-            monday = datetime.fromisocalendar(y, w, 1)
-            iso = datetime.fromordinal(monday.toordinal() + 7).isocalendar()
-            y, w = iso.year, iso.week
-    all_weeks = sorted(set(weeks) | set(counts))
-    return [(_week_label(y, w), counts.get((y, w), 0)) for (y, w) in all_weeks]
+    weeks = (range(_monday(start), _monday(end - 1) + 1, 7) if end > start
+             else ())
+    return [(f"{iso.year}-W{iso.week:02d}", counts[monday])
+            for monday in sorted(set(weeks) | set(counts))
+            for iso in [datetime.fromordinal(monday).isocalendar()]]
 
 
 def write_corpus(corpus: Corpus, path) -> None:

@@ -26,7 +26,7 @@ from .csr import CSR
 from .textproc import (EMOJI, Lexicon, TermCounts, registrable_domain,
                        tokenize)  # noqa: F401  (perfbench's tracing tests
                                   # look up `features.tokenize`)
-from .tsv import StancelabError, read_text
+from .tsv import StancelabError, read_text, repeat
 
 BLOCKS = ("tweet_term", "bio_term", "profile_meta", "retweet_edge", "directed_edge")
 FEATURE_TYPES = ("emoji", "hashtag", "mention", "url", "word",
@@ -128,15 +128,15 @@ class FeatureMatrix:
         malformed line, a second ``#period`` line or one whose start is not
         before its end or whose times fail :func:`~stancelab.corpus.is_time`,
         a ``#row`` or ``#col`` index out of sequence, the second ``#row`` or
-        ``#col`` line of one identifier (:func:`first_repeat`), or a cell
-        that :func:`_bad_cell` refuses."""
+        ``#col`` line of one identifier (:func:`~stancelab.tsv.repeat`), or a
+        cell that :func:`_bad_cell` refuses."""
         lines = read_text(path, MatrixError).removesuffix("\n").split("\n")
         if lines[0].strip() != _FORMAT_LINE:
             raise MatrixError(f"{path}:1: unrecognized matrix file")
         rows: list[str] = []
         cols: list[FeatureColumn] = []
         period = None
-        faults = []  # (line, what): the first line at fault is named
+        first_lines: dict = {"row": {}, "column": {}}  # each id's line
         n = 1
         while n < len(lines) and lines[n].startswith("#"):
             line = lines[n]
@@ -152,47 +152,44 @@ class FeatureMatrix:
                         raise ValueError(f"a time outside {list(TIME_RANGE)}")
                     if period[0] >= period[1]:
                         raise ValueError("start must be before end")
-                elif tag == "#row":
+                    continue
+                if tag == "#row":
                     _tag, idx, user = line.split(" ", 2)
                     _in_sequence(idx, len(rows))
                     rows.append(user_id(user))
+                    what, ident = "row", rows[-1]
                 elif tag == "#col":
                     head, block, ftype = line.rsplit(" ", 2)
                     _tag, idx, ident = head.split(" ", 2)
                     _in_sequence(idx, len(cols))
                     cols.append(FeatureColumn(ident, block, ftype))
+                    what = "column"
                 else:
                     raise ValueError("unknown tag")
             except ValueError as exc:
-                faults.append((n, f"malformed {tag} line {line!r}: {exc}"))
-                break
-        for what, tag, ids in (("row", "#row ", rows), ("column", "#col ", [
-                c.identifier for c in cols])):
-            if (repeat := first_repeat(ids)) is not None:
-                line_of = [m for m, text in enumerate(lines[:n], 1)
-                           if text.startswith(tag)]  # of each id, in order
-                was, k = repeat
-                faults.append((line_of[k], f"duplicate {what} identifier "
-                               f"{ids[k]!r} (first on line {line_of[was]})"))
+                raise MatrixError(f"{path}:{n}: malformed {tag} line "
+                                  f"{line!r}: {exc}") from None
+            if fault := repeat(first_lines[what], ident, n, what):
+                raise MatrixError(f"{path}:{n}: {fault}")
         data, first = lines[n:], n + 1  # data line k is line first + k
         # value v[k] at row i[k], column j[k]: int64, int64 and float64
         i, j, v = (array(code, bytes(8 * len(data))) for code in "qqd")
+        fault = None
         for k, line in enumerate(data):
             try:
                 a, b, c = line.split(" ")
                 i[k], j[k], v[k] = int(a), int(b), float(c)
             except (ValueError, OverflowError) as exc:
-                faults.append((first + k, f"malformed line {line!r}: {exc}"))
+                fault = f"{path}:{first + k}: malformed line {line!r}: {exc}"
                 del i[k:], j[k:], v[k:]  # keep the cells before it
                 break
         i, j, v = map(np.asarray, (i, j, v))
         shape = (len(rows), len(cols))
         if (bad := _bad_cell(i, j, v, shape)) is not None:
-            k, what = bad
-            faults.append((first + k, f"{what}: {data[k]!r}"))
-        if faults:
-            at, what = min(faults)
-            raise MatrixError(f"{path}:{at}: {what}")
+            k, what = bad  # a cell before any malformed line
+            fault = f"{path}:{first + k}: {what}: {data[k]!r}"
+        if fault:
+            raise MatrixError(fault)
         # the cells are canonical: sorted by row, then column, once each
         X = CSR(np.searchsorted(i, np.arange(shape[0] + 1)), j, v, shape)
         return cls(tuple(rows), tuple(cols), X, period)

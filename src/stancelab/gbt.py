@@ -30,8 +30,8 @@ import numpy as np
 
 from . import _kernels
 from .csr import CSR, as_csr
-from .features import FeatureMatrix, first_repeat
-from .tsv import StancelabError, read_text
+from .features import FeatureMatrix
+from .tsv import StancelabError, read_text, repeat
 
 # a FeatureMatrix, or a rows × columns matrix whose columns are identified by
 # position: dense or a CSR
@@ -165,10 +165,11 @@ class BoostedModel:
     def load(cls, path) -> "BoostedModel":
         """Parse the format written by :meth:`save`.
 
-        A malformed line, the second ``col`` line of one identifier, a node or
-        child index out of range, a node out of order, or a file that ends
-        before its ``end`` line (a file cut off anywhere) raises
-        :class:`TrainingError` naming the file and line.
+        A malformed line (a ``params`` line that does not give each field of
+        :class:`BoostParams` once, and no other), the second ``col`` line of
+        one identifier, a node or child index out of range, a node out of
+        order, or a file that ends before its ``end`` line (a file cut off
+        anywhere) raises :class:`TrainingError` naming the file and line.
         """
         # a line counts only with its line end: the piece after the last one
         # is empty in a whole file, and never read
@@ -200,30 +201,26 @@ class BoostedModel:
         try:
             if line("stancelab-model") != ["v1"]:
                 raise ValueError("unrecognized model file")
-            kv = dict(item.split("=", 1) for item in line("params"))
-            params = BoostParams(**{name: kind(kv[name]) for name, (
+            kv: dict[str, str] = {}
+            for item in line("params"):
+                name, _eq, value = item.partition("=")
+                if name in kv:
+                    raise ValueError(f"a second {name!r} field")
+                kv[name] = value
+            params = BoostParams(**{name: kind(kv.pop(name)) for name, (
                 kind, _test, _what) in BOOST_RANGES.items()})
+            if kv:
+                raise ValueError(f"unknown field {next(iter(kv))!r}")
             (base_score,) = map(float, line("base_score"))
             (stopped_at,) = map(int, line("stopped_at"))
             (best_val_loss,) = map(float, line("best_val_loss"))
             (n_cols,) = map(int, line("columns"))
-            columns = []
-            col0 = at + 1  # the line of column 0
-            try:
-                for j in range(n_cols):
-                    k, ident = line("col", 2)
-                    index(k, j + 1, j)
-                    columns.append(ident)
-            except ValueError:
-                # a repeat comes before the line that ended the loop
-                if first_repeat(columns) is None:
-                    raise
-            if (repeat := first_repeat(columns)) is not None:
-                first, k = repeat
-                at = col0 + k
-                raise ValueError(f"duplicate column identifier "
-                                 f"{columns[k]!r} (first on line "
-                                 f"{col0 + first})")
+            columns: dict[str, int] = {}  # each identifier's line
+            for j in range(n_cols):
+                k, ident = line("col", 2)
+                index(k, j + 1, j)
+                if fault := repeat(columns, ident, at, "column"):
+                    raise ValueError(fault)
             (n_trees,) = map(int, line("trees"))
             trees = []
             for t in range(n_trees):
@@ -271,8 +268,8 @@ class BoostedModel:
             # a KeyError is a params field left out
             what = f"no {exc} field" if isinstance(exc, KeyError) else exc
             raise TrainingError(f"{path}:{at}: {what}") from None
-        return cls(trees=trees, base_score=base_score, columns=columns,
-                   params=params, stopped_at=stopped_at,
+        return cls(trees=trees, base_score=base_score,
+                   columns=list(columns), params=params, stopped_at=stopped_at,
                    best_val_loss=best_val_loss)
 
 

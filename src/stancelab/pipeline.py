@@ -74,8 +74,8 @@ class StageError(StancelabError):
 
 
 # The stage tables that a later stage reads, by file name: the header, the
-# parse of one data line's fields (a ValueError names the fault) and what the
-# parsed lines make.
+# parse of one data line's fields (a ValueError names the fault), the key
+# that no two lines share (see `read_tsv`) and what the parsed lines make.
 _LABELS_HEADER = ("user_id", "attribute", "value", "provenance", "confidence")
 _PLATT_HEADER = ("slope", "offset")
 _TURNAROUND_HEADER = ("user_id", "p_t0", "p_t1", "delta")
@@ -116,9 +116,11 @@ def _turnaround_line(user_id, p_t0, p_t1, delta):
 
 
 _TABLES = {
-    "labels.tsv": (_LABELS_HEADER, _label_line, _label_set),
-    "platt.tsv": (_PLATT_HEADER, _platt_line, _one_platt),
-    "turnaround.tsv": (_TURNAROUND_HEADER, _turnaround_line, list),
+    "labels.tsv": (_LABELS_HEADER, _label_line,
+                   ("(user, attribute)", lambda line: line[:2]), _label_set),
+    "platt.tsv": (_PLATT_HEADER, _platt_line, None, _one_platt),
+    "turnaround.tsv": (_TURNAROUND_HEADER, _turnaround_line,
+                       ("user", lambda line: line[0]), list),
 }
 
 
@@ -126,9 +128,9 @@ def _read_table(path: Path, text: str | None = None):
     """The stage table at ``path``, or what the file holding ``text`` would
     read as; a fault raises :class:`StageError` naming the file and, for a
     fault in one line, the line."""
-    header, parse, collect = _TABLES[path.name]
+    header, parse, key, collect = _TABLES[path.name]
     lines = read_tsv(path, len(header), parse, header="\t".join(header),
-                     error=StageError, contents=text)
+                     key=key, error=StageError, contents=text)
     try:
         return collect(lines)
     except ValueError as exc:
@@ -137,8 +139,10 @@ def _read_table(path: Path, text: str | None = None):
 
 def _read_users(path: Path, text: str | None = None) -> set[str]:
     """The user ids of ``model_train_users.txt``, one a line, each a user id
-    as the corpus takes it; or those of the file holding ``text``."""
-    return set(read_tsv(path, 1, corpus_mod.user_id, error=StageError,
+    as the corpus takes it, and none twice; or those of the file holding
+    ``text``."""
+    return set(read_tsv(path, 1, corpus_mod.user_id,
+                        key=("user", lambda user: user), error=StageError,
                         contents=text))
 
 
@@ -433,14 +437,12 @@ class Pipeline:
         self._write_tsv("volume_weekly.tsv", ["week", "posts"],
                         corpus_mod.weekly_volume(corpus, window))
 
-        # yearly relevant terms: each year against all the others
+        # yearly relevant terms: each year against the total less that year
         by_year = corpus.encoding.counts_by_year(self._stopwords)
+        total = sum(map(Counter, by_year.values()), Counter())
         rows = []
         for year in sorted(by_year):
-            rest: Counter[str] = Counter()
-            for other, counts in by_year.items():
-                if other != year:
-                    rest.update(counts)
+            rest = total - Counter(by_year[year])
             if not rest:
                 continue
             scores = stats.log_odds_prior(by_year[year], rest,

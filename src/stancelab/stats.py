@@ -60,8 +60,14 @@ def log_odds_prior(counts_a: Mapping[str, int], counts_b: Mapping[str, int],
         y_a = counts_a.get(term, 0)
         y_b = counts_b.get(term, 0)
         alpha_i = alpha0 * (y_a + y_b) / pooled
-        delta = (math.log((y_a + alpha_i) / (n_a + alpha0 - y_a - alpha_i))
-                 - math.log((y_b + alpha_i) / (n_b + alpha0 - y_b - alpha_i)))
+        try:
+            delta = (math.log((y_a + alpha_i)
+                              / (n_a + alpha0 - y_a - alpha_i))
+                     - math.log((y_b + alpha_i)
+                                / (n_b + alpha0 - y_b - alpha_i)))
+        except (ValueError, ZeroDivisionError):  # an alpha0 that rounds away
+            raise StatsError(f"term {term!r} has odds that are not positive "
+                             f"and finite, with alpha0 {alpha0!r}") from None
         variance = 1.0 / (y_a + alpha_i) + 1.0 / (y_b + alpha_i)
         if not 0 < variance < math.inf:  # an alpha0 that swamps the counts
             raise StatsError(f"term {term!r} has variance {variance!r}, not "

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import codecs
 from pathlib import Path
+from typing import Callable
 
 
 class StancelabError(Exception):
@@ -46,7 +47,16 @@ def read_text(path, error: type[Exception]) -> str:
         raise error(f"{path}:{line}: not UTF-8 text: {exc.reason}") from None
 
 
+def repeat(first_lines: dict, ident, line: int, what: str) -> str | None:
+    """None for a new ``ident``, which ``first_lines`` then maps to ``line``;
+    else ``duplicate {what} identifier {ident!r} (first on line {first})``."""
+    first = first_lines.setdefault(ident, line)
+    return None if first == line else (f"duplicate {what} identifier "
+                                       f"{ident!r} (first on line {first})")
+
+
 def read_tsv(path, n_fields: int, parse, *, header: str | None = None,
+             key: tuple[str, Callable] | None = None,
              error: type[Exception] = RuleFileError,
              contents: str | None = None) -> list:
     """``parse(*fields)`` of each data line of ``path``, in file order.
@@ -54,13 +64,16 @@ def read_tsv(path, n_fields: int, parse, *, header: str | None = None,
     Blank lines and lines whose first non-blank character is ``#`` are
     skipped. With ``header``, the first line not skipped must equal it, and
     every later line is data. A file that :func:`read_text` refuses, a line
-    that does not split on tabs into ``n_fields`` fields, a blank field, or
-    a line that ``parse`` rejects with ``ValueError`` raises ``error``.
-    ``contents``, when given, are read in place of the file's (as the file
-    holding them would read), and ``path`` only names the file in errors.
+    that does not split on tabs into ``n_fields`` fields, a blank field, a
+    line that ``parse`` rejects with ``ValueError``, or, with ``key`` as
+    ``(what, ident)``, a line whose ``ident(parse(*fields))`` an earlier
+    line had (:func:`repeat`) raises ``error``. ``contents``, when given,
+    are read in place of the file's (as the file holding them would read),
+    and ``path`` only names the file in errors.
     """
     text = read_text(path, error) if contents is None else _newlines(contents)
     rows = []
+    first_lines: dict = {}
     for lineno, line in enumerate(text.split("\n"), 1):
         if line.lstrip()[:1] in ("", "#"):
             continue
@@ -77,6 +90,9 @@ def read_tsv(path, n_fields: int, parse, *, header: str | None = None,
             if not all(field.strip() for field in fields):
                 raise ValueError("blank field")
             rows.append(parse(*fields))
+            if key and (fault := repeat(first_lines, key[1](rows[-1]),
+                                        lineno, key[0])):
+                raise ValueError(fault)
         except ValueError as exc:
             raise error(f"{path}:{lineno}: {exc}: {line!r}") from None
     if header is not None:

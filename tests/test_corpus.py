@@ -1,7 +1,11 @@
 import codecs
 import json
+from collections import Counter
+from datetime import datetime, timezone
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stancelab import corpus as cm
 
@@ -215,6 +219,44 @@ def test_weekly_volume_zero_weeks():
     vol = cm.weekly_volume(c, (t1, t2 + 1))
     assert vol == [("2021-W01", 1), ("2021-W02", 0), ("2021-W03", 0),
                    ("2021-W04", 1)]
+
+
+DAY = 86400
+LO, HI = cm.TIME_RANGE
+
+
+def _weekly_oracle(times, start, end):
+    """Post counts by ISO week over the days of [start, end), walked one day
+    at a time, and over the weeks of the posts."""
+    def week(ts):
+        return datetime.fromtimestamp(ts, timezone.utc).isocalendar()[:2]
+
+    counts = Counter(map(week, times))
+    # midnight of each day from start's day on, up to the day of end - 1
+    days = range(start - start % DAY, end, DAY) if end > start else ()
+    weeks = set(map(week, days))
+    return [(f"{y}-W{w:02d}", counts[y, w])
+            for y, w in sorted(weeks | set(counts))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_weekly_volume_walks_the_window_week_by_week(data):
+    # a window in 2017 or at either end of TIME_RANGE, often under a week
+    start = data.draw(st.one_of(st.integers(LO, LO + 14 * DAY),
+                                st.integers(1483228800, 1514764800),
+                                st.integers(HI + 1 - 14 * DAY, HI)))
+    length = data.draw(st.one_of(st.integers(0, 7 * DAY),
+                                 st.integers(0, 60 * DAY)))
+    end = min(start + length, HI + 1)
+    # posts in the window and up to 30 days either side of it
+    times = data.draw(st.lists(st.integers(max(LO, start - 30 * DAY),
+                                           min(HI, end + 30 * DAY)),
+                               max_size=20))
+    corpus = SimpleNamespace(posts=[SimpleNamespace(timestamp=t)
+                                    for t in times])
+    assert cm.weekly_volume(corpus, (start, end)) == _weekly_oracle(
+        times, start, end)
 
 
 def test_write_and_reload_round_trip(tmp_path):

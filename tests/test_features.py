@@ -150,6 +150,11 @@ def _first(lines, prefix):
     return next(k for k, line in enumerate(lines) if line.startswith(prefix))
 
 
+def _repeat_then_bad_col(lines, d):
+    bad, _k = _set(lines, _first(lines, "#col "), "#col 0")
+    return _set(bad, _first(lines, "#row ") + 2, "#row 2 a")
+
+
 # each edit takes the saved file's lines and the index of its first data
 # line, and returns the corrupted lines and the index of the line to blame
 CORRUPTIONS = {
@@ -178,6 +183,8 @@ CORRUPTIONS = {
                            "#col 1 aborto tweet_term word"),
     "duplicate_row": lambda ls, d: _set(ls, _first(ls, "#row ") + 2,
                                         "#row 2 a"),
+    # a repeat is named before a malformed line after it
+    "duplicate_row_before_bad_col": _repeat_then_bad_col,
     "row_id_with_blank": lambda ls, d: _set(ls, _first(ls, "#row ") + 1,
                                             "#row 1 b x"),
     "index_beyond_int64":

@@ -414,6 +414,10 @@ def test_cut_model_file_is_a_named_error(saved_model, tmp_path_factory, data):
     (b" learning_rate=0.1 ", b" learning_rate=nan ",
      "learning_rate must be a positive number"),
     (b"\ncol 1 ", b"\ncol 1 \xff", "not UTF-8 text"),
+    # each params field once, and no other
+    (b"\nbase_score ", b" n_estimators=1\nbase_score ",
+     "a second 'n_estimators' field"),
+    (b"\nbase_score ", b" bogus=7\nbase_score ", "unknown field 'bogus'"),
     # the second col line of an identifier, named with the first, and
     # before a later fault
     (b"\ncol 1 c1\n", b"\ncol 1 c0\n",

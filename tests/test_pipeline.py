@@ -652,6 +652,23 @@ def test_stage_readers_name_file_and_line(tmp_path, name, header, good, bad):
         load()
 
 
+@pytest.mark.parametrize("name, header, line, key", [
+    ("labels.tsv", _LABELS, "u1\tage_cohort\t18-29\trule\t1.0",
+     "(user, attribute) identifier ('u1', 'age_cohort')"),
+    ("turnaround.tsv", _TURNAROUND, "u1\t0.25\t0.5\t0.25",
+     "user identifier 'u1'"),
+    ("model_train_users.txt", "", "u1", "user identifier 'u1'"),
+])
+def test_a_repeated_key_in_a_stage_table_is_a_named_error(tmp_path, name,
+                                                          header, line, key):
+    path = tmp_path / name
+    path.write_text(f"# manifest x\n{header}\n{line}\n{line}\n",
+                    encoding="utf-8")
+    with pytest.raises(StageError, match=re.escape(
+            f"{path}:4: duplicate {key} (first on line 3)")):
+        Pipeline(PipelineConfig(output_dir=str(tmp_path)))._artifact(name)
+
+
 def test_numpy_floats_are_written_as_python_floats(tmp_path):
     pipe = Pipeline(PipelineConfig(output_dir=str(tmp_path)))
     top = np.nextafter(1.0, 0.0)

@@ -88,6 +88,20 @@ def test_log_odds_refuses_an_alpha_that_swamps_the_counts():
         stats.log_odds_prior({"a": 1, "b": 2}, {"a": 2, "b": 1}, alpha0=1e308)
 
 
+@pytest.mark.parametrize("counts_a, counts_b, alpha0", [
+    # n_a + alpha0 - y_a - alpha_i rounds to 0, then below it
+    ({"x": 5}, {"x": 1, "y": 1}, 1e-20),
+    ({"x": 5}, {"x": 1, "y": 1}, 5e-324),
+    # y_b + alpha_i over n_b + alpha0 - y_b - alpha_i rounds to 0
+    ({"x": 5, "z": 1}, {"y": 1, "z": 1}, 5e-324),
+])
+def test_log_odds_refuses_an_alpha_that_rounds_away(counts_a, counts_b,
+                                                    alpha0):
+    with pytest.raises(stats.StatsError, match=f"term 'x' has odds .*"
+                       f"with alpha0 {alpha0!r}"):
+        stats.log_odds_prior(counts_a, counts_b, alpha0=alpha0)
+
+
 # ---------------------------------------------------------------------------
 # Tukey HSD
 
