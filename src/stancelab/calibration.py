@@ -61,7 +61,7 @@ def fit_platt(confidences: Sequence[float], labels: Sequence[int]
     y = np.asarray(labels, dtype=np.float64)
     if len(s) != len(y) or len(s) < MIN_PAIRS:
         raise CalibrationError(f"need >= {MIN_PAIRS} (confidence, label) pairs")
-    if set(np.unique(y)) != {0.0, 1.0}:
+    if set(y.tolist()) != {0.0, 1.0}:
         raise CalibrationError("both classes must be present")
 
     n_pos = float(y.sum())

@@ -2,6 +2,11 @@
 
 Row i's cells are ``indices[indptr[i]:indptr[i + 1]]`` (columns, sorted and
 unique) and the same slice of ``data`` (values); absent cells are zero.
+
+:meth:`CSR.from_triplets` and :meth:`CSR.count` sort cells by one int64 key,
+``row * n_cols + col``, and read each cell's column back from it. Their
+docstrings state the temporary arrays they make per entry given, since at
+scale those, not the result, set the memory peak.
 """
 
 from __future__ import annotations
@@ -28,19 +33,43 @@ class CSR:
     @classmethod
     def from_triplets(cls, row, col, data, shape) -> "CSR":
         """Cell ``(row[k], col[k])`` holds ``data[k]``; the values of a cell
-        given more than once add up, in the order given."""
-        row = np.asarray(row, dtype=np.int64)
-        col = np.asarray(col, dtype=np.int64)
-        data = np.asarray(data)
-        key = row * shape[1] + col
+        given more than once add up, in the order given.
+
+        Per entry: the key and its stable sort order (int64 each) and the
+        key and values gathered through that order; the order is freed
+        before one bool per entry marks where each cell's run starts.
+        """
+        key = _keys(row, col, shape[1])
         order = np.argsort(key, kind="stable")
-        key, col, data = key[order], col[order], data[order]
-        first = np.flatnonzero(np.diff(key, prepend=-1))
+        key, data = key[order], np.asarray(data)[order]
+        del order
+        first = _run_starts(key)
         if len(first) < len(key):
-            key, col = key[first], col[first]
-            data = np.add.reduceat(data, first)
-        indptr = np.searchsorted(key, np.arange(shape[0] + 1) * shape[1])
-        return cls(indptr, col, data, shape)
+            key, data = key[first], np.add.reduceat(data, first)
+        return cls._from_keys(key, data, shape)
+
+    @classmethod
+    def count(cls, row, col, shape) -> "CSR":
+        """Cell ``(r, c)`` holds how many of the pairs ``(row[k], col[k])``
+        are ``(r, c)``, as int64.
+
+        Per pair: the key (int64), sorted in place, and one bool marking
+        where a run of equal keys starts; the key is freed before the
+        counts are taken, and the rest is per stored cell.
+        """
+        key = _keys(row, col, shape[1])
+        key.sort()
+        first = _run_starts(key)
+        n_pairs, key = len(key), key[first]
+        return cls._from_keys(key, np.diff(first, append=n_pairs), shape)
+
+    @classmethod
+    def _from_keys(cls, key, data, shape) -> "CSR":
+        """The cells of the sorted unique ``key``, holding ``data``."""
+        n_rows, n_cols = shape
+        indptr = np.searchsorted(key, np.arange(n_rows + 1) * n_cols)
+        # with no columns there is no cell, and nothing to divide
+        return cls(indptr, key % max(n_cols, 1), data, shape)
 
     @property
     def nnz(self) -> int:
@@ -77,6 +106,24 @@ class CSR:
         cells = self.tocoo()
         out[cells.row, cells.col] = cells.data
         return out
+
+
+def _keys(row, col, n_cols: int) -> np.ndarray:
+    """``row * n_cols + col`` per entry, in one new int64 array."""
+    key = np.array(row, dtype=np.int64)
+    key *= n_cols
+    # cast ``col`` a buffer at a time as it is added: an int32 ``col`` is not
+    # copied whole, and an empty list (numpy reads it as float64) is no error
+    np.add(key, col, out=key, casting="unsafe")
+    return key
+
+
+def _run_starts(key: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of the sorted ``key`` starts."""
+    new = np.empty(len(key), dtype=bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    return np.flatnonzero(new)
 
 
 def as_csr(X) -> CSR:

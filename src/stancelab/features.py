@@ -37,6 +37,9 @@ DEFENSE_EMOJI = "\U0001F49A"     # green heart
 OPPOSITION_EMOJI = "\U0001F499"  # blue heart
 
 _FORMAT_LINE = "#format stancelab-matrix v1"
+# cells that FeatureMatrix.save turns into Python numbers at a time; all of
+# them at once would cost some 100 bytes per nonzero
+_SAVE_CELLS = 4096
 
 
 class MatrixError(StancelabError):
@@ -108,8 +111,9 @@ class FeatureMatrix:
 
     def save(self, path) -> None:
         """Write the documented text format: `#col` header lines, then
-        `row col value` triplets in deterministic order."""
-        cells = self.X.tocoo()
+        `row col value` triplets in deterministic order, ``_SAVE_CELLS``
+        cells at a time."""
+        X = self.X
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(_FORMAT_LINE + "\n")
             if self.period is not None:
@@ -118,8 +122,12 @@ class FeatureMatrix:
                 fh.write(f"#row {i} {u}\n")
             for j, c in enumerate(self.columns):
                 fh.write(f"#col {j} {c.identifier} {c.block} {c.feature_type}\n")
-            fh.writelines(f"{i} {j} {v!r}\n" for i, j, v in zip(
-                cells.row.tolist(), cells.col.tolist(), cells.data.tolist()))
+            for lo in range(0, X.nnz, _SAVE_CELLS):
+                k = np.arange(lo, min(lo + _SAVE_CELLS, X.nnz))
+                # cell k is in the last row that starts at or before it
+                row = np.searchsorted(X.indptr, k, side="right") - 1
+                fh.writelines(f"{i} {j} {v!r}\n" for i, j, v in zip(
+                    row.tolist(), X.indices[k].tolist(), X.data[k].tolist()))
 
     @classmethod
     def load(cls, path) -> "FeatureMatrix":
@@ -313,9 +321,8 @@ def profile_blocks(corpus: Corpus, bio_counts: TermCounts,
     name_users = encoding.token_users(encoding.name_indptr)
     name_emoji = is_emoji[encoding.name_terms]
     # each emoji of a name is one flag, however often it appears
-    name_cells = np.unique(np.stack([name_users[name_emoji],
-                                     encoding.name_terms[name_emoji]]),
-                           axis=1).T.tolist()
+    name_cells = sorted(set(zip(name_users[name_emoji].tolist(),
+                                encoding.name_terms[name_emoji].tolist())))
     for i, u in enumerate(rows):
         prof = corpus.users[u]
         if prof.url:
@@ -384,17 +391,15 @@ def build_matrix(corpus: Corpus,
 
     blocks = [_block("tweet_term", *_term_cells(tweet_counts, "")), *profile,
               *_edge_blocks(graph, rows, min_in_degree)]
-    columns: list[FeatureColumn] = []
-    row, col, val = [], [], []
-    for b in blocks:
-        row.append(b.row)
-        col.append(len(columns) + b.col)
-        val.append(b.val)
-        columns.extend(b.columns)
-    X = CSR.from_triplets(np.concatenate(row), np.concatenate(col),
-                          np.concatenate(val), (len(rows), len(columns)))
-    return FeatureMatrix(rows=rows, columns=tuple(columns), X=X,
-                         period=period)
+    first_col = np.cumsum([0] + [len(b.columns) for b in blocks])
+    columns = tuple(c for b in blocks for c in b.columns)
+    row = np.concatenate([b.row for b in blocks])
+    col = np.concatenate([first + b.col for first, b in zip(first_col, blocks)])
+    val = np.concatenate([b.val for b in blocks])
+    del blocks  # the cells live on only in the concatenations
+    X = CSR.from_triplets(row, col, val, (len(rows), len(columns)))
+    del row, col, val  # before the matrix checks its cells
+    return FeatureMatrix(rows=rows, columns=columns, X=X, period=period)
 
 
 def drop_columns(matrix: FeatureMatrix, drop: set[str]) -> FeatureMatrix:

@@ -451,7 +451,7 @@ def train(matrix: MatrixLike, labels: Sequence[int],
         raise TrainingError("empty training matrix")
     if len(y) != X.shape[0]:
         raise TrainingError("label count does not match row count")
-    classes = set(np.unique(y))
+    classes = set(y.tolist())
     if classes != {0.0, 1.0}:
         raise TrainingError(f"need both binary classes, got {sorted(classes)}")
 

@@ -89,9 +89,12 @@ class LabelSet:
 
 def load_lookup(path) -> dict[str, str]:
     """`key<TAB>value` lines as ``{casefolded key: value}``: the gazetteer
-    (place to country) and the first-name list (name to gender)."""
+    (place to country) and the first-name list (name to gender). A key that
+    an earlier line gave, casefolded, is a
+    :class:`~stancelab.tsv.RuleFileError` naming both lines."""
     return dict(read_tsv(path, 2, lambda key, value: (key.strip().casefold(),
-                                                       value.strip())))
+                                                       value.strip()),
+                         key=("key", lambda pair: pair[0])))
 
 
 def load_attribute_patterns(path):

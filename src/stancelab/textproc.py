@@ -193,13 +193,6 @@ class Encoding:
         keep = np.repeat(posts, per_post)
         return rows[keep], self.post_terms[keep]
 
-    def _tally(self, rows: np.ndarray, terms: np.ndarray,
-              n_rows: int) -> CSR:
-        """``X[r, t]``: how many of the (row, term) pairs are ``(r, t)``."""
-        return CSR.from_triplets(rows, terms,
-                                 np.ones(len(rows), dtype=np.int64),
-                                 (n_rows, len(self.terms)))
-
     def _is_stopword(self, stopwords: Optional[set[str]]) -> np.ndarray:
         """Per term, whether it is a word listed in ``stopwords``."""
         out = np.zeros(len(self.terms), dtype=bool)
@@ -217,8 +210,12 @@ class Encoding:
         ``scope`` selects tweet text or profile biographies; tweets may be
         limited to the posts selected by the boolean mask ``posts`` (in
         corpus order, such as :meth:`Corpus.in_period` gives). Stopwords are
-        removed before counting; terms whose total frequency is below
-        ``min_count`` are removed after counting.
+        removed; so are terms whose total frequency, stopwords aside, is
+        below ``min_count``.
+
+        Per token of the selection: its user's row and its term's column
+        (int32 each) and a bool, kept and gathered once, then the temporaries
+        of :meth:`CSR.count`.
         """
         if scope not in ("tweet", "bio"):
             raise ValueError(f"unknown scope {scope!r}")
@@ -233,14 +230,23 @@ class Encoding:
             rows, terms = self.post_tokens(selected)
         else:
             rows, terms = self.token_users(self.bio_indptr), self.bio_terms
-        keep = ~self._is_stopword(stopwords)[terms]
-        counted = self.count_term[terms[keep]]
-        X = self._tally(rows[keep], counted, len(self.users))
-        cols = np.flatnonzero(np.bincount(counted, minlength=len(self.terms))
-                              >= min_count)
+        # the floor is applied per term, so only kept tokens are counted per
+        # user: each term gets the column of the term it is counted as, or
+        # -1 for a stopword or a term under the floor
+        stop = self._is_stopword(stopwords)
+        total = np.zeros(len(self.terms), dtype=np.int64)
+        np.add.at(total, self.count_term[~stop],
+                  np.bincount(terms, minlength=len(self.terms))[~stop])
+        cols = np.flatnonzero(total >= min_count)
+        column = np.full(len(self.terms), -1, dtype=np.int32)
+        column[cols] = np.arange(len(cols))
+        column = np.where(stop, -1, column[self.count_term])[terms]
+        keep = column >= 0
+        rows, column = rows[keep], column[keep]
         return TermCounts(users=self.users,
                           terms=tuple(self.terms[t] for t in cols.tolist()),
-                          X=X.take_columns(cols))
+                          X=CSR.count(rows, column,
+                                      (len(self.users), len(cols))))
 
     def lexicon_counts(self, lexicon: Lexicon
                        ) -> tuple[tuple[str, ...], CSR]:
@@ -251,32 +257,37 @@ class Encoding:
         """
         cats = tuple(lexicon.categories)
         term, cat = [], []
-        for t in np.unique(self.bio_terms).tolist():
+        for t in sorted(set(self.bio_terms.tolist())):
             low = self.terms[t].surface.lower()
             for k, name in enumerate(cats):
                 if low in lexicon.categories[name]:
                     term.append(t)
                     cat.append(k)
-        hits = CSR.from_triplets(term, cat, np.ones(len(term), dtype=np.int64),
-                                 (len(self.terms), len(cats)))
+        hits = CSR.count(term, cat, (len(self.terms), len(cats)))
         # one row per bio token: the categories of its term
         per_token = hits.take_rows(self.bio_terms).tocoo()
         users = self.token_users(self.bio_indptr)[per_token.row]
-        return cats, CSR.from_triplets(users, per_token.col, per_token.data,
-                                       (len(self.users), len(cats)))
+        return cats, CSR.count(users, per_token.col,
+                               (len(self.users), len(cats)))
 
     def counts_by_year(self, stopwords: Optional[set[str]] = None
                        ) -> dict[int, dict[str, int]]:
         """Token counts by surface per UTC calendar year of the post, over
-        all posts; stopwords are left out and URLs keep their full form."""
-        years = np.array([datetime.fromtimestamp(ts, tz=timezone.utc).year
-                          for ts in self.post_time.tolist()], dtype=np.int64)
-        labels, year_of_post = np.unique(years, return_inverse=True)
-        rows = np.repeat(year_of_post, np.diff(self.post_indptr))
+        all posts; stopwords are left out and URLs keep their full form.
+
+        Per post token: its year's row (int32) and a bool, the row and term
+        gathered once, then the temporaries of :meth:`CSR.count`.
+        """
+        years = [datetime.fromtimestamp(ts, tz=timezone.utc).year
+                 for ts in self.post_time.tolist()]
+        labels = sorted(set(years))
+        rows = np.repeat(np.searchsorted(labels, years).astype(np.int32),
+                         np.diff(self.post_indptr))
         keep = ~self._is_stopword(stopwords)[self.post_terms]
-        X = self._tally(rows[keep], self.post_terms[keep], len(labels))
+        rows, terms = rows[keep], self.post_terms[keep]
+        X = CSR.count(rows, terms, (len(labels), len(self.terms)))
         out: dict[int, dict[str, int]] = {}
-        for k, year in enumerate(labels.tolist()):
+        for k, year in enumerate(labels):
             lo, hi = X.indptr[k], X.indptr[k + 1]
             counts = out.setdefault(year, {})
             for t, c in zip(X.indices[lo:hi].tolist(),

@@ -57,3 +57,37 @@ def test_coo_view_is_row_major():
     assert (row.tolist(), col.tolist(), data.tolist()) == \
         ([0, 1, 1], [2, 0, 1], [4, 3, 5])
     assert X.data.dtype == np.int64
+
+
+@st.composite
+def pairs(draw):
+    """(row, col, shape) with no pair at all when a side is 0."""
+    n, p = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    k = draw(st.integers(0, 30)) if n and p else 0
+    row = draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=k,
+                        max_size=k))
+    col = draw(st.lists(st.integers(0, max(p - 1, 0)), min_size=k,
+                        max_size=k))
+    return row, col, (n, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs(), st.sampled_from([list, np.int32, np.int64]))
+def test_counts_match_a_dense_oracle(cells, kind):
+    row, col, shape = cells
+    if kind is not list:  # term ids and rows arrive as int32 arrays
+        row, col = np.array(row, dtype=kind), np.array(col, dtype=kind)
+    dense = np.zeros(shape, dtype=np.int64)
+    np.add.at(dense, (np.asarray(row, dtype=np.intp),
+                      np.asarray(col, dtype=np.intp)), 1)
+    X = CSR.count(row, col, shape)
+    assert canonical(X) and X.shape == shape
+    assert np.array_equal(X.toarray(), dense)
+    assert X.nnz == np.count_nonzero(dense)
+    assert X.indptr.dtype == X.indices.dtype == X.data.dtype == np.int64
+    # a count is a sum of ones
+    Y = CSR.from_triplets(row, col, np.ones(len(row), dtype=np.int64), shape)
+    assert canonical(Y) and Y.shape == shape
+    for a, b in ((X.indptr, Y.indptr), (X.indices, Y.indices),
+                 (X.data, Y.data)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +92,34 @@ def test_save_load_round_trip(tmp_path):
     f2 = tmp_path / "m2.txt"
     m2.save(f2)
     assert f.read_bytes() == f2.read_bytes()
+
+
+def test_save_memory_does_not_grow_with_the_nonzeros(tmp_path):
+    # 2,000 rows, some empty, and 60 columns: about 24 chunks of cells
+    rng = np.random.default_rng(5)
+    n_rows, n_cols = 2000, 60
+    dense = rng.random((n_rows, n_cols)) * (rng.random((n_rows, n_cols)) < .9)
+    dense[rng.random(n_rows) < 0.1] = 0.0
+    m = ft.FeatureMatrix(
+        rows=tuple(f"u{i:05d}" for i in range(n_rows)),
+        columns=tuple(ft.FeatureColumn(f"t{j}", "tweet_term", "word")
+                      for j in range(n_cols)),
+        X=as_csr(dense))
+    assert m.X.nnz > 20 * ft._SAVE_CELLS
+    path = tmp_path / "m.txt"
+    tracemalloc.start()
+    try:
+        m.save(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a chunk's cells as Python numbers, at some 100 bytes a cell
+    assert peak < 200 * ft._SAVE_CELLS, peak
+    assert ft.FeatureMatrix.load(path) == m
+    lines = path.read_text(encoding="utf-8").splitlines()[-m.X.nnz:]
+    cells = m.X.tocoo()
+    assert lines == [f"{i} {j} {v!r}" for i, j, v in zip(
+        cells.row.tolist(), cells.col.tolist(), cells.data.tolist())]
 
 
 def test_drop_columns():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 import regex
 
@@ -6,6 +8,7 @@ from stancelab import textproc as tp
 from stancelab.config import default_rule_path
 from stancelab.corpus import Corpus, MicroPost, UserProfile
 from stancelab.features import FeatureColumn
+from stancelab.tsv import RuleFileError
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +179,22 @@ def test_stance_tweet_phrase_spans_tokens_and_posts():
     # a phrase matches the user's post tokens joined by spaces, across posts
     assert lb.label_stances(corpus, seeds) == [
         "defense", "defense", None, None]
+
+
+@pytest.mark.parametrize("name, again", [
+    ("gazetteer.tsv", "Santiago \tArgentina"), ("names.tsv", "ANA\tmale")])
+def test_a_lookup_key_given_twice_is_a_named_error(tmp_path, name, again):
+    # the shipped file with one more line whose key, casefolded, it holds
+    shipped = open(default_rule_path(name), encoding="utf-8").read()
+    key = again.split("\t")[0].strip().casefold()
+    first = next(n for n, line in enumerate(shipped.split("\n"), 1)
+                 if line.split("\t")[0] == key)
+    path = tmp_path / name
+    path.write_text(shipped + again + "\n", encoding="utf-8")
+    with pytest.raises(RuleFileError, match=re.escape(
+            f"{path}:{shipped.count(chr(10)) + 1}: duplicate key identifier "
+            f"{key!r} (first on line {first}): {again!r}")):
+        lb.load_lookup(path)
 
 
 def test_shipped_rule_files_load_these_values(rules):

@@ -279,7 +279,8 @@ def test_text_stage_outputs_match_golden_digests(demo_corpus, tmp_path):
         assert got == digest, name
 
 
-# runs one stancelab command, then prints the scipy modules it loaded
+# runs one stancelab command, then prints the scipy and numpy.ma modules it
+# loaded (np.unique imports numpy.ma on its first call)
 _SCIPY_AFTER = """\
 import sys
 from stancelab import cli
@@ -288,7 +289,8 @@ try:
 except SystemExit as exc:
     if exc.code:
         raise
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+             or m.split(".")[:2] == ["numpy", "ma"]))
 """
 
 

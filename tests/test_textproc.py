@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from datetime import datetime, timezone
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stancelab import corpus as cm
+from stancelab import synth
 from stancelab import textproc as tp
 
 
@@ -218,6 +220,24 @@ def test_encoding_counts_equal_a_direct_tally(corpus, min_count, retweets):
                 counts[tok.surface] += 1
     assert enc.counts_by_year(_STOP) == {y: dict(c)
                                          for y, c in by_year.items()}
+
+
+def test_term_counts_memory_is_bounded_per_token():
+    # at scale the temporaries of a count, not its result, set the memory
+    # peak: one sorted int64 key per counted token, a few int32 arrays and
+    # bools, and some int64 per stored cell
+    corpus, _truth = synth.generate(synth.SynthSpec(n_users=300, rng_seed=11))
+    enc = corpus.encoding
+    enc.term_counts("tweet", 5, _STOP)  # first-call caches and imports
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        enc.term_counts("tweet", 5, _STOP)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    n_tokens = len(enc.post_terms)
+    assert peak < 48 * n_tokens, f"{peak / n_tokens:.1f} bytes per token"
 
 
 @settings(max_examples=100, deadline=None)
