@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -71,8 +71,10 @@ class FeatureMatrix:
     def __post_init__(self):
         for what, ids in (("row", self.rows),
                           ("column", self.column_identifiers())):
-            if (repeat := first_repeat(ids)) is not None:
-                raise MatrixError(f"duplicate {what} {ids[repeat[1]]!r}")
+            first: dict = {}
+            for k, ident in enumerate(ids):
+                if repeat(first, ident, k, what):
+                    raise MatrixError(f"duplicate {what} {ident!r}")
         X = self.X
         if not isinstance(X, CSR) or X.data.dtype != np.float64:
             raise MatrixError("values must be a float64 CSR")
@@ -229,16 +231,6 @@ def _bad_cell(row, col, value, shape) -> Optional[tuple[int, str]]:
     return k, next(what for flags, what in rules if flags[k])
 
 
-def first_repeat(ids: Sequence[str]) -> Optional[tuple[int, int]]:
-    """``(first, k)`` for the first identifier ``ids[k]`` that an earlier
-    ``ids[first]`` equals, or None when the identifiers are unique."""
-    seen: dict[str, int] = {}
-    for k, ident in enumerate(ids):
-        if (first := seen.setdefault(ident, k)) != k:
-            return first, k
-    return None
-
-
 class Block(NamedTuple):
     """One block of columns, sorted by identifier, and its cells: row
     ``row[k]``, column ``columns[col[k]]``, value ``val[k] > 0``."""
@@ -250,22 +242,15 @@ class Block(NamedTuple):
 
 def _block(block: str, idents: list[str], types: list[str], row, col,
            val) -> Block:
-    """Block from cells whose ``col`` indexes ``idents``/``types``.
-
-    Columns are sorted by identifier. Terms of two kinds that share an
-    identifier (a URL whose registrable domain has no dot, like ``www.foo``,
-    and the word ``foo``) become one column, the sum of both, typed by the
-    kind that comes first in ``FEATURE_TYPES``.
-    """
-    order = sorted(range(len(idents)), key=lambda j: (
-        idents[j], FEATURE_TYPES.index(types[j])))
-    columns: list[FeatureColumn] = []
+    """Block from cells whose ``col`` indexes ``idents``/``types``, one
+    column per identifier, sorted by identifier (no two terms share one:
+    see :func:`~stancelab.textproc.registrable_domain`)."""
+    order = sorted(range(len(idents)), key=idents.__getitem__)
     new_col = np.empty(len(idents), dtype=np.int64)
-    for j in order:
-        if not columns or columns[-1].identifier != idents[j]:
-            columns.append(FeatureColumn(idents[j], block, types[j]))
-        new_col[j] = len(columns) - 1
-    return Block(tuple(columns), np.asarray(row, dtype=np.int64),
+    new_col[order] = np.arange(len(idents))
+    return Block(tuple(FeatureColumn(idents[j], block, types[j])
+                       for j in order),
+                 np.asarray(row, dtype=np.int64),
                  new_col[np.asarray(col, dtype=np.int64)],
                  np.asarray(val, dtype=np.float64))
 

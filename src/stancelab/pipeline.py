@@ -265,7 +265,7 @@ class Pipeline:
     def _load_manifest(self) -> dict:
         path = self._manifest
         if not path.exists():
-            return {"version": VERSION, "stages": {}}
+            return {"stages": {}}
         try:  # a JSON error names the line and column
             manifest = json.loads(read_text(path, StageError))
         except ValueError as exc:
@@ -283,7 +283,8 @@ class Pipeline:
         """Record ``stage`` as run, and every later stage as not run: their
         outputs were made from what ``stage`` has just replaced."""
         manifest = self._load_manifest()
-        manifest.update(digest=self.digest, config=self.config.snapshot(),
+        manifest.update(version=VERSION, digest=self.digest,
+                        config=self.config.snapshot(),
                         inputs=self._input_digests)
         i = STAGES.index(stage)
         for later in STAGES[i + 1:]:

@@ -48,6 +48,8 @@ _TOKEN_RE = regex.compile(
     """ % _EMOJI_SEQ,
     regex.VERBOSE,
 )
+# a dotted host name, with a numeric port or none
+_DOMAIN_RE = regex.compile(r"[\w-]+(?:\.[\w-]+)+(?::[0-9]+)?")
 
 
 class Token(NamedTuple):
@@ -81,8 +83,9 @@ class Lexicon:
 class TermCounts:
     """Per-user term counts: ``X[i, j]`` is how often user ``users[i]`` used
     term ``terms[j]`` (an int64 CSR array; absent cells are zero). URLs are
-    counted by registrable domain, and every term passed the corpus-wide
-    count floor of :meth:`Encoding.term_counts`."""
+    counted by :func:`registrable_domain`, so no two terms share a surface,
+    and every term passed the corpus-wide count floor of
+    :meth:`Encoding.term_counts`."""
     users: tuple[str, ...]
     terms: tuple[Token, ...]
     X: CSR
@@ -99,7 +102,10 @@ class TermCounts:
 
 
 def registrable_domain(url: str) -> str:
-    """Approximate registrable domain of a URL (netloc minus 'www.')."""
+    """The identifier a URL is counted by: its netloc, lowercased and minus
+    ``www.``, when that is a dotted host name; else the URL itself,
+    lowercased, with ``http://`` when it has no scheme. So a URL term shares
+    its identifier with no other term (FORMATS.md, "Feature matrix")."""
     if "://" not in url:
         url = "http://" + url
     try:
@@ -108,7 +114,7 @@ def registrable_domain(url: str) -> str:
         netloc = ""
     if netloc.startswith("www."):
         netloc = netloc[4:]
-    return netloc or url.lower()
+    return netloc if _DOMAIN_RE.fullmatch(netloc) else url.lower()
 
 
 def tokenize(text: str) -> list[Token]:
@@ -147,8 +153,9 @@ class Encoding:
     appearance, and user ``i`` (``users`` is sorted) reads
     ``bio_terms[bio_indptr[i]:bio_indptr[i + 1]]`` and the same slice of
     ``name_terms`` for the full name: three CSR layouts over one vocabulary.
-    ``count_term[t]`` is the term that ``t`` is counted as: a URL's
-    registrable domain (added to the vocabulary), else ``t`` itself.
+    ``count_term[t]`` is the term that ``t`` is counted as: for a URL, the
+    URL term of its :func:`registrable_domain` (added to the vocabulary),
+    else ``t`` itself.
     ``post_user`` is the author's row, ``post_time`` the timestamp and
     ``post_retweet`` whether the post is a retweet.
     """
@@ -222,12 +229,10 @@ class Encoding:
         if min_count < 1:
             raise ValueError("min_count must be >= 1")
         if scope == "tweet":
-            selected = np.ones(len(self.post_user), dtype=bool)
-            if posts is not None:
-                selected &= posts
             if not include_retweets:
-                selected &= ~self.post_retweet
-            rows, terms = self.post_tokens(selected)
+                original = ~self.post_retweet
+                posts = original if posts is None else posts & original
+            rows, terms = self.post_tokens(posts)
         else:
             rows, terms = self.token_users(self.bio_indptr), self.bio_terms
         # the floor is applied per term, so only kept tokens are counted per

@@ -25,7 +25,7 @@ from stancelab.config import (SCALARS, PipelineConfig, RulePaths, Thresholds,
                               config_from_dict)
 from stancelab.gbt import BoostParams
 from stancelab.pipeline import (_LOADERS, REPORT_FILES, STAGE_TABLE, STAGES,
-                                Pipeline, StageError, output_lock)
+                                VERSION, Pipeline, StageError, output_lock)
 
 
 @pytest.fixture(scope="module")
@@ -585,6 +585,32 @@ def test_a_url_that_does_not_parse_is_its_own_domain(tmp_path):
                for i in idents), idents
 
 
+def test_a_url_spelled_like_an_edge_column_has_a_column_of_its_own(
+        demo_corpus, tmp_path):
+    # every post cites http://rt:<the most retweeted user>, whose retweet
+    # column is rt:<that user>
+    corpus = cm.load_corpus(demo_corpus)
+    target = Counter(p.retweet_of for p in corpus.posts
+                     if p.retweet_of).most_common(1)[0][0]
+    url = f"http://rt:{target}"
+    corpus = dataclasses.replace(corpus, posts=tuple(
+        p._replace(text=f"{p.text} {url}") for p in corpus.posts))
+    path = tmp_path / "corpus.jsonl"
+    cm.write_corpus(corpus, path)
+    pipe = _stages(make_config(str(path), tmp_path / "run"), STAGES)
+    m = features.FeatureMatrix.load(pipe.out / "matrix_full.txt")
+    index = m.column_index()
+    assert m.columns[index[url]] == features.FeatureColumn(
+        url, "tweet_term", "url")
+    assert m.columns[index[f"rt:{target}"]] == features.FeatureColumn(
+        f"rt:{target}", "retweet_edge", "network")
+    # one citation per post that ingest kept
+    kept = cm.load_corpus(pipe.out / "corpus.jsonl")
+    cited = m.to_dense()[:, index[url]]
+    assert dict(zip(m.rows, cited.tolist())) == Counter(
+        p.author_id for p in kept.posts)
+
+
 _LABELS = "user_id\tattribute\tvalue\tprovenance\tconfidence"
 _TURNAROUND = "user_id\tp_t0\tp_t1\tdelta"
 
@@ -1019,6 +1045,18 @@ def test_a_stage_that_runs_makes_every_later_stage_stale(
         stage not in ("ingest", "label") for stage in STAGES]
     # train and calibrate were built from the new labels
     assert Pipeline(cfg).run_stage("calibrate")
+
+
+def test_each_record_states_the_version_that_wrote_it(
+        demo_corpus, finished, tmp_path):
+    out = _copy_of(finished, tmp_path)
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text())
+    assert manifest["version"] == VERSION
+    manifest["version"] = "stancelab 0.0.1"
+    path.write_text(json.dumps(manifest))
+    assert Pipeline(make_config(demo_corpus, out)).run_stage("label")
+    assert json.loads(path.read_text())["version"] == VERSION
 
 
 def test_a_stage_runs_only_after_every_earlier_stage(
