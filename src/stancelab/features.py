@@ -102,6 +102,14 @@ class FeatureMatrix:
     def row_index(self) -> dict[str, int]:
         return {u: i for i, u in enumerate(self.rows)}
 
+    def select_users(self, users) -> "FeatureMatrix":
+        """The rows of ``users``, in that order, with the same columns and
+        period; a user without a row is a KeyError."""
+        ridx = self.row_index()
+        take = np.array([ridx[u] for u in users], dtype=np.int64)
+        return FeatureMatrix(rows=tuple(users), columns=self.columns,
+                             X=self.X.take_rows(take), period=self.period)
+
     def column_index(self) -> dict[str, int]:
         return {c.identifier: j for j, c in enumerate(self.columns)}
 
@@ -316,7 +324,7 @@ def profile_blocks(corpus: Corpus, bio_counts: TermCounts,
         if prof.timezone:
             cell(i, "timezone:" + _one_line(prof.timezone), "meta", 1.0)
         if n_emojis[i]:
-            cell(i, "n_emojis_bio", "meta", float(n_emojis[i]))
+            cell(i, "meta:n_emojis_bio", "meta", float(n_emojis[i]))
     for i, t in name_cells:
         cell(i, f"name:{encoding.terms[t].surface}", "emoji", 1.0)
     meta = _block("profile_meta", idents, types, meta_row, meta_col, meta_val)
@@ -398,12 +406,5 @@ def drop_columns(matrix: FeatureMatrix, drop: set[str]) -> FeatureMatrix:
 
 def align_rows(a: FeatureMatrix, b: FeatureMatrix) -> tuple[FeatureMatrix, FeatureMatrix]:
     """Restrict both matrices to their common users, in the same sorted order."""
-    common = tuple(sorted(set(a.rows) & set(b.rows)))
-
-    def restrict(m: FeatureMatrix) -> FeatureMatrix:
-        ridx = m.row_index()
-        take = np.array([ridx[u] for u in common], dtype=np.int64)
-        return FeatureMatrix(rows=common, columns=m.columns,
-                             X=m.X.take_rows(take), period=m.period)
-
-    return restrict(a), restrict(b)
+    common = sorted(set(a.rows) & set(b.rows))
+    return a.select_users(common), b.select_users(common)

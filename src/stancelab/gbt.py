@@ -118,7 +118,7 @@ class Tree:
         return len(self.feature)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoostedModel:
     trees: list[Tree]
     base_score: float

@@ -256,7 +256,6 @@ class Pipeline:
         self.digest = config.digest(self._input_digests)
         # the stage outputs held for later stages, by file name
         self._held: dict[str, object] = {}
-        self._predicted = (None, None, None)  # see _confidence
         # created only once the config has passed every check above
         self.out.mkdir(parents=True, exist_ok=True)
 
@@ -384,16 +383,6 @@ class Pipeline:
                                      r.stance_seeds,
                                      reference_year=self.config.reference_year)
 
-    def _confidence(self, model, full) -> np.ndarray:
-        """The confidence of ``model`` for each row of the full matrix
-        ``full``: the last result while both are the objects it was
-        computed from, so calibrate and predict share one prediction."""
-        last_model, last_full, confidence = self._predicted
-        if model is not last_model or full is not last_full:
-            confidence = gbt.predict_confidence(model, full)
-            self._predicted = (model, full, confidence)
-        return confidence
-
     @functools.cached_property
     def _stopwords(self) -> set[str]:
         """The stopword file, read once per pipeline."""
@@ -499,13 +488,13 @@ class Pipeline:
         return sorted(users[n_cal:])
 
     def _stance_rows(self, users: list[str], matrix, labels
-                     ) -> tuple[list[str], list[int], list[int]]:
-        """The ``users`` that ``matrix`` has a row for, their row indices and
-        their stance labels: 1 for defense, else 0."""
-        ridx = matrix.row_index()
-        kept = [u for u in users if u in ridx]
+                     ) -> tuple[features_mod.FeatureMatrix, list[int]]:
+        """The rows of ``matrix`` of the ``users`` it has a row for, in the
+        order given, and their stance labels: 1 for defense, else 0."""
+        rows = set(matrix.rows)
+        kept = [u for u in users if u in rows]
         y = [int(labels.get(u, "stance").value == "defense") for u in kept]
-        return kept, [ridx[u] for u in kept], y
+        return matrix.select_users(kept), y
 
     def _stage_train(self, labels, full) -> dict:
         matrix = features_mod.drop_columns(full, labeling.leakage_columns(
@@ -513,14 +502,12 @@ class Pipeline:
         train_users = self._train_users(labels)
         if not train_users:
             raise StageError("no stance-labeled users to train on")
-        kept_users, rows, y = self._stance_rows(train_users, matrix, labels)
+        labeled, y = self._stance_rows(train_users, matrix, labels)
         # the model and the CV folds are fit together, in parallel
-        report = gbt.cross_validate(matrix.X.take_rows(rows), y,
-                                    self.config.boost)
+        report = gbt.cross_validate(labeled, y, self.config.boost)
         model = report.model
-        model.columns = matrix.column_identifiers()
         self._put("model_stance.txt", model.save, model)
-        users = "".join(u + "\n" for u in kept_users)
+        users = "".join(u + "\n" for u in labeled.rows)
         path = self.out / "model_train_users.txt"
         self._put(path.name, _writes(users), _read_users(path, users))
         self._write_tsv("cv_metrics.tsv",
@@ -533,13 +520,13 @@ class Pipeline:
 
     def _stage_calibrate(self, labels, full, train_users, model) -> None:
         # train users without a matrix row, not in that file, have none here
-        calib_users, rows, y = self._stance_rows(
+        labeled, y = self._stance_rows(
             [u for u in labels.users_with("stance") if u not in train_users],
             full, labels)
-        if len(calib_users) < calib.MIN_PAIRS:
+        if len(y) < calib.MIN_PAIRS:
             raise StageError(f"calibration set too small "
                              f"(<{calib.MIN_PAIRS} labeled users)")
-        c = self._confidence(model, full)[rows]
+        c = gbt.predict_confidence(model, labeled)
         platt = calib.fit_platt(c, y)
         self._write_tsv("platt.tsv", _PLATT_HEADER,
                         [(platt.slope, platt.offset)])
@@ -552,7 +539,7 @@ class Pipeline:
 
     def _stage_predict(self, full, platt, model) -> None:
         scores = calib.score_users(platt, full.rows,
-                                   self._confidence(model, full))
+                                   gbt.predict_confidence(model, full))
         self._write_tsv("stance_scores.tsv",
                         ["user_id", "raw_confidence", "probability", "band"],
                         [(s.user_id, s.raw_confidence, s.probability, s.band)
@@ -603,10 +590,9 @@ class Pipeline:
             raise StageError(f"no users with known gender and age among the "
                              f"{len(p0.rows)} matrix rows")
 
-        def calibrated(m):  # a row's prediction ignores the other rows
-            ridx = m.row_index()
+        def calibrated(m):
             return calib.calibrate_many(platt, gbt.predict_confidence(
-                model, m)[[ridx[u] for u in users]]).tolist()
+                model, m.select_users(users))).tolist()
         self._write_tsv("turnaround.tsv", _TURNAROUND_HEADER, [
             (u, a, b, stats.turnaround(a, b))
             for u, a, b in zip(users, calibrated(p0), calibrated(p1))])

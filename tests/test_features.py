@@ -50,7 +50,7 @@ def test_matrix_values_hand_checked():
     assert dense[ridx["a"], cidx["lexcat:family"]] == 1
     assert dense[ridx["a"], cidx["home_domain:blog.cl"]] == 1
     assert dense[ridx["a"], cidx["timezone:Santiago"]] == 1
-    assert dense[ridx["a"], cidx["n_emojis_bio"]] == 1
+    assert dense[ridx["a"], cidx["meta:n_emojis_bio"]] == 1
     assert dense[ridx["a"], cidx["name:✨"]] == 1
     assert dense[ridx["b"], cidx["rt:a"]] == 1
     assert dense[ridx["c"], cidx["at:a"]] == 1
@@ -145,6 +145,14 @@ def test_align_rows():
     assert a.columns == m.columns
     assert np.array_equal(a.to_dense(), m.to_dense()[[1]])
     assert np.array_equal(b.to_dense(), X[[0]])
+
+
+def test_select_users_refuses_a_repeated_or_unknown_user():
+    m = build()
+    with pytest.raises(ft.MatrixError, match="^duplicate row 'a'$"):
+        m.select_users(["a", "a"])
+    with pytest.raises(KeyError):
+        m.select_users(["z"])
 
 
 def test_positive_cell_contract():

@@ -380,7 +380,8 @@ def saved_model(tmp_path_factory):
     """A saved model with a multi-byte column identifier."""
     X, y = separable_data(seed=5)
     model = gbt.train(X, y, gbt.BoostParams(n_estimators=8))
-    model.columns = [f"c{j}" for j in range(X.shape[1] - 1)] + ["name:💚"]
+    model = replace(model, columns=[f"c{j}" for j in range(X.shape[1] - 1)]
+                    + ["name:💚"])
     path = tmp_path_factory.mktemp("model") / "model.txt"
     model.save(path)
     return path.read_bytes()
@@ -454,6 +455,37 @@ def test_column_reconciliation():
         X2[:, remap[c.identifier]] = X[:, j]
     m2 = FeatureMatrix(rows=m.rows, columns=perm, X=as_csr(X2))
     assert np.array_equal(gbt.predict_margin(model, m2), base)
+
+
+@pytest.fixture(scope="module")
+def named_model():
+    """A model trained on a FeatureMatrix with a period, the matrix, and the
+    margin of each of its rows."""
+    from stancelab.features import FeatureColumn, FeatureMatrix
+    X, y = separable_data(n=120, seed=6)
+    cols = tuple(FeatureColumn(f"t{j}", "tweet_term", "word")
+                 for j in range(X.shape[1]))
+    m = FeatureMatrix(rows=tuple(f"u{i:03d}" for i in range(len(y))),
+                      columns=cols, X=as_csr(X), period=(0, 86400))
+    model = gbt.train(m, y, gbt.BoostParams(n_estimators=30))
+    return model, m, gbt.predict_margin(model, m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_selected_rows_predict_as_in_the_whole_matrix(named_model, data):
+    model, m, margin = named_model
+    n = m.shape[0]
+    take = data.draw(st.one_of(
+        st.lists(st.integers(0, n - 1), min_size=1, unique=True),
+        st.integers(0, n - 1).map(lambda i: [i]),
+        st.permutations(range(n))))
+    users = [m.rows[i] for i in take]
+    sub = m.select_users(users)
+    assert sub.rows == tuple(users)
+    assert sub.columns == m.columns and sub.period == m.period
+    assert np.array_equal(sub.X.toarray(), m.X.toarray()[take])
+    assert np.array_equal(gbt.predict_margin(model, sub), margin[take])
 
 
 def test_feature_importance_ranked():

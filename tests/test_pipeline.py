@@ -169,30 +169,94 @@ def _same_model(a, b):
 _BAD_USER_IDS = ("", "u 1", "u\t2", "u\r3", "u\u20284", "#u5")
 
 
-def test_calibrate_and_predict_share_one_prediction_of_the_full_matrix(
-        demo_corpus, tmp_path, monkeypatch):
-    predicted = []
+def _data_lines(path: Path) -> list[list[str]]:
+    """The fields of each line of a report below its header."""
+    lines = [line for line in path.read_text().splitlines()
+             if not line.startswith("#")]
+    return [line.split("\t") for line in lines[1:]]
+
+
+def test_each_stage_predicts_only_the_rows_it_writes(demo_corpus, tmp_path,
+                                                      monkeypatch):
+    predicted = []  # each FeatureMatrix predicted, and its confidences
     predict = gbt.predict_confidence
 
-    def counted(model, matrix):
+    def recorded(model, matrix):
+        confidence = predict(model, matrix)
         if isinstance(matrix, features.FeatureMatrix):  # not a CV fold
-            predicted.append((model, matrix))
-        return predict(model, matrix)
+            predicted.append((matrix, confidence))
+        return confidence
 
-    monkeypatch.setattr(gbt, "predict_confidence", counted)
-    pipe = run_all(make_config(demo_corpus, tmp_path / "run"))
+    monkeypatch.setattr(gbt, "predict_confidence", recorded)
+    cfg = make_config(demo_corpus, tmp_path / "run")
+    pipe = Pipeline(cfg)
+    by_stage = {}
+    with output_lock(pipe.out):
+        for stage in STAGES:
+            predicted.clear()
+            pipe.run_stage(stage)
+            by_stage[stage] = list(predicted)
+    assert {stage for stage, calls in by_stage.items() if calls} == {
+        "calibrate", "predict", "turnaround"}
+
+    # calibrate: the stance-labeled matrix users that train left out
+    [(calibrated, confidence)] = by_stage["calibrate"]
     full = pipe._held["matrix_full.txt"]
-    assert [m for _model, m in predicted].count(full) == 1
-    assert len(predicted) == 3  # and the two period matrices in turnaround
+    labels = pipe._held["labels.tsv"]
+    held_out = set(labels.users_with("stance")) - \
+        pipe._held["model_train_users.txt"]
+    assert calibrated.rows == tuple(sorted(held_out & set(full.rows)))
+    assert len(calibrated.rows) == sum(
+        int(line[-1]) for line in _data_lines(pipe.out / "calibration.tsv"))
+    raw = {u: float(c) for u, c, _p, _band in
+           _data_lines(pipe.out / "stance_scores.tsv")}
+    assert np.array_equal(confidence, [raw[u] for u in calibrated.rows])
 
-    # a new model is predicted anew, and calibrate reads that prediction
-    predicted.clear()
-    pipe.run_stage("train")
-    pipe.run_stage("calibrate")
-    pipe.run_stage("predict")
-    model = pipe._held["model_stance.txt"]
-    assert predicted == [(model, full)]
-    assert np.array_equal(pipe._confidence(model, full), predict(model, full))
+    # predict: every row of the full matrix, once
+    [(scored, _confidence)] = by_stage["predict"]
+    assert scored is full
+
+    # turnaround: the users of turnaround.tsv, from each period matrix
+    users = tuple(line[0] for line in
+                  _data_lines(pipe.out / "turnaround.tsv"))
+    assert [(m.period, m.rows) for m, _c in by_stage["turnaround"]] == [
+        (tuple(period), users) for period in cfg.periods]
+
+
+def test_a_tweet_word_spelled_like_a_profile_column_is_a_column_of_its_own(
+        demo_corpus, tmp_path):
+    # a user of the largest component of the on-topic posts with an emoji
+    # in the bio, and as many posts holding the word `n_emojis_bio` as the
+    # tweet-term floor asks
+    cfg = make_config(demo_corpus, tmp_path / "run")
+    corpus = cm.filter_relevant(cm.load_corpus(demo_corpus),
+                                cfg.include_terms)
+    user = min(cm.largest_connected_component(
+        cm.build_interaction_graph(corpus)))
+    lines, stamp = [], None
+    with open(demo_corpus, encoding="utf-8") as fh:
+        for line in fh:
+            post = json.loads(line)
+            if post["author_id"] == user and "author" in post:
+                bio = post["author"]["bio"] or ""
+                post["author"]["bio"] = bio + " \U0001F49A"
+                stamp = stamp or post["timestamp"]
+                line = json.dumps(post) + "\n"
+            lines.append(line)
+    lines += [json.dumps({"post_id": f"nb{k}", "author_id": user,
+                          "timestamp": stamp,
+                          "text": "aborto n_emojis_bio"}) + "\n"
+              for k in range(cfg.thresholds.tweet_min_count)]
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    pipe = run_all(make_config(str(path), tmp_path / "run"))
+    stages = json.loads((pipe.out / "manifest.json").read_text())["stages"]
+    assert sorted(stages) == sorted(STAGES)
+    cols = {line.split(" ", 2)[2] for line in
+            (pipe.out / "matrix_full.txt").read_text().splitlines()
+            if line.startswith("#col ")}
+    assert {"n_emojis_bio tweet_term word",
+            "meta:n_emojis_bio profile_meta meta"} <= cols
 
 
 def test_held_outputs_equal_what_reading_the_files_gives(demo_corpus,

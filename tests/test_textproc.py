@@ -152,6 +152,8 @@ _FRAGMENTS = (
     "Aborto", "aborto", "de", "la", "LEGAL", "a\u0301rbol", "árbol", "foo",
     "#AbortoLegal", "#provida", "@Ana", "@ana_b", "madre", "feminista",
     "instagram", "2017", "x_1",
+    # a word spelled like the profile-meta column less its prefix
+    "n_emojis_bio",
     # URLs with trailing punctuation, and ones with no registrable domain
     "http://t.co/x.", "https://www.Example.com/a?b=1!", "www.foo.org/p),",
     "www.foo", "http://localhost/",
@@ -288,15 +290,6 @@ def test_profile_columns_equal_a_direct_tally(corpus):
     tweet = enc.term_counts("tweet", 1, _STOP)
     profile = ft.profile_blocks(corpus, enc.term_counts("bio", 1, _STOP), lex)
     graph = cm.build_interaction_graph(corpus)
-    # a tweet word spelled `n_emojis_bio` ("foohttp://n_emojis_bio" holds
-    # one) takes the identifier of that profile-meta column, a known fault
-    # that stops the build with a named error
-    if (tp.Token("n_emojis_bio", "word") in tweet.vocabulary()
-            and any(c.identifier == "n_emojis_bio" for c in profile[1].columns)):
-        with pytest.raises(ft.MatrixError,
-                           match="^duplicate column 'n_emojis_bio'$"):
-            ft.build_matrix(corpus, tweet, profile, graph, min_in_degree=1)
-        return
     m = ft.build_matrix(corpus, tweet, profile, graph, min_in_degree=1)
     got = {(m.rows[i], m.columns[j].identifier): v
            for i, j, v in zip(*m.X.tocoo())}
@@ -310,7 +303,7 @@ def test_profile_columns_equal_a_direct_tally(corpus):
                 want[(u, f"lexcat:{cat}")] = hits
         n_emojis = sum(tok.kind == "emoji" for tok in bio)
         if n_emojis:
-            want[(u, "n_emojis_bio")] = n_emojis
+            want[(u, "meta:n_emojis_bio")] = n_emojis
         for tok in tp.tokenize(prof.full_name or ""):
             if tok.kind == "emoji":
                 want[(u, f"name:{tok.surface}")] = 1
@@ -318,7 +311,7 @@ def test_profile_columns_equal_a_direct_tally(corpus):
     for (u, tok), c in _tally([(p.author_id, p.text) for p in corpus.posts],
                               1).items():
         want[(u, tok.surface)] = c
-    prefixes = ("lexcat:", "n_emojis_bio", "name:")
+    prefixes = ("lexcat:", "meta:", "name:")
     tweet_ids = {c.identifier for c in m.columns if c.block == "tweet_term"}
     assert {k: v for k, v in got.items()
             if k[1].startswith(prefixes) or k[1] in tweet_ids} == want
